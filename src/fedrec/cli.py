@@ -1,9 +1,10 @@
 """Command-line entry points: pretrain, train, evaluate, simulate.
 
 Flags use the same dotted names as the config file (`--train.eta 0.02`) and
-take precedence over it; `--seed` and `--threads` are shorthands for
-`train.seed` and `train.threads`. Exit codes: 0 ok, 2 config error, 3 data
-error, 4 numeric failure.
+take precedence over it; `--seed` is shorthand for `train.seed`. `pretrain`
+and `train` share the server's warm start, and `train` and `evaluate` share
+its per-user evaluation models, ranked one user at a time. Exit codes: 0 ok,
+2 config error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -12,27 +13,18 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (
-    REGISTRY,
-    ExperimentConfig,
-    build_config,
-    pretrain_eta,
-    read_config_file,
-)
+from .config import REGISTRY, ExperimentConfig, build_config, read_config_file
 from .data import SplitDataset, leave_one_out_split, load_interactions
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import UserEvalModel, evaluate_cutoffs
-from .gnn import EmbeddingTable, init_table, load_checkpoint, save_checkpoint
-from .client import infer_user_embedding
-from .pretrain import assemble_pretraining_graph, pretrain
-from .privacy import LdpConfig, privacy_budget, sample_pseudo_items
-from .rng import substream
+from .evaluation import PHASES, evaluate_cutoffs
+from .gnn import load_checkpoint, save_checkpoint
+from .privacy import LdpConfig, privacy_budget
 from .server import (
-    augmentation_settings,
-    privacy_settings,
-    build_eval_models,
+    eval_model,
     eval_weights,
+    personalized_models,
     run_training,
+    warm_up,
 )
 
 COMMANDS = ("pretrain", "train", "evaluate", "simulate")
@@ -57,7 +49,6 @@ options:
   --checkpoint PATH    checkpoint to evaluate (evaluate)
   --warm-start PATH    warm-start checkpoint (train)
   --seed N             shorthand for train.seed
-  --threads N          shorthand for train.threads
   --no_pretrain / --no_personalization / --no_clustering
   --SECTION.KEY VALUE  override any config key, e.g. --train.eta 0.02
 """
@@ -95,8 +86,6 @@ def _parse_args(argv: list[str]):
             options["warm_start"] = value
         elif key == "seed":
             overrides["train.seed"] = value
-        elif key == "threads":
-            overrides["train.threads"] = value
         elif key in _ABLATION_SUGAR:
             overrides[_ABLATION_SUGAR[key]] = value
         elif key in REGISTRY:
@@ -121,47 +110,25 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _results_records(cfg, split, models, final_round) -> list[dict]:
-    records = []
-    for phase in ("validation", "test"):
-        by_k = evaluate_cutoffs(split, models, cfg.eval.cutoffs, phase)
-        for k in cfg.eval.cutoffs:
-            res = by_k[k]
-            records.append(
-                {
-                    "phase": phase,
-                    "k": k,
-                    "recall": res.recall,
-                    "ndcg": res.ndcg,
-                    "n_users": split.n_users,
-                    "seed": cfg.train.seed,
-                    "round": final_round,
-                }
-            )
-    return records
+    by_phase = evaluate_cutoffs(split, models, cfg.eval.cutoffs)
+    return [
+        {
+            "phase": phase,
+            "k": k,
+            "recall": by_phase[phase][k].recall,
+            "ndcg": by_phase[phase][k].ndcg,
+            "n_users": split.n_users,
+            "seed": cfg.train.seed,
+            "round": final_round,
+        }
+        for phase in PHASES
+        for k in cfg.eval.cutoffs
+    ]
 
 
 def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
     split = _load_split(cfg)
-    graph = assemble_pretraining_graph(
-        split,
-        privacy_settings(cfg),
-        cfg.train.seed,
-        use_true_edges=cfg.pretrain.use_true_graph,
-    )
-    table = init_table(
-        split.n_users, split.n_items, cfg.model.dim, substream(cfg.train.seed, "init")
-    )
-    result = pretrain(
-        graph,
-        table,
-        cfg.pretrain.epochs,
-        augmentation_settings(cfg, split.n_users),
-        pretrain_eta(cfg),
-        cfg.model.layers,
-        substream(cfg.train.seed, "pretrain"),
-    )
-    if not result.table.allfinite():
-        raise NumericError("non-finite embeddings after pre-training")
+    result = warm_up(cfg, split)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.table, out / "pretrained.txt", pretrained=True)
     _write_json(
@@ -174,30 +141,6 @@ def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
     )
     print(f"pretrain: wrote {out / 'pretrained.txt'}")
     return 0
-
-
-def _evaluation_models_from_checkpoint(
-    cfg: ExperimentConfig, split: SplitDataset, table: EmbeddingTable
-) -> dict[int, UserEvalModel]:
-    """Bare-model protocol: checkpoint rows only, no personalization mix."""
-    privacy = privacy_settings(cfg)
-    models = {}
-    for user in sorted(split.train):
-        train_items = split.train[user]
-        pseudo = sample_pseudo_items(
-            split.n_items,
-            train_items,
-            privacy.pseudo_items_p,
-            substream(cfg.train.seed, "eval-graph", user),
-        )
-        user_emb = infer_user_embedding(
-            table.users[user],
-            table.items,
-            sorted(train_items | pseudo),
-            cfg.model.layers,
-        )
-        models[user] = UserEvalModel(user_emb, table.items, train_items | pseudo)
-    return models
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
@@ -227,7 +170,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
         fh.write("user_id,cluster_id\n")
         for user in range(split.n_users):
             fh.write(f"{user},{int(result.assignment.assignment[user])}\n")
-    models = build_eval_models(
+    models = personalized_models(
         split,
         result.states,
         result.cluster_items,
@@ -236,7 +179,6 @@ def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
         result.local_base,
         eval_weights(cfg),
         cfg,
-        threads=cfg.train.threads,
     )
     _write_json(
         out / "results.json", _results_records(cfg, split, models, result.final_round)
@@ -252,7 +194,11 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, checkpoint: str | None) -> in
     table, _flags = load_checkpoint(checkpoint)
     if table.n_users != split.n_users or table.n_items != split.n_items:
         raise DataError("checkpoint does not match the dataset shape")
-    models = _evaluation_models_from_checkpoint(cfg, split, table)
+    # bare-model protocol: the checkpoint's own rows, no personalization mix
+    models = (
+        (user, eval_model(cfg, split, user, table.users[user], table.items))
+        for user in sorted(split.train)
+    )
     records = _results_records(cfg, split, models, 0)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "results.json", records)

@@ -35,7 +35,6 @@ class TrainSection:
     batch_size: int = 0  # 0 = one triple per positive item
     eval_every: int = 5
     patience: int = 10
-    threads: int = 1
 
 
 @dataclass
@@ -241,7 +240,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(cfg.train.batch_size >= 0, "train.batch_size must be >= 0")
     _require(cfg.train.eval_every >= 1, "train.eval_every must be >= 1")
     _require(cfg.train.patience >= 1, "train.patience must be >= 1")
-    _require(cfg.train.threads >= 1, "train.threads must be >= 1")
     _require(cfg.pretrain.epochs >= 0, "pretrain.epochs must be >= 0")
     _require(cfg.pretrain.tau > 0, "pretrain.tau must be > 0")
     _require(

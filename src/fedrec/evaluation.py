@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,47 +74,45 @@ def target_rank(
     return int(np.count_nonzero(ahead)) + 1
 
 
-def _held_out(split: SplitDataset, phase: str) -> Mapping[int, int]:
-    if phase == "validation":
-        return split.validation
-    if phase == "test":
-        return split.test
-    raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-
-
 def user_ranks(
-    split: SplitDataset, models: Mapping[int, UserEvalModel], phase: str
-) -> dict[int, int | None]:
-    """Rank of each user's held-out item. For the test phase the validation
-    item is excluded from candidacy as well."""
-    held = _held_out(split, phase)
-    ranks: dict[int, int | None] = {}
-    for user in sorted(models):
-        if user not in held:
-            raise ValueError(f"user {user} has no held-out {phase} item")
-        extra = (
-            frozenset({split.validation[user]}) if phase == "test" else frozenset()
+    split: SplitDataset, models: Iterable[tuple[int, UserEvalModel]]
+) -> dict[int, tuple[int | None, int | None]]:
+    """(validation rank, test rank) of each user's held-out items.
+
+    One pass over ``(user, model)`` pairs, so a caller can build each model,
+    rank it and drop it before building the next. For the test phase the
+    validation item is excluded from candidacy as well.
+    """
+    ranks: dict[int, tuple[int | None, int | None]] = {}
+    for user, model in models:
+        if user not in split.validation or user not in split.test:
+            raise ValueError(f"user {user} has no held-out items")
+        val = split.validation[user]
+        ranks[user] = (
+            target_rank(model, val),
+            target_rank(model, split.test[user], frozenset({val})),
         )
-        ranks[user] = target_rank(models[user], held[user], extra)
     return ranks
 
 
 def evaluate_cutoffs(
     split: SplitDataset,
-    models: Mapping[int, UserEvalModel],
+    models: Iterable[tuple[int, UserEvalModel]],
     cutoffs: Sequence[int],
-    phase: str,
-) -> dict[int, EvalResult]:
-    """Recall@K / NDCG@K averaged over users, ranks computed once."""
-    ranks = user_ranks(split, models, phase)
-    detail = tuple(sorted(ranks.items()))
-    results = {}
-    for k in cutoffs:
-        recalls = [recall_at_k(r, k) for _, r in detail]
-        ndcgs = [ndcg_at_k(r, k) for _, r in detail]
-        results[k] = EvalResult(
-            k, float(np.mean(recalls)), float(np.mean(ndcgs)), detail
-        )
+) -> dict[str, dict[int, EvalResult]]:
+    """Recall@K / NDCG@K of both phases averaged over users, from one
+    ranking pass over ``(user, model)`` pairs."""
+    ranks = user_ranks(split, models)
+    results: dict[str, dict[int, EvalResult]] = {}
+    for index, phase in enumerate(PHASES):
+        detail = tuple(sorted((user, pair[index]) for user, pair in ranks.items()))
+        results[phase] = {}
+        for k in cutoffs:
+            recalls = [recall_at_k(r, k) for _, r in detail]
+            ndcgs = [ndcg_at_k(r, k) for _, r in detail]
+            results[phase][k] = EvalResult(
+                k, float(np.mean(recalls)), float(np.mean(ndcgs)), detail
+            )
     return results
 
 
@@ -124,5 +122,8 @@ def evaluate(
     k: int,
     phase: str,
 ) -> EvalResult:
-    """Single-cutoff convenience wrapper around :func:`evaluate_cutoffs`."""
-    return evaluate_cutoffs(split, models, (k,), phase)[k]
+    """Single-cutoff, single-phase convenience wrapper around
+    :func:`evaluate_cutoffs`."""
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+    return evaluate_cutoffs(split, models.items(), (k,))[phase][k]

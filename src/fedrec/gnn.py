@@ -122,10 +122,6 @@ class PropagationOperator:
                 (weights, (us, its)), shape=(self.n_users, self.n_items)
             )
 
-    @classmethod
-    def from_graph(cls, graph: BipartiteGraph, n_layers: int) -> "PropagationOperator":
-        return cls(graph.n_users, graph.n_items, graph.edges, n_layers)
-
 
 def propagate(op: PropagationOperator, table: EmbeddingTable) -> list[EmbeddingTable]:
     """All L+1 layer tables; layer 0 is the input table."""
@@ -319,4 +315,6 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
         raise DataError(f"{path}: malformed float row") from exc
     if data.shape != (n_users + n_items, dim):
         raise DataError(f"{path}: row width does not match dim {dim}")
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: non-finite embedding value")
     return EmbeddingTable(data[:n_users], data[n_users:]), flags

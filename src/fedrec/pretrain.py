@@ -62,7 +62,6 @@ class GraphView:
     user_mask: np.ndarray
     item_mask: np.ndarray
     edges: tuple[tuple[int, int], ...]
-    noise_applied: bool
 
 
 def node_dropout_view(
@@ -73,7 +72,7 @@ def node_dropout_view(
         raise ValueError("keep_prob must be in (0, 1]")
     user_mask = rng.random(graph.n_users) < keep_prob
     item_mask = rng.random(graph.n_items) < keep_prob
-    return GraphView(user_mask, item_mask, tuple(graph.edges), noise_applied=False)
+    return GraphView(user_mask, item_mask, tuple(graph.edges))
 
 
 def _sample_absent_edges(
@@ -113,7 +112,6 @@ def edge_perturbation_view(
         np.ones(graph.n_users, dtype=bool),
         np.ones(graph.n_items, dtype=bool),
         tuple(graph.edges) + added,
-        noise_applied=False,
     )
 
 
@@ -180,7 +178,7 @@ def compose_view(
     if OP_EDGE_PERTURBATION in cfg.enabled_ops and cfg.edge_add_count > 0:
         edges = edges + _sample_absent_edges(graph, cfg.edge_add_count, rng)
     noise_on = OP_NOISE_INJECTION in cfg.enabled_ops and cfg.noise_magnitude > 0
-    view = GraphView(user_mask, item_mask, edges, noise_applied=noise_on)
+    view = GraphView(user_mask, item_mask, edges)
 
     x0 = noise_injection(table, cfg.noise_magnitude, rng) if noise_on else table.copy()
     x0 = EmbeddingTable(

@@ -1,8 +1,8 @@
-"""Server-side orchestration: clustering, selection, aggregation, rounds.
+"""Server-side orchestration: warm start, clustering, selection,
+aggregation, rounds and the per-user evaluation models.
 
-The round loop is sequential; client updates within a round are independent
-and may run on a thread pool. Every random draw is keyed by (phase, round,
-client), so results are identical for any scheduling or thread count.
+Everything runs in one thread. Every random draw is keyed by (phase, round,
+client), so results do not depend on the order in which clients are visited.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +30,12 @@ from .data import SplitDataset
 from .errors import DataError, NumericError
 from .evaluation import UserEvalModel, evaluate_cutoffs
 from .gnn import EmbeddingTable, GradientUpdate, init_table
-from .pretrain import AugmentationConfig, assemble_pretraining_graph, pretrain
+from .pretrain import (
+    AugmentationConfig,
+    PretrainResult,
+    assemble_pretraining_graph,
+    pretrain,
+)
 from .privacy import (
     LdpConfig,
     PrivacyConfig,
@@ -276,13 +280,11 @@ def augmentation_settings(cfg: ExperimentConfig, n_users: int) -> AugmentationCo
     )
 
 
-def warm_start_table(cfg: ExperimentConfig, split: SplitDataset) -> EmbeddingTable:
-    """Seeded random init, contrastively pre-trained unless disabled."""
+def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
+    """Seeded random init, then ``pretrain.epochs`` contrastive epochs."""
     table = init_table(
         split.n_users, split.n_items, cfg.model.dim, substream(cfg.train.seed, "init")
     )
-    if cfg.ablation.no_pretrain or cfg.pretrain.epochs == 0:
-        return table
     graph = assemble_pretraining_graph(
         split,
         privacy_settings(cfg),
@@ -300,7 +302,7 @@ def warm_start_table(cfg: ExperimentConfig, split: SplitDataset) -> EmbeddingTab
     )
     if not result.table.allfinite():
         raise NumericError("non-finite embeddings after pre-training")
-    return result.table
+    return result
 
 
 def _clustering_inputs(
@@ -363,7 +365,36 @@ def _neighbor_vec_snapshot(
     return snapshot
 
 
-def build_eval_models(
+def eval_model(
+    cfg: ExperimentConfig,
+    split: SplitDataset,
+    user: int,
+    user_row: np.ndarray,
+    item_rows: np.ndarray,
+) -> UserEvalModel:
+    """One user's model for the ranking protocol.
+
+    The evaluation-time local graph draws pseudo items from a fixed per-user
+    stream (round-independent); candidates exclude the full training set plus
+    those pseudo items. Item scores use the raw rows: every candidate is
+    isolated in the local graph, so propagation would only rescale them
+    uniformly.
+    """
+    train_items = split.train[user]
+    pseudo = sample_pseudo_items(
+        split.n_items,
+        train_items,
+        cfg.privacy.pseudo_items_p,
+        substream(cfg.train.seed, "eval-graph", user),
+    )
+    graph_items = train_items | pseudo
+    user_emb = infer_user_embedding(
+        user_row, item_rows, sorted(graph_items), cfg.model.layers
+    )
+    return UserEvalModel(user_emb, item_rows, graph_items)
+
+
+def personalized_models(
     split: SplitDataset,
     states: dict[int, ClientState],
     cluster_items: dict[int, np.ndarray],
@@ -372,27 +403,11 @@ def build_eval_models(
     local_base: np.ndarray,
     weights: PersonalizationWeights,
     cfg: ExperimentConfig,
-    threads: int = 1,
-) -> dict[int, UserEvalModel]:
-    """Personalized per-user models for the ranking protocol.
-
-    The evaluation-time local graph draws pseudo items from a fixed per-user
-    stream (round-independent); candidates exclude the full training set plus
-    those pseudo items. Item scores use the mixed raw rows: every candidate
-    is isolated in the local graph, so propagation would only rescale them
-    uniformly.
-    """
-    privacy = privacy_settings(cfg)
-
-    def build_one(user: int) -> tuple[int, UserEvalModel]:
+) -> Iterator[tuple[int, UserEvalModel]]:
+    """``(user, model)`` for every user on the alpha-mixed item table, built
+    one at a time: only one user's M x d table exists at once."""
+    for user in sorted(split.train):
         state = states[user]
-        train_items = split.train[user]
-        pseudo = sample_pseudo_items(
-            split.n_items,
-            train_items,
-            privacy.pseudo_items_p,
-            substream(cfg.train.seed, "eval-graph", user),
-        )
         mixed = personalize(
             local_item_table(state, local_base),
             cluster_items[int(assignment.assignment[user])],
@@ -400,21 +415,7 @@ def build_eval_models(
             weights,
             state.user_vec,
         )
-        user_emb = infer_user_embedding(
-            mixed.user_row,
-            mixed.item_rows,
-            sorted(train_items | pseudo),
-            cfg.model.layers,
-        )
-        return user, UserEvalModel(user_emb, mixed.item_rows, train_items | pseudo)
-
-    users = sorted(split.train)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = dict(pool.map(build_one, users))
-    else:
-        built = dict(build_one(u) for u in users)
-    return built
+        yield user, eval_model(cfg, split, user, mixed.user_row, mixed.item_rows)
 
 
 def eval_weights(cfg: ExperimentConfig) -> PersonalizationWeights:
@@ -445,8 +446,10 @@ def run_training(
         if warm_table.n_users != n_users or warm_table.n_items != split.n_items:
             raise DataError("warm-start table shape does not match the dataset")
         table = warm_table.copy()
+    elif cfg.ablation.no_pretrain or cfg.pretrain.epochs == 0:
+        table = init_table(n_users, split.n_items, cfg.model.dim, substream(seed, "init"))
     else:
-        table = warm_start_table(cfg, split)
+        table = warm_up(cfg, split).table
     states = init_client_states(table)
     global_items = table.items.copy()
     local_base = table.items.copy()
@@ -455,7 +458,6 @@ def run_training(
     budget = min(cfg.train.clients_per_round, n_users)
     weights = eval_weights(cfg)
     es_cutoff = 20 if 20 in cfg.eval.cutoffs else max(cfg.eval.cutoffs)
-    threads = cfg.train.threads
 
     neighbors: dict[int, tuple[tuple[str, int], ...]] = {}
     if cfg.graph.neighbor_expansion:
@@ -507,17 +509,12 @@ def run_training(
             ),
         )
 
-        def run_one(user: int) -> tuple[int, GradientUpdate]:
-            return user, client_update(
+        updates = {
+            user: client_update(
                 states[user], global_items, ctx, substream(seed, "client", round_idx, user)
             )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                updates = dict(pool.map(run_one, selected))
-        else:
-            updates = dict(run_one(u) for u in selected)
-
+            for user in selected
+        }
         ordered = [updates[u] for u in selected]
         global_items = apply_update(global_items, aggregate(ordered), cfg.train.eta)
         by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
@@ -533,7 +530,7 @@ def run_training(
         train_loss = float(np.mean([states[u].last_loss for u in selected]))
         val_recall = val_ndcg = None
         if round_idx % cfg.train.eval_every == 0:
-            models = build_eval_models(
+            models = personalized_models(
                 split,
                 states,
                 cluster_items,
@@ -542,9 +539,8 @@ def run_training(
                 local_base,
                 weights,
                 cfg,
-                threads=threads,
             )
-            result = evaluate_cutoffs(split, models, (es_cutoff,), "validation")[
+            result = evaluate_cutoffs(split, models, (es_cutoff,))["validation"][
                 es_cutoff
             ]
             val_recall, val_ndcg = result.recall, result.ndcg

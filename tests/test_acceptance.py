@@ -24,7 +24,13 @@ from fedrec.data import (
     leave_one_out_split,
     write_interactions,
 )
-from fedrec.evaluation import UserEvalModel, evaluate, ndcg_at_k, recall_at_k
+from fedrec.evaluation import (
+    UserEvalModel,
+    evaluate,
+    evaluate_cutoffs,
+    ndcg_at_k,
+    recall_at_k,
+)
 from fedrec.gnn import (
     BprTriple,
     EmbeddingTable,
@@ -41,10 +47,10 @@ from fedrec.rng import substream
 from fedrec.server import (
     eval_weights,
     aggregate,
-    build_eval_models,
     item_token,
     matcher_key,
     neighborhood_match,
+    personalized_models,
     run_training,
 )
 from fedrec.synthetic import two_community_dataset
@@ -332,7 +338,7 @@ def _ablation_config(seed):
 
 def _final_test_ndcg(cfg, split):
     result = run_training(cfg, split)
-    models = build_eval_models(
+    models = personalized_models(
         split,
         result.states,
         result.cluster_items,
@@ -342,7 +348,7 @@ def _final_test_ndcg(cfg, split):
         eval_weights(cfg),
         cfg,
     )
-    return evaluate(split, models, 20, "test").ndcg
+    return evaluate_cutoffs(split, models, (20,))["test"][20].ndcg
 
 
 def test_08_full_configuration_beats_every_ablation(benchmark_split):
@@ -375,13 +381,13 @@ def test_08_full_configuration_beats_every_ablation(benchmark_split):
     assert _report(8, "ablation-direction", ok, f"{detail}, {elapsed:.0f}s")
 
 
-def test_09_simulate_is_byte_deterministic_across_threads(tmp_path):
+def test_09_simulate_is_byte_deterministic_across_reruns(tmp_path):
     data = tmp_path / "two.tsv"
     write_interactions(
         two_community_dataset(n_users=30, n_items=20, seed=7, per_user=6), data
     )
     outputs = []
-    for run, threads in (("a", 1), ("b", 1), ("c", 3)):
+    for run in ("a", "b", "c"):
         out = tmp_path / run
         code = cli_main(
             [
@@ -396,7 +402,6 @@ def test_09_simulate_is_byte_deterministic_across_threads(tmp_path):
                 "--cluster.k", "2",
                 "--pretrain.epochs", "2",
                 "--seed", "11",
-                "--threads", str(threads),
                 "--out", str(out),
             ]
         )
@@ -408,7 +413,7 @@ def test_09_simulate_is_byte_deterministic_across_threads(tmp_path):
             }
         )
     identical = outputs[0] == outputs[1] == outputs[2]
-    assert _report(9, "determinism", identical, "threads 1 vs 1 vs 3")
+    assert _report(9, "determinism", identical, "three reruns")
 
 
 def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():

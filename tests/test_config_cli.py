@@ -37,8 +37,9 @@ class TestConfig:
         assert cfg.train.seed == 4
 
     def test_unknown_key_is_named(self):
-        with pytest.raises(ConfigError, match="train.etaa"):
-            build_config({"train.etaa": "1"})
+        for key in ("train.etaa", "train.threads"):
+            with pytest.raises(ConfigError, match=key):
+                build_config({key: "1"})
 
     def test_bad_value_is_named(self):
         with pytest.raises(ConfigError, match="train.eta"):
@@ -212,6 +213,20 @@ class TestCliEvaluate:
         )
         assert code == 3
 
+    def test_non_finite_checkpoint_is_a_data_error(self, data_file, tmp_path, rng, capsys):
+        users, items = rng.normal(size=(30, 8)), rng.normal(size=(20, 8))
+        users[4, 2] = np.nan
+        items[7, 0] = np.inf
+        path = tmp_path / "nan.txt"
+        save_checkpoint(EmbeddingTable(users, items), path)
+        code = run_cli(
+            "evaluate", "--data.path", str(data_file), "--checkpoint", str(path),
+            "--model.dim", "8", "--out", str(tmp_path / "e"),
+        )
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "results.json").exists()
+
 
 class TestCliSimulate:
     def test_produces_every_artifact(self, data_file, tmp_path):
@@ -234,13 +249,27 @@ class TestCliSimulate:
         ):
             assert (out / name).exists(), name
 
+    def test_train_without_warm_start_matches_simulate(self, data_file, tmp_path):
+        common = (
+            "--data.path", str(data_file), "--model.dim", "8", "--model.layers", "1",
+            "--train.max_rounds", "4", "--train.eval_every", "2", "--train.eta", "0.5",
+            "--train.clients_per_round", "30", "--cluster.k", "2",
+            "--pretrain.epochs", "2", "--seed", "11",
+        )
+        sim, train = tmp_path / "sim", tmp_path / "train"
+        assert run_cli("simulate", *common, "--out", str(sim)) == 0
+        assert run_cli("train", *common, "--out", str(train)) == 0
+        for name in ("checkpoint.txt", "rounds.jsonl", "clusters.csv", "results.json"):
+            assert (sim / name).read_bytes() == (train / name).read_bytes(), name
+
     def test_unknown_command_is_a_config_error(self, capsys):
         assert run_cli("trainn") == 2
         assert "unknown command" in capsys.readouterr().err
 
     def test_unknown_flag_is_a_config_error(self, data_file, capsys):
-        assert run_cli("train", "--data.path", str(data_file), "--bogus", "1") == 2
-        assert "bogus" in capsys.readouterr().err
+        for flag in ("bogus", "threads", "train.threads"):
+            assert run_cli("train", "--data.path", str(data_file), f"--{flag}", "1") == 2
+            assert flag in capsys.readouterr().err
 
     def test_key_equals_value_form(self, data_file, tmp_path):
         out = tmp_path / "kv"

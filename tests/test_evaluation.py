@@ -149,7 +149,7 @@ class TestEvaluate:
     def test_cutoffs_share_one_ranking_pass(self):
         split = fixture_split()
         models = bare_models(split)
-        by_k = evaluate_cutoffs(split, models, (1, 5, 10), "validation")
+        by_k = evaluate_cutoffs(split, models.items(), (1, 5, 10))["validation"]
         assert set(by_k) == {1, 5, 10}
         assert by_k[1].recall <= by_k[5].recall <= by_k[10].recall
 

@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from fedrec.client import PersonalizationWeights
 from fedrec.config import default_config
-from fedrec.evaluation import evaluate
+from fedrec.evaluation import evaluate_cutoffs
 from fedrec.gnn import GradientUpdate, init_table
 from fedrec.rng import substream
 from fedrec.server import (
     ClusterAssignment,
     aggregate,
     apply_update,
-    build_eval_models,
     cluster_users,
+    eval_model,
     item_token,
     matcher_key,
     neighborhood_match,
+    personalized_models,
     run_training,
     select_clients,
     user_token,
@@ -283,13 +284,6 @@ class TestRunTraining:
         np.testing.assert_array_equal(a.global_items, b.global_items)
         np.testing.assert_array_equal(a.user_table, b.user_table)
 
-    def test_thread_count_does_not_change_results(self, tiny_split):
-        a = run_training(tiny_config(**{"train.threads": 1}), tiny_split)
-        b = run_training(tiny_config(**{"train.threads": 3}), tiny_split)
-        assert [r.record() for r in a.reports] == [r.record() for r in b.reports]
-        np.testing.assert_array_equal(a.global_items, b.global_items)
-        np.testing.assert_array_equal(a.user_table, b.user_table)
-
     def test_no_clustering_reports_a_single_cluster(self, tiny_split):
         cfg = tiny_config()
         cfg.ablation.no_clustering = True
@@ -300,7 +294,7 @@ class TestRunTraining:
     def test_global_only_weights_match_bare_global_evaluation(self, tiny_split):
         cfg = tiny_config()
         result = run_training(cfg, tiny_split)
-        models = build_eval_models(
+        models = personalized_models(
             tiny_split,
             result.states,
             result.cluster_items,
@@ -310,17 +304,17 @@ class TestRunTraining:
             PersonalizationWeights(0.0, 0.0, 1.0),
             cfg,
         )
-        # independent bare path: the checkpoint protocol from the CLI module
-        from fedrec.cli import _evaluation_models_from_checkpoint
-
-        bare = _evaluation_models_from_checkpoint(
-            cfg, tiny_split, result.checkpoint_table()
+        # bare side: the checkpoint rows, as `fedrec evaluate` ranks them
+        table = result.checkpoint_table()
+        bare = (
+            (u, eval_model(cfg, tiny_split, u, table.users[u], table.items))
+            for u in sorted(tiny_split.train)
         )
+        ours = evaluate_cutoffs(tiny_split, models, (10,))
+        theirs = evaluate_cutoffs(tiny_split, bare, (10,))
         for phase in ("validation", "test"):
-            ours = evaluate(tiny_split, models, 10, phase)
-            theirs = evaluate(tiny_split, bare, 10, phase)
-            assert ours.recall == theirs.recall
-            assert ours.ndcg == theirs.ndcg
+            assert ours[phase][10].recall == theirs[phase][10].recall
+            assert ours[phase][10].ndcg == theirs[phase][10].ndcg
 
     def test_neighbor_expansion_runs_and_is_deterministic(self, tiny_split):
         cfg = tiny_config()
