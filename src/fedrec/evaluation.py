@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +43,11 @@ class UserEvalModel:
     item_rows: np.ndarray
     excluded: frozenset[int]
 
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """Score of every item, computed once however many targets are ranked."""
+        return self.item_rows @ self.user_embedding
+
 
 @dataclass(eq=False)
 class EvalResult:
@@ -62,7 +68,7 @@ def target_rank(
     excluded = model.excluded | extra_excluded
     if target in excluded:
         return None
-    scores = model.item_rows @ model.user_embedding
+    scores = model.scores
     target_score = scores[target]
     keep = np.ones(len(scores), dtype=bool)
     if excluded:

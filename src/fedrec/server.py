@@ -394,6 +394,33 @@ def eval_model(
     return UserEvalModel(user_emb, item_rows, graph_items)
 
 
+def build_eval_models(
+    split: SplitDataset,
+    states: dict[int, ClientState],
+    cluster_items: dict[int, np.ndarray],
+    assignment: ClusterAssignment,
+    global_items: np.ndarray,
+    local_base: np.ndarray,
+    weights: PersonalizationWeights,
+    cfg: ExperimentConfig,
+    users: Sequence[int],
+) -> dict[int, UserEvalModel]:
+    """The models of ``users`` on their alpha-mixed item tables. Each model
+    holds an M x d table, so callers ask for a few users at a time."""
+    models = {}
+    for user in users:
+        state = states[user]
+        mixed = personalize(
+            local_item_table(state, local_base),
+            cluster_items[int(assignment.assignment[user])],
+            global_items,
+            weights,
+            state.user_vec,
+        )
+        models[user] = eval_model(cfg, split, user, mixed.user_row, mixed.item_rows)
+    return models
+
+
 def personalized_models(
     split: SplitDataset,
     states: dict[int, ClientState],
@@ -407,15 +434,17 @@ def personalized_models(
     """``(user, model)`` for every user on the alpha-mixed item table, built
     one at a time: only one user's M x d table exists at once."""
     for user in sorted(split.train):
-        state = states[user]
-        mixed = personalize(
-            local_item_table(state, local_base),
-            cluster_items[int(assignment.assignment[user])],
+        yield from build_eval_models(
+            split,
+            states,
+            cluster_items,
+            assignment,
             global_items,
+            local_base,
             weights,
-            state.user_vec,
-        )
-        yield user, eval_model(cfg, split, user, mixed.user_row, mixed.item_rows)
+            cfg,
+            (user,),
+        ).items()
 
 
 def eval_weights(cfg: ExperimentConfig) -> PersonalizationWeights:
