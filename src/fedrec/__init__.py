@@ -24,9 +24,7 @@ from .gnn import (
     bpr_gradients,
     bpr_loss,
     propagate,
-    rank_items,
     readout,
-    score,
 )
 from .privacy import (
     LdpConfig,
@@ -65,9 +63,7 @@ __all__ = [
     "privacy_budget",
     "propagate",
     "pseudo_item_gradients",
-    "rank_items",
     "readout",
     "run_training",
     "sample_pseudo_items",
-    "score",
 ]

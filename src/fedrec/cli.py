@@ -28,10 +28,11 @@ from .server import (
 )
 
 COMMANDS = ("pretrain", "train", "evaluate", "simulate")
+# the paper's three reduced variants are each one setting of an existing key
 _ABLATION_SUGAR = {
-    "no_pretrain": "ablation.no_pretrain",
-    "no_personalization": "ablation.no_personalization",
-    "no_clustering": "ablation.no_clustering",
+    "no_pretrain": ("pretrain.epochs", "0"),
+    "no_personalization": ("personalization.alpha", "0,0,1"),
+    "no_clustering": ("cluster.k", "1"),
 }
 
 USAGE = """\
@@ -49,7 +50,9 @@ options:
   --checkpoint PATH    checkpoint to evaluate (evaluate)
   --warm-start PATH    warm-start checkpoint (train)
   --seed N             shorthand for train.seed
-  --no_pretrain / --no_personalization / --no_clustering
+  --no_pretrain        shorthand for --pretrain.epochs 0
+  --no_personalization shorthand for --personalization.alpha 0,0,1
+  --no_clustering      shorthand for --cluster.k 1
   --SECTION.KEY VALUE  override any config key, e.g. --train.eta 0.02
 """
 
@@ -73,7 +76,7 @@ def _parse_args(argv: list[str]):
             key, value = body.split("=", 1)
             i += 1
         elif body in _ABLATION_SUGAR:
-            key, value = body, "true"
+            key, value = _ABLATION_SUGAR[body]
             i += 1
         else:
             if i + 1 >= len(argv):
@@ -86,8 +89,6 @@ def _parse_args(argv: list[str]):
             options["warm_start"] = value
         elif key == "seed":
             overrides["train.seed"] = value
-        elif key in _ABLATION_SUGAR:
-            overrides[_ABLATION_SUGAR[key]] = value
         elif key in REGISTRY:
             overrides[key] = value
         else:
@@ -146,7 +147,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
     split = _load_split(cfg)
     warm_table = None
-    if warm_start and not cfg.ablation.no_pretrain:
+    if warm_start:
         warm_table, _flags = load_checkpoint(warm_start)
         if warm_table.n_users != split.n_users or warm_table.n_items != split.n_items:
             raise DataError("warm-start checkpoint does not match the dataset shape")
@@ -211,7 +212,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, checkpoint: str | None) -> in
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.ablation.no_pretrain or cfg.pretrain.epochs == 0:
+    if cfg.pretrain.epochs == 0:
         return cmd_train(cfg, out, warm_start=None)
     status = cmd_pretrain(cfg, out)
     if status:

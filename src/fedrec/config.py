@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .errors import ConfigError
-from .pretrain import ALL_OPS
 
 
 @dataclass
@@ -45,8 +44,6 @@ class PretrainSection:
     edge_add_count: int = -1  # -1 = pseudo_items_p * n_users
     noise_magnitude: float = 0.1
     eta: float = 0.0  # 0 = reuse train.eta
-    use_true_graph: bool = False
-    ops: str = "node_dropout,edge_perturbation,noise_injection"
 
 
 @dataclass
@@ -62,7 +59,6 @@ class PrivacySection:
 class ClusterSection:
     k: int = 10
     recluster_every: int = 1
-    noised_upload: bool = True
 
 
 @dataclass
@@ -73,13 +69,6 @@ class PersonalizationSection:
 @dataclass
 class EvalSection:
     cutoffs: tuple[int, ...] = (10, 20)
-
-
-@dataclass
-class AblationSection:
-    no_pretrain: bool = False
-    no_personalization: bool = False
-    no_clustering: bool = False
 
 
 @dataclass
@@ -99,7 +88,6 @@ class ExperimentConfig:
         default_factory=PersonalizationSection
     )
     eval: EvalSection = field(default_factory=EvalSection)
-    ablation: AblationSection = field(default_factory=AblationSection)
     graph: GraphSection = field(default_factory=GraphSection)
 
 
@@ -248,11 +236,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     )
     _require(cfg.pretrain.noise_magnitude >= 0, "pretrain.noise_magnitude must be >= 0")
     _require(cfg.pretrain.eta >= 0, "pretrain.eta must be >= 0")
-    ops = {op.strip() for op in cfg.pretrain.ops.split(",") if op.strip()}
-    _require(
-        ops <= ALL_OPS,
-        f"pretrain.ops must be a subset of {sorted(ALL_OPS)}",
-    )
     _require(cfg.privacy.clip_delta > 0, "privacy.clip_delta must be > 0")
     _require(cfg.privacy.laplace_lambda >= 0, "privacy.laplace_lambda must be >= 0")
     _require(cfg.privacy.pseudo_items_p >= 0, "privacy.pseudo_items_p must be >= 0")
@@ -271,10 +254,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     )
     _require(len(cfg.eval.cutoffs) >= 1, "eval.cutoffs needs at least one cutoff")
     _require(min(cfg.eval.cutoffs) >= 1, "eval.cutoffs values must be >= 1")
-
-
-def enabled_ops(cfg: ExperimentConfig) -> frozenset[str]:
-    return frozenset(op.strip() for op in cfg.pretrain.ops.split(",") if op.strip())
 
 
 def pretrain_eta(cfg: ExperimentConfig) -> float:

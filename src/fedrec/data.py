@@ -9,7 +9,6 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .gnn import BipartiteGraph
 from .privacy import PrivacyConfig, mask_interacted_items, sample_pseudo_items
 
 
@@ -119,14 +118,6 @@ def leave_one_out_split(ds: InteractionDataset) -> SplitDataset:
         validation[user] = second_last[2]
         test[user] = last[2]
     return SplitDataset(ds.n_users, ds.n_items, train, validation, test)
-
-
-def training_graph(split: SplitDataset) -> BipartiteGraph:
-    """Global bipartite graph over the training interactions."""
-    edges = tuple(
-        sorted((u, i) for u, items in split.train.items() for i in items)
-    )
-    return BipartiteGraph(split.n_users, split.n_items, edges)
 
 
 @dataclass(frozen=True)

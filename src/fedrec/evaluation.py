@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,15 +121,3 @@ def evaluate_cutoffs(
             )
     return results
 
-
-def evaluate(
-    split: SplitDataset,
-    models: Mapping[int, UserEvalModel],
-    k: int,
-    phase: str,
-) -> EvalResult:
-    """Single-cutoff, single-phase convenience wrapper around
-    :func:`evaluate_cutoffs`."""
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    return evaluate_cutoffs(split, models.items(), (k,))[phase][k]

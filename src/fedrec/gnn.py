@@ -1,4 +1,4 @@
-"""Embedding tables, normalized bipartite propagation, BPR math, and ranking.
+"""Embedding tables, normalized bipartite propagation, BPR math, checkpoints.
 
 The model state is nothing but the user/item embedding tables. A layer is a
 linear map over the symmetrically normalized interaction graph, the readout
@@ -11,7 +11,7 @@ propagation and readout on the gradient of the final tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -146,11 +146,6 @@ def readout(layers: Sequence[EmbeddingTable]) -> EmbeddingTable:
     )
 
 
-def score(final: EmbeddingTable, user: int, item: int) -> float:
-    """Inner-product preference of ``user`` for ``item``."""
-    return float(np.dot(final.users[user], final.items[item]))
-
-
 class BprTriple(NamedTuple):
     user: int
     pos_item: int
@@ -251,27 +246,6 @@ def bpr_gradients(
         {int(ii): raw_gi[ii].copy() for ii in support_i},
         len(triples),
     )
-
-
-def rank_items(
-    final: EmbeddingTable, user: int, excluded: Iterable[int], k: int
-) -> list[int]:
-    """Top-k non-excluded items by score, ties broken by ascending item id.
-
-    If fewer than k candidates exist, all of them are returned ranked.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = final.items @ final.users[user]
-    excluded = set(excluded)
-    if excluded:
-        keep = np.ones(final.n_items, dtype=bool)
-        keep[list(excluded)] = False
-        cand = np.flatnonzero(keep)
-    else:
-        cand = np.arange(final.n_items)
-    order = np.lexsort((cand, -scores[cand]))
-    return [int(x) for x in cand[order[:k]]]
 
 
 def save_checkpoint(table: EmbeddingTable, path, pretrained: bool = False) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -26,19 +25,16 @@ from .gnn import (
 )
 from .privacy import PrivacyConfig
 
-OP_NODE_DROPOUT = "node_dropout"
-OP_EDGE_PERTURBATION = "edge_perturbation"
-OP_NOISE_INJECTION = "noise_injection"
-ALL_OPS = frozenset({OP_NODE_DROPOUT, OP_EDGE_PERTURBATION, OP_NOISE_INJECTION})
-
 
 @dataclass(frozen=True)
 class AugmentationConfig:
+    """Augmentation strengths; each one at its neutral value (keep
+    probability 1, no added edges, zero noise) is off."""
+
     node_keep_prob: float = 0.9
     edge_add_count: int = 0
     noise_magnitude: float = 0.1
     temperature: float = 0.2
-    enabled_ops: frozenset[str] = ALL_OPS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.node_keep_prob <= 1.0:
@@ -49,9 +45,6 @@ class AugmentationConfig:
             raise ValueError("noise_magnitude must be >= 0")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        unknown = set(self.enabled_ops) - ALL_OPS
-        if unknown:
-            raise ValueError(f"unknown augmentation ops: {sorted(unknown)}")
 
 
 @dataclass(eq=False)
@@ -101,20 +94,6 @@ def _sample_absent_edges(
     return tuple(sorted(added))
 
 
-def edge_perturbation_view(
-    graph: BipartiteGraph, add_count: int, rng: np.random.Generator
-) -> GraphView:
-    """Union the graph with ``add_count`` uniformly drawn non-edges."""
-    if add_count < 0:
-        raise ValueError("add_count must be >= 0")
-    added = _sample_absent_edges(graph, add_count, rng) if add_count else ()
-    return GraphView(
-        np.ones(graph.n_users, dtype=bool),
-        np.ones(graph.n_items, dtype=bool),
-        tuple(graph.edges) + added,
-    )
-
-
 def noise_injection(
     table: EmbeddingTable, magnitude: float, rng: np.random.Generator
 ) -> EmbeddingTable:
@@ -162,22 +141,24 @@ def compose_view(
     n_layers: int,
     rng: np.random.Generator,
 ) -> ViewPipeline:
-    """Apply the enabled augmentations and propagate.
+    """Apply every augmentation whose strength is not neutral, and propagate.
 
-    Draw order per view: node masks, new edges, noise. Dropped nodes are
-    zeroed at layer 0 and their edges are inert, so a fully dropped graph
-    propagates to all-zero embeddings.
+    Draw order per view: node masks (only when ``node_keep_prob < 1``), new
+    edges (only when ``edge_add_count > 0``), noise (only when
+    ``noise_magnitude > 0``); a neutral augmentation draws nothing. Dropped
+    nodes are zeroed at layer 0 and their edges are inert, so a fully
+    dropped graph propagates to all-zero embeddings.
     """
-    if OP_NODE_DROPOUT in cfg.enabled_ops:
+    if cfg.node_keep_prob < 1:
         dropped = node_dropout_view(graph, cfg.node_keep_prob, rng)
         user_mask, item_mask = dropped.user_mask, dropped.item_mask
     else:
         user_mask = np.ones(graph.n_users, dtype=bool)
         item_mask = np.ones(graph.n_items, dtype=bool)
     edges = tuple(graph.edges)
-    if OP_EDGE_PERTURBATION in cfg.enabled_ops and cfg.edge_add_count > 0:
+    if cfg.edge_add_count > 0:
         edges = edges + _sample_absent_edges(graph, cfg.edge_add_count, rng)
-    noise_on = OP_NOISE_INJECTION in cfg.enabled_ops and cfg.noise_magnitude > 0
+    noise_on = cfg.noise_magnitude > 0
     view = GraphView(user_mask, item_mask, edges)
 
     x0 = noise_injection(table, cfg.noise_magnitude, rng) if noise_on else table.copy()
@@ -317,28 +298,19 @@ def pretrain(
 
 
 def assemble_pretraining_graph(
-    split: SplitDataset,
-    privacy: PrivacyConfig,
-    seed: int,
-    use_true_edges: bool = False,
+    split: SplitDataset, privacy: PrivacyConfig, seed: int
 ) -> BipartiteGraph:
-    """Server-visible graph for pre-training.
-
-    By default this is the privacy-distorted upload view: per user, the
-    masked training items are dropped and the pseudo items are added, each
-    drawn from a per-user keyed stream. ``use_true_edges`` switches to the
-    raw training edges for ablations.
+    """Server-visible graph for pre-training: the privacy-distorted upload
+    view. Per user, the masked training items are dropped and the pseudo
+    items are added, each drawn from a per-user keyed stream. The server
+    never sees the raw training edges.
     """
     from .rng import substream
 
     edges: list[tuple[int, int]] = []
     for user in sorted(split.train):
-        if use_true_edges:
-            visible: Iterable[int] = sorted(split.train[user])
-        else:
-            cg = build_client_graph(
-                split, user, privacy, substream(seed, "pretrain-graph", user)
-            )
-            visible = sorted(cg.true_items | cg.pseudo_items)
-        edges.extend((user, item) for item in visible)
+        cg = build_client_graph(
+            split, user, privacy, substream(seed, "pretrain-graph", user)
+        )
+        edges.extend((user, item) for item in sorted(cg.true_items | cg.pseudo_items))
     return BipartiteGraph(split.n_users, split.n_items, tuple(edges))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .client import (
     local_item_table,
     personalize,
 )
-from .config import ExperimentConfig, edge_add_count, enabled_ops, pretrain_eta
+from .config import ExperimentConfig, edge_add_count, pretrain_eta
 from .data import SplitDataset
 from .errors import DataError, NumericError
 from .evaluation import UserEvalModel, evaluate_cutoffs
@@ -276,7 +276,6 @@ def augmentation_settings(cfg: ExperimentConfig, n_users: int) -> AugmentationCo
         edge_add_count=edge_add_count(cfg, n_users),
         noise_magnitude=cfg.pretrain.noise_magnitude,
         temperature=cfg.pretrain.tau,
-        enabled_ops=enabled_ops(cfg),
     )
 
 
@@ -285,12 +284,7 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
     table = init_table(
         split.n_users, split.n_items, cfg.model.dim, substream(cfg.train.seed, "init")
     )
-    graph = assemble_pretraining_graph(
-        split,
-        privacy_settings(cfg),
-        cfg.train.seed,
-        use_true_edges=cfg.pretrain.use_true_graph,
-    )
+    graph = assemble_pretraining_graph(split, privacy_settings(cfg), cfg.train.seed)
     result = pretrain(
         graph,
         table,
@@ -308,14 +302,14 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
 def _clustering_inputs(
     states: dict[int, ClientState], cfg: ExperimentConfig, round_idx: int
 ) -> np.ndarray:
+    """Each user's uploaded embedding, LDP-noised when privacy is enabled."""
     rows = []
-    noised = cfg.privacy.enabled and cfg.cluster.noised_upload
     ldp = LdpConfig(
         cfg.privacy.clip_delta, cfg.privacy.laplace_lambda, enabled=True
     )
     for user in range(len(states)):
         vec = states[user].last_inferred
-        if noised:
+        if cfg.privacy.enabled:
             vec = randomize_vector(
                 vec, ldp, substream(cfg.train.seed, "cluster-upload", round_idx, user)
             )
@@ -448,10 +442,7 @@ def personalized_models(
 
 
 def eval_weights(cfg: ExperimentConfig) -> PersonalizationWeights:
-    if cfg.ablation.no_personalization:
-        return PersonalizationWeights(0.0, 0.0, 1.0)
-    a1, a2, a3 = cfg.personalization.alpha
-    return PersonalizationWeights(a1, a2, a3)
+    return PersonalizationWeights(*cfg.personalization.alpha)
 
 
 def run_training(
@@ -475,7 +466,7 @@ def run_training(
         if warm_table.n_users != n_users or warm_table.n_items != split.n_items:
             raise DataError("warm-start table shape does not match the dataset")
         table = warm_table.copy()
-    elif cfg.ablation.no_pretrain or cfg.pretrain.epochs == 0:
+    elif cfg.pretrain.epochs == 0:
         table = init_table(n_users, split.n_items, cfg.model.dim, substream(seed, "init"))
     else:
         table = warm_up(cfg, split).table
@@ -483,7 +474,7 @@ def run_training(
     global_items = table.items.copy()
     local_base = table.items.copy()
 
-    k_clusters = 1 if cfg.ablation.no_clustering else min(cfg.cluster.k, n_users)
+    k_clusters = min(cfg.cluster.k, n_users)
     budget = min(cfg.train.clients_per_round, n_users)
     weights = eval_weights(cfg)
     es_cutoff = 20 if 20 in cfg.eval.cutoffs else max(cfg.eval.cutoffs)
@@ -577,23 +568,14 @@ def run_training(
                 best_ndcg = val_ndcg
                 best_round = round_idx
                 evals_since_best = 0
+                # arrays are never changed in place (apply_update returns a
+                # copy, client_update rebinds), so references suffice
                 best_snapshot = (
-                    global_items.copy(),
-                    {c: t.copy() for c, t in cluster_items.items()},
-                    ClusterAssignment(
-                        assignment.k,
-                        assignment.assignment.copy(),
-                        assignment.centroids.copy(),
-                    ),
+                    global_items,
+                    dict(cluster_items),
+                    assignment,
                     {
-                        u: ClientState(
-                            u,
-                            s.user_vec.copy(),
-                            {i: v.copy() for i, v in s.local_rows.items()},
-                            None if s.last_inferred is None else s.last_inferred.copy(),
-                            s.last_loss,
-                            s.last_graph,
-                        )
+                        u: replace(s, local_rows=dict(s.local_rows))
                         for u, s in states.items()
                     },
                 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from fedrec.data import SplitDataset
 from fedrec.gnn import BipartiteGraph, EmbeddingTable
 
 
@@ -85,6 +86,14 @@ def random_bipartite(rng: np.random.Generator, n_users: int, n_items: int,
         if rng.random() < edge_prob
     )
     return BipartiteGraph(n_users, n_items, edges)
+
+
+def training_graph(split: SplitDataset) -> BipartiteGraph:
+    """Global bipartite graph over the raw training interactions."""
+    edges = tuple(
+        sorted((u, i) for u, items in split.train.items() for i in items)
+    )
+    return BipartiteGraph(split.n_users, split.n_items, edges)
 
 
 def random_table(rng: np.random.Generator, n_users: int, n_items: int,

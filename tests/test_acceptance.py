@@ -26,7 +26,6 @@ from fedrec.data import (
 )
 from fedrec.evaluation import (
     UserEvalModel,
-    evaluate,
     evaluate_cutoffs,
     ndcg_at_k,
     recall_at_k,
@@ -264,7 +263,7 @@ def test_06_evaluation_matches_full_sort_oracle():
             )
             ranks[u] = ordered.index(held[u]) + 1 if held[u] in ordered else None
         for k in (5, 10):
-            result = evaluate(split, models, k, phase)
+            result = evaluate_cutoffs(split, models.items(), (k,))[phase][k]
             exact &= result.recall == np.mean(
                 [recall_at_k(r, k) for r in ranks.values()]
             )
@@ -355,11 +354,11 @@ def test_08_full_configuration_beats_every_ablation(benchmark_split):
     started = time.perf_counter()
     variants = {
         "full": lambda c: None,
-        "no_pretrain": lambda c: setattr(c.ablation, "no_pretrain", True),
+        "no_pretrain": lambda c: setattr(c.pretrain, "epochs", 0),
         "no_personalization": lambda c: setattr(
-            c.ablation, "no_personalization", True
+            c.personalization, "alpha", (0.0, 0.0, 1.0)
         ),
-        "no_clustering": lambda c: setattr(c.ablation, "no_clustering", True),
+        "no_clustering": lambda c: setattr(c.cluster, "k", 1),
     }
     medians = {}
     for name, tweak in variants.items():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fedrec.cli import main
+from fedrec.cli import _parse_args, main
 from fedrec.config import (
     build_config,
     default_config,
@@ -24,7 +24,7 @@ class TestConfig:
         set_key(cfg, "train.eta", "0.025")
         set_key(cfg, "personalization.alpha", "0.5,0.25,0.25")
         set_key(cfg, "eval.cutoffs", "5,10,20")
-        set_key(cfg, "ablation.no_clustering", "true")
+        set_key(cfg, "graph.neighbor_expansion", "true")
         path = tmp_path / "run.cfg"
         path.write_text(dump_flat(cfg))
         assert build_config(read_config_file(path)) == cfg
@@ -37,7 +37,14 @@ class TestConfig:
         assert cfg.train.seed == 4
 
     def test_unknown_key_is_named(self):
-        for key in ("train.etaa", "train.threads"):
+        for key in (
+            "train.etaa",
+            "train.threads",
+            "ablation.no_pretrain",
+            "pretrain.ops",
+            "cluster.noised_upload",
+            "pretrain.use_true_graph",
+        ):
             with pytest.raises(ConfigError, match=key):
                 build_config({key: "1"})
 
@@ -56,12 +63,23 @@ class TestConfig:
             ("privacy.mask_ratio", "1.0"),
             ("personalization.alpha", "0.5,0.5"),
             ("eval.cutoffs", "0"),
-            ("pretrain.ops", "node_dropout,warp_drive"),
         ],
     )
     def test_validation_names_the_offending_key(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[1].split("_")[0]):
             build_config({key: value})
+
+    @pytest.mark.parametrize(
+        "flag,key,value",
+        [
+            ("no_pretrain", "pretrain.epochs", "0"),
+            ("no_personalization", "personalization.alpha", "0,0,1"),
+            ("no_clustering", "cluster.k", "1"),
+        ],
+    )
+    def test_ablation_shorthand_sets_its_key(self, flag, key, value):
+        _command, _options, overrides = _parse_args(["train", f"--{flag}"])
+        assert overrides == {key: value}
 
     def test_malformed_file_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -267,9 +285,15 @@ class TestCliSimulate:
         assert "unknown command" in capsys.readouterr().err
 
     def test_unknown_flag_is_a_config_error(self, data_file, capsys):
-        for flag in ("bogus", "threads", "train.threads"):
-            assert run_cli("train", "--data.path", str(data_file), f"--{flag}", "1") == 2
-            assert flag in capsys.readouterr().err
+        for flag, *value in (
+            ("bogus", "1"),
+            ("threads", "1"),
+            ("train.threads", "1"),
+            ("no_clustering=true",),
+        ):
+            args = ("train", "--data.path", str(data_file), f"--{flag}", *value)
+            assert run_cli(*args) == 2
+            assert flag.split("=")[0] in capsys.readouterr().err
 
     def test_key_equals_value_form(self, data_file, tmp_path):
         out = tmp_path / "kv"

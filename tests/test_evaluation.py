@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from fedrec.data import Interaction, InteractionDataset, leave_one_out_split
 from fedrec.evaluation import (
-    EvalResult,
     UserEvalModel,
-    evaluate,
     evaluate_cutoffs,
     ndcg_at_k,
     recall_at_k,
@@ -78,7 +76,7 @@ class TestEvaluate:
             models[u] = UserEvalModel(
                 np.array([1.0, 0.0]), items, frozenset(split.train[u])
             )
-        result = evaluate(split, models, 10, "test")
+        result = evaluate_cutoffs(split, models.items(), (10,))["test"][10]
         assert result.recall == 1.0
         assert result.ndcg == 1.0
 
@@ -102,7 +100,7 @@ class TestEvaluate:
                 extra = {split.validation[u]} if phase == "test" else set()
                 expected_ranks[u] = brute_force_rank(model, held[u], extra)
             for k in (1, 3, 10):
-                result = evaluate(split, models, k, phase)
+                result = evaluate_cutoffs(split, models.items(), (k,))[phase][k]
                 exp_recall = np.mean(
                     [recall_at_k(r, k) for r in expected_ranks.values()]
                 )
@@ -125,13 +123,13 @@ class TestEvaluate:
     def test_rescaling_a_user_embedding_changes_nothing(self):
         split = fixture_split()
         models = bare_models(split)
-        baseline = evaluate(split, models, 5, "test")
+        baseline = evaluate_cutoffs(split, models.items(), (5,))["test"][5]
         models[3] = UserEvalModel(
             models[3].user_embedding * 1000.0,
             models[3].item_rows,
             models[3].excluded,
         )
-        rescaled = evaluate(split, models, 5, "test")
+        rescaled = evaluate_cutoffs(split, models.items(), (5,))["test"][5]
         assert rescaled.recall == baseline.recall
         assert rescaled.ndcg == baseline.ndcg
 
@@ -142,7 +140,7 @@ class TestEvaluate:
             np.ones((split.n_items, 2)),
             frozenset(split.train[0]) | {split.test[0]},
         )
-        result = evaluate(split, {0: model}, 10, "test")
+        result = evaluate_cutoffs(split, [(0, model)], (10,))["test"][10]
         assert result.recall == 0.0
         assert result.ndcg == 0.0
 
@@ -152,8 +150,3 @@ class TestEvaluate:
         by_k = evaluate_cutoffs(split, models.items(), (1, 5, 10))["validation"]
         assert set(by_k) == {1, 5, 10}
         assert by_k[1].recall <= by_k[5].recall <= by_k[10].recall
-
-    def test_unknown_phase_rejected(self):
-        split = fixture_split(n_users=1)
-        with pytest.raises(ValueError, match="phase"):
-            evaluate(split, bare_models(split), 5, "train")

@@ -13,10 +13,8 @@ from fedrec.gnn import (
     bpr_loss,
     load_checkpoint,
     propagate,
-    rank_items,
     readout,
     save_checkpoint,
-    score,
 )
 from helpers import (
     dense_readout,
@@ -111,20 +109,6 @@ class TestReadout:
         np.testing.assert_allclose(out.items, oracle.items, atol=1e-12)
 
 
-class TestScore:
-    def test_dot_product(self):
-        t = table([[1.0, 2.0]], [[3.0, 4.0]])
-        assert score(t, 0, 0) == 11.0
-
-    def test_orthogonal_vectors(self):
-        t = table([[1.0, 0.0]], [[0.0, 5.0]])
-        assert score(t, 0, 0) == 0.0
-
-    def test_zero_user_scores_zero_everywhere(self, rng):
-        t = EmbeddingTable(np.zeros((1, 4)), rng.normal(size=(6, 4)))
-        assert all(score(t, 0, i) == 0.0 for i in range(6))
-
-
 class TestBprLoss:
     def test_equal_scores_give_ln2(self):
         t = table([[1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]])
@@ -198,31 +182,6 @@ class TestBprGradients:
         before = bpr_loss(readout(propagate(op, raw)), triples, 0.01, raw)
         after = bpr_loss(readout(propagate(op, stepped)), triples, 0.01, stepped)
         assert after < before
-
-
-class TestRankItems:
-    def scores_table(self):
-        return table([[1.0]], [[3.0], [9.0], [5.0]])
-
-    def test_top_two(self):
-        assert rank_items(self.scores_table(), 0, set(), 2) == [1, 2]
-
-    def test_exclusion(self):
-        assert rank_items(self.scores_table(), 0, {1}, 2) == [2, 0]
-
-    def test_ties_break_by_item_id(self):
-        t = table([[1.0]], [[2.0], [2.0], [2.0]])
-        assert rank_items(t, 0, set(), 3) == [0, 1, 2]
-
-    def test_k_beyond_candidates_returns_all(self):
-        assert rank_items(self.scores_table(), 0, {0}, 10) == [1, 2]
-
-    def test_positive_rescaling_keeps_the_order(self, rng):
-        t = random_table(rng, 2, 9, 4)
-        base = rank_items(t, 1, set(), 9)
-        scaled = EmbeddingTable(t.users.copy(), t.items.copy())
-        scaled.users[1] *= 37.5
-        assert rank_items(scaled, 1, set(), 9) == base
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec.data import leave_one_out_split, training_graph
+from fedrec.data import leave_one_out_split
 from fedrec.gnn import BipartiteGraph, EmbeddingTable, init_table, propagate, readout
 from fedrec.pretrain import (
-    ALL_OPS,
     AugmentationConfig,
-    OP_NOISE_INJECTION,
     assemble_pretraining_graph,
     compose_view,
-    edge_perturbation_view,
     infonce_gradients,
     infonce_loss,
     infonce_terms,
@@ -26,7 +23,7 @@ from fedrec.pretrain import (
 from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
 from fedrec.synthetic import two_community_dataset
-from helpers import max_rel_error, random_table, table_loss_gradient
+from helpers import max_rel_error, random_table, table_loss_gradient, training_graph
 
 
 def tiny_graph():
@@ -41,9 +38,7 @@ class TestNodeDropout:
 
     def test_dropping_everything_propagates_to_zero(self, rng):
         graph = tiny_graph()
-        cfg = AugmentationConfig(
-            node_keep_prob=1e-12, enabled_ops=frozenset({"node_dropout"})
-        )
+        cfg = AugmentationConfig(node_keep_prob=1e-12, noise_magnitude=0.0)
         table = random_table(rng, 3, 3, 4)
         pipeline = compose_view(graph, table, cfg, 2, rng)
         assert not pipeline.view.user_mask.any()
@@ -65,9 +60,18 @@ class TestNodeDropout:
         assert op.degree_i[0] == 1
 
 
+def edge_view(graph, add_count, rng):
+    """The view of ``compose_view`` with edge addition as its only augmentation."""
+    cfg = AugmentationConfig(
+        node_keep_prob=1.0, edge_add_count=add_count, noise_magnitude=0.0
+    )
+    table = random_table(rng, graph.n_users, graph.n_items, 2)
+    return compose_view(graph, table, cfg, 1, rng).view
+
+
 class TestEdgePerturbation:
     def test_zero_additions(self, rng):
-        view = edge_perturbation_view(tiny_graph(), 0, rng)
+        view = edge_view(tiny_graph(), 0, rng)
         assert view.edges == tiny_graph().edges
 
     def test_complete_graph_warns_and_stays_complete(self, rng):
@@ -75,7 +79,7 @@ class TestEdgePerturbation:
             2, 2, tuple((u, i) for u in range(2) for i in range(2))
         )
         with pytest.warns(RuntimeWarning, match="non-edges"):
-            view = edge_perturbation_view(complete, 5, rng)
+            view = edge_view(complete, 5, rng)
         assert sorted(view.edges) == sorted(complete.edges)
 
     def test_additions_come_from_the_non_edges(self, rng):
@@ -84,7 +88,7 @@ class TestEdgePerturbation:
             (u, i) for u in range(3) for i in range(3)
         } - set(graph.edges)
         assert len(non_edges) == 7
-        view = edge_perturbation_view(graph, 2, rng)
+        view = edge_view(graph, 2, rng)
         added = set(view.edges) - set(graph.edges)
         assert len(view.edges) == 4
         assert len(added) == 2
@@ -118,7 +122,7 @@ class TestNoiseInjection:
 class TestMakeViews:
     def test_disabled_ops_reproduce_plain_propagation(self, rng):
         graph = tiny_graph()
-        cfg = AugmentationConfig(enabled_ops=frozenset())
+        cfg = AugmentationConfig(node_keep_prob=1.0, noise_magnitude=0.0)
         t = random_table(rng, 3, 3, 4)
         v1, v2 = make_views(graph, t, cfg, 2, rng)
         from fedrec.gnn import PropagationOperator
@@ -127,12 +131,14 @@ class TestMakeViews:
         np.testing.assert_array_equal(v1.users, plain.users)
         np.testing.assert_array_equal(v2.users, plain.users)
         np.testing.assert_array_equal(v1.items, plain.items)
+        # augmentations at their neutral strengths draw nothing
+        draws = substream(0, "neutral")
+        compose_view(graph, t, cfg, 2, draws)
+        assert draws.bit_generator.state == substream(0, "neutral").bit_generator.state
 
     def test_noise_only_zero_layers_is_raw_plus_noise(self, rng):
         graph = tiny_graph()
-        cfg = AugmentationConfig(
-            noise_magnitude=0.3, enabled_ops=frozenset({OP_NOISE_INJECTION})
-        )
+        cfg = AugmentationConfig(node_keep_prob=1.0, noise_magnitude=0.3)
         t = random_table(rng, 3, 3, 4)
         v1, v2 = make_views(graph, t, cfg, 0, rng)
         for view in (v1, v2):
@@ -299,13 +305,6 @@ class TestPretrain:
 
 
 class TestAssemblePretrainingGraph:
-    def test_true_edges_mode_matches_training_graph(self, small_split):
-        privacy = PrivacyConfig(mask_ratio=0.4, pseudo_items_p=3)
-        graph = assemble_pretraining_graph(
-            small_split, privacy, seed=3, use_true_edges=True
-        )
-        assert graph.edges == training_graph(small_split).edges
-
     def test_distorted_mode_adds_pseudo_and_drops_masked(self, small_split):
         privacy = PrivacyConfig(mask_ratio=0.4, pseudo_items_p=3)
         graph = assemble_pretraining_graph(small_split, privacy, seed=3)

@@ -285,8 +285,7 @@ class TestRunTraining:
         np.testing.assert_array_equal(a.user_table, b.user_table)
 
     def test_no_clustering_reports_a_single_cluster(self, tiny_split):
-        cfg = tiny_config()
-        cfg.ablation.no_clustering = True
+        cfg = tiny_config(**{"cluster.k": 1})
         result = run_training(cfg, tiny_split)
         assert all(r.n_clusters == 1 for r in result.reports)
         assert set(result.assignment.assignment.tolist()) == {0}
@@ -332,3 +331,26 @@ class TestRunTraining:
         evaluated = [r for r in result.reports if r.val_ndcg is not None]
         best = max(evaluated, key=lambda r: r.val_ndcg)
         assert result.final_round == best.round
+
+    def test_restored_snapshot_equals_a_run_stopped_at_the_best_round(
+        self, tiny_split
+    ):
+        # the best-round snapshot keeps references, not copies; rounds run
+        # after it must not reach into it
+        cfg = tiny_config(**{"train.max_rounds": 30, "train.patience": 2})
+        result = run_training(cfg, tiny_split)
+        assert result.final_round < len(result.reports)
+        stopped = run_training(
+            tiny_config(**{"train.max_rounds": result.final_round}), tiny_split
+        )
+        ours, theirs = result.checkpoint_table(), stopped.checkpoint_table()
+        np.testing.assert_array_equal(ours.users, theirs.users)
+        np.testing.assert_array_equal(ours.items, theirs.items)
+        assert result.cluster_items.keys() == stopped.cluster_items.keys()
+        for c, table in result.cluster_items.items():
+            np.testing.assert_array_equal(table, stopped.cluster_items[c])
+        for user, state in result.states.items():
+            rows = stopped.states[user].local_rows
+            assert state.local_rows.keys() == rows.keys()
+            for item, row in state.local_rows.items():
+                np.testing.assert_array_equal(row, rows[item])
