@@ -18,11 +18,12 @@ from .data import SplitDataset, leave_one_out_split, load_interactions
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import PHASES, evaluate_cutoffs
 from .gnn import load_checkpoint, save_checkpoint
-from .privacy import LdpConfig, privacy_budget
+from .privacy import privacy_budget
 from .server import (
     eval_model,
     eval_weights,
     personalized_models,
+    privacy_settings,
     run_training,
     warm_up,
 )
@@ -157,9 +158,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
                 f"{warm_table.dim}"
             )
     if cfg.privacy.enabled and cfg.privacy.laplace_lambda > 0:
-        eps = privacy_budget(
-            LdpConfig(cfg.privacy.clip_delta, cfg.privacy.laplace_lambda)
-        )
+        eps = privacy_budget(privacy_settings(cfg).ldp)
         print(f"privacy: per-upload budget bound {eps:.4f}")
     result = run_training(cfg, split, warm_table=warm_table, verbose=True)
     out.mkdir(parents=True, exist_ok=True)

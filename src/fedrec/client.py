@@ -128,9 +128,12 @@ def _local_operator(
     col = {item: j for j, item in enumerate(item_space)}
     tokens = sorted({tok for tok, _ in cg.neighbor_users})
     row = {tok: r + 1 for r, tok in enumerate(tokens)}
-    edges = [(0, col[item]) for item in claimed]
-    edges.extend((row[tok], col[item]) for tok, item in sorted(cg.neighbor_users))
-    op = PropagationOperator(1 + len(tokens), len(item_space), tuple(edges), n_layers)
+    pairs = sorted(cg.neighbor_users)
+    edges = np.zeros((len(claimed) + len(pairs), 2), dtype=np.int64)
+    edges[:, 1] = [col[item] for item in claimed] + [col[item] for _, item in pairs]
+    if pairs:
+        edges[len(claimed):, 0] = [row[tok] for tok, _ in pairs]
+    op = PropagationOperator(1 + len(tokens), len(item_space), edges, n_layers)
     user_rows = np.vstack([user_vec] + [neighbor_vecs[tok] for tok in tokens])
     raw = EmbeddingTable(user_rows, global_items[item_space])
     local_triples = [BprTriple(0, col[t.pos_item], col[t.neg_item]) for t in triples]
@@ -223,7 +226,8 @@ def infer_user_embedding(
 ) -> np.ndarray:
     """Readout embedding of a single user on its star graph."""
     items = sorted(graph_items)
-    edges = tuple((0, j) for j in range(len(items)))
+    edges = np.zeros((len(items), 2), dtype=np.int64)
+    edges[:, 1] = np.arange(len(items))
     op = PropagationOperator(1, max(len(items), 1), edges, n_layers)
     raw = EmbeddingTable(
         user_row[None, :],

@@ -234,6 +234,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         0 < cfg.pretrain.node_keep_prob <= 1,
         "pretrain.node_keep_prob must be in (0, 1]",
     )
+    _require(
+        cfg.pretrain.edge_add_count >= -1,
+        "pretrain.edge_add_count must be >= -1 (-1 = pseudo_items_p per user)",
+    )
     _require(cfg.pretrain.noise_magnitude >= 0, "pretrain.noise_magnitude must be >= 0")
     _require(cfg.pretrain.eta >= 0, "pretrain.eta must be >= 0")
     _require(cfg.privacy.clip_delta > 0, "privacy.clip_delta must be > 0")

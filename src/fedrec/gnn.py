@@ -66,13 +66,22 @@ def init_table(
     )
 
 
-@dataclass(frozen=True)
+def _edge_array(edges) -> np.ndarray:
+    """``(E, 2)`` int64 array of (user, item) rows from an array or pairs."""
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """A user-item interaction graph given by its (user, item) edge list."""
+    """A user-item interaction graph. ``edges`` is an ``(E, 2)`` int64 array
+    of (user, item) rows; any sequence of pairs is converted on construction."""
 
     n_users: int
     n_items: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", _edge_array(self.edges))
 
 
 @dataclass(eq=False)
@@ -82,11 +91,14 @@ class PropagationOperator:
     One step maps each user row to the sum of its incident item rows weighted
     by 1/sqrt(deg_u * deg_i), and symmetrically for items; no transform, no
     nonlinearity, no self loop. Nodes without edges propagate to zero.
+    ``edges`` is converted to an ``(E, 2)`` int64 array like
+    :class:`BipartiteGraph`'s; an endpoint out of range or a repeated
+    (user, item) row raises ``ValueError``.
     """
 
     n_users: int
     n_items: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     n_layers: int
     degree_u: np.ndarray = field(init=False, repr=False)
     degree_i: np.ndarray = field(init=False, repr=False)
@@ -99,13 +111,14 @@ class PropagationOperator:
     def __post_init__(self) -> None:
         if self.n_layers < 0:
             raise ValueError("n_layers must be >= 0")
-        us = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        its = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
+        self.edges = _edge_array(self.edges)
+        us, its = self.edges[:, 0], self.edges[:, 1]
         if len(us) and (
-            us.min() < 0 or us.max() >= self.n_users or its.min() < 0 or its.max() >= self.n_items
+            self.edges.min() < 0 or us.max() >= self.n_users or its.max() >= self.n_items
         ):
             raise ValueError("edge endpoint out of range")
-        if len(set(self.edges)) != len(self.edges):
+        ids = np.sort(us * self.n_items + its)  # one linear id per (user, item)
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate edges")
         self.degree_u = np.bincount(us, minlength=self.n_users).astype(np.int64)
         self.degree_i = np.bincount(its, minlength=self.n_items).astype(np.int64)

@@ -24,6 +24,7 @@ from .gnn import (
     readout,
 )
 from .privacy import PrivacyConfig
+from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -50,29 +51,24 @@ class AugmentationConfig:
 @dataclass(eq=False)
 class GraphView:
     """An augmented graph: surviving-node masks plus the (possibly extended)
-    edge list. Edges touching a dropped node are inert during propagation."""
+    ``(E, 2)`` edge array. Edges touching a dropped node are inert during
+    propagation."""
 
     user_mask: np.ndarray
     item_mask: np.ndarray
-    edges: tuple[tuple[int, int], ...]
-
-
-def node_dropout_view(
-    graph: BipartiteGraph, keep_prob: float, rng: np.random.Generator
-) -> GraphView:
-    """Keep each node independently with probability ``keep_prob``."""
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError("keep_prob must be in (0, 1]")
-    user_mask = rng.random(graph.n_users) < keep_prob
-    item_mask = rng.random(graph.n_items) < keep_prob
-    return GraphView(user_mask, item_mask, tuple(graph.edges))
+    edges: np.ndarray
 
 
 def _sample_absent_edges(
     graph: BipartiteGraph, count: int, rng: np.random.Generator
-) -> tuple[tuple[int, int], ...]:
-    existing = set(graph.edges)
-    available = graph.n_users * graph.n_items - len(existing)
+) -> np.ndarray:
+    """``count`` distinct non-edges as sorted (user, item) rows. Each draw is
+    a user then an item; a draw that hits an edge or an earlier draw is
+    redrawn. Asking for all the non-edges or more returns all of them."""
+    n_items = graph.n_items
+    existing = graph.edges[:, 0] * n_items + graph.edges[:, 1]
+    seen = set(existing.tolist())
+    available = graph.n_users * n_items - len(seen)
     if count >= available:
         if count > available:
             warnings.warn(
@@ -80,18 +76,15 @@ def _sample_absent_edges(
                 RuntimeWarning,
                 stacklevel=3,
             )
-        return tuple(
-            (u, i)
-            for u in range(graph.n_users)
-            for i in range(graph.n_items)
-            if (u, i) not in existing
-        )
-    added: set[tuple[int, int]] = set()
-    while len(added) < count:
-        pair = (int(rng.integers(graph.n_users)), int(rng.integers(graph.n_items)))
-        if pair not in existing and pair not in added:
-            added.add(pair)
-    return tuple(sorted(added))
+        ids = np.setdiff1d(np.arange(graph.n_users * n_items, dtype=np.int64), existing)
+    else:
+        added: set[int] = set()
+        while len(added) < count:
+            lid = int(rng.integers(graph.n_users)) * n_items + int(rng.integers(n_items))
+            if lid not in seen:
+                added.add(lid)
+        ids = np.array(sorted(added), dtype=np.int64)
+    return np.stack(np.divmod(ids, n_items), axis=1)
 
 
 def noise_injection(
@@ -111,10 +104,9 @@ def noise_injection(
 
 def view_operator(view: GraphView, n_layers: int) -> PropagationOperator:
     """Propagation over the surviving subgraph, degrees recomputed."""
-    edges = tuple(
-        (u, i) for (u, i) in view.edges if view.user_mask[u] and view.item_mask[i]
-    )
-    return PropagationOperator(len(view.user_mask), len(view.item_mask), edges, n_layers)
+    e = view.edges
+    kept = e[view.user_mask[e[:, 0]] & view.item_mask[e[:, 1]]]
+    return PropagationOperator(len(view.user_mask), len(view.item_mask), kept, n_layers)
 
 
 @dataclass(eq=False)
@@ -143,116 +135,86 @@ def compose_view(
 ) -> ViewPipeline:
     """Apply every augmentation whose strength is not neutral, and propagate.
 
-    Draw order per view: node masks (only when ``node_keep_prob < 1``), new
-    edges (only when ``edge_add_count > 0``), noise (only when
-    ``noise_magnitude > 0``); a neutral augmentation draws nothing. Dropped
-    nodes are zeroed at layer 0 and their edges are inert, so a fully
-    dropped graph propagates to all-zero embeddings.
+    Draw order per view: node masks, users then items, each node kept with
+    probability ``node_keep_prob`` (only when it is below 1); new edges (only
+    when ``edge_add_count > 0``); noise (only when ``noise_magnitude > 0``).
+    A neutral augmentation draws nothing. Dropped nodes are zeroed at layer 0
+    and their edges are inert, so a fully dropped graph propagates to
+    all-zero embeddings.
     """
     if cfg.node_keep_prob < 1:
-        dropped = node_dropout_view(graph, cfg.node_keep_prob, rng)
-        user_mask, item_mask = dropped.user_mask, dropped.item_mask
+        user_mask = rng.random(graph.n_users) < cfg.node_keep_prob
+        item_mask = rng.random(graph.n_items) < cfg.node_keep_prob
     else:
         user_mask = np.ones(graph.n_users, dtype=bool)
         item_mask = np.ones(graph.n_items, dtype=bool)
-    edges = tuple(graph.edges)
+    edges = graph.edges
     if cfg.edge_add_count > 0:
-        edges = edges + _sample_absent_edges(graph, cfg.edge_add_count, rng)
-    noise_on = cfg.noise_magnitude > 0
+        edges = np.concatenate(
+            (edges, _sample_absent_edges(graph, cfg.edge_add_count, rng))
+        )
     view = GraphView(user_mask, item_mask, edges)
 
-    x0 = noise_injection(table, cfg.noise_magnitude, rng) if noise_on else table.copy()
-    x0 = EmbeddingTable(
-        x0.users * user_mask[:, None], x0.items * item_mask[:, None]
-    )
+    if cfg.noise_magnitude > 0:
+        table = noise_injection(table, cfg.noise_magnitude, rng)
+    x0 = EmbeddingTable(table.users * user_mask[:, None], table.items * item_mask[:, None])
     op = view_operator(view, n_layers)
     return ViewPipeline(view, op, readout(propagate(op, x0)))
 
 
-def make_views(
-    graph: BipartiteGraph,
-    table: EmbeddingTable,
-    cfg: AugmentationConfig,
-    n_layers: int,
-    rng: np.random.Generator,
-) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """Final embeddings of two independently augmented views."""
-    r1, r2 = rng.spawn(2)
-    return (
-        compose_view(graph, table, cfg, n_layers, r1).final,
-        compose_view(graph, table, cfg, n_layers, r2).final,
-    )
-
-
-def _normalized_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_rows(x: np.ndarray):
+    """Unit rows, the zero-norm mask, and the norms with 1 in place of 0."""
     norms = np.linalg.norm(x, axis=1)
     zero = norms == 0
     safe = np.where(zero, 1.0, norms)
-    return x / safe[:, None], zero
+    return x / safe[:, None], zero, safe
 
 
-def _entity_terms(a: np.ndarray, b: np.ndarray, tau: float):
-    a_hat, zero_a = _normalized_rows(a)
-    b_hat, zero_b = _normalized_rows(b)
+def _entity_infonce(a: np.ndarray, b: np.ndarray, tau: float):
+    """Per-entity terms and the gradients w.r.t. ``a`` and ``b``, all from
+    one similarity matrix."""
+    a_hat, zero_a, na = _normalized_rows(a)
+    b_hat, zero_b, nb = _normalized_rows(b)
     sims = a_hat @ b_hat.T
-    terms = logsumexp(sims / tau, axis=1) - np.diag(sims) / tau
-    return terms, bool(zero_a.any() or zero_b.any())
+    logits = sims / tau
+    terms = logsumexp(logits, axis=1) - np.diag(sims) / tau
+    w = softmax(logits, axis=1)
+    del logits
+    w[np.diag_indices_from(w)] -= 1.0
+    w /= tau
+    ws = w * sims
+    grad_a = (w @ b_hat - ws.sum(axis=1)[:, None] * a_hat) / na[:, None]
+    grad_b = (w.T @ a_hat - ws.sum(axis=0)[:, None] * b_hat) / nb[:, None]
+    grad_a[zero_a] = 0.0
+    grad_b[zero_b] = 0.0
+    return terms, grad_a, grad_b, bool(zero_a.any() or zero_b.any())
 
 
-def infonce_terms(
+def infonce_gradients(
     view1: EmbeddingTable, view2: EmbeddingTable, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user and per-item contrastive terms (each is >= 0).
+) -> tuple[float, EmbeddingTable, EmbeddingTable]:
+    """Summed contrastive loss over users plus items, and its exact gradients
+    w.r.t. both view tables: ``(loss, grad1, grad2)``.
 
-    Term for entity u is log sum_v exp(cos(a_u, b_v)/tau) - cos(a_u, b_u)/tau
-    with v ranging over the second view's rows of the same type. Zero-norm
-    rows contribute similarity 0 to every pair and trigger a warning.
+    Entity u's term is log sum_v exp(cos(a_u, b_v)/tau) - cos(a_u, b_u)/tau
+    with v ranging over the second view's rows of the same type; each term
+    is >= 0. Zero-norm rows contribute similarity 0 to every pair, get a zero
+    gradient, and trigger a warning.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
     if view1.users.shape != view2.users.shape or view1.items.shape != view2.items.shape:
         raise ValueError("views must have matching row sets")
-    user_terms, warn_u = _entity_terms(view1.users, view2.users, tau)
-    item_terms, warn_i = _entity_terms(view1.items, view2.items, tau)
+    user_terms, gu1, gu2, warn_u = _entity_infonce(view1.users, view2.users, tau)
+    item_terms, gi1, gi2, warn_i = _entity_infonce(view1.items, view2.items, tau)
     if warn_u or warn_i:
         warnings.warn(
             "zero-norm embedding row; its similarities are treated as 0",
             RuntimeWarning,
             stacklevel=2,
         )
-    return user_terms, item_terms
-
-
-def infonce_loss(view1: EmbeddingTable, view2: EmbeddingTable, tau: float) -> float:
-    """Summed contrastive loss over users plus items."""
-    user_terms, item_terms = infonce_terms(view1, view2, tau)
-    return float(user_terms.sum() + item_terms.sum())
-
-
-def _entity_grads(a: np.ndarray, b: np.ndarray, tau: float):
-    a_hat, zero_a = _normalized_rows(a)
-    b_hat, zero_b = _normalized_rows(b)
-    na = np.where(zero_a, 1.0, np.linalg.norm(a, axis=1))
-    nb = np.where(zero_b, 1.0, np.linalg.norm(b, axis=1))
-    sims = a_hat @ b_hat.T
-    probs = softmax(sims / tau, axis=1)
-    w = (probs - np.eye(len(a))) / tau
-    grad_a = (w @ b_hat - (w * sims).sum(axis=1)[:, None] * a_hat) / na[:, None]
-    grad_b = (w.T @ a_hat - (w * sims).sum(axis=0)[:, None] * b_hat) / nb[:, None]
-    grad_a[zero_a] = 0.0
-    grad_b[zero_b] = 0.0
-    return grad_a, grad_b
-
-
-def infonce_gradients(
-    view1: EmbeddingTable, view2: EmbeddingTable, tau: float
-) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """Exact gradients of :func:`infonce_loss` w.r.t. both view tables."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    gu1, gu2 = _entity_grads(view1.users, view2.users, tau)
-    gi1, gi2 = _entity_grads(view1.items, view2.items, tau)
-    return EmbeddingTable(gu1, gi1), EmbeddingTable(gu2, gi2)
+    loss = float(user_terms.sum() + item_terms.sum())
+    return loss, EmbeddingTable(gu1, gi1), EmbeddingTable(gu2, gi2)
 
 
 @dataclass(eq=False)
@@ -272,28 +234,29 @@ def pretrain(
 ) -> PretrainResult:
     """Run ``epochs`` contrastive steps and return the warm-start table.
 
-    ``losses`` holds the loss on each epoch's freshly sampled views before
-    its step, plus one trailing evaluation after the final step (so k epochs
-    yield k+1 entries). Zero epochs leave the table untouched.
+    Each epoch draws a fresh pair of views with ``rng.spawn(2)``, records
+    their loss and steps on it. One more pair is drawn after the final step,
+    so k epochs yield k+1 losses, and the first k+1 losses of a longer run
+    are the same. Zero epochs leave the table untouched and draw nothing.
     """
     current = table.copy()
     if epochs == 0:
         return PretrainResult(current, ())
     losses: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(epochs + 1):
         r1, r2 = rng.spawn(2)
         p1 = compose_view(graph, current, cfg, n_layers, r1)
         p2 = compose_view(graph, current, cfg, n_layers, r2)
-        losses.append(infonce_loss(p1.final, p2.final, cfg.temperature))
-        g1, g2 = infonce_gradients(p1.final, p2.final, cfg.temperature)
+        loss, g1, g2 = infonce_gradients(p1.final, p2.final, cfg.temperature)
+        losses.append(loss)
+        if epoch == epochs:
+            break
         back1 = p1.backprop(g1)
         back2 = p2.backprop(g2)
         current = EmbeddingTable(
             current.users - eta * (back1.users + back2.users),
             current.items - eta * (back1.items + back2.items),
         )
-    final1, final2 = make_views(graph, current, cfg, n_layers, rng)
-    losses.append(infonce_loss(final1, final2, cfg.temperature))
     return PretrainResult(current, tuple(losses))
 
 
@@ -305,12 +268,13 @@ def assemble_pretraining_graph(
     items are added, each drawn from a per-user keyed stream. The server
     never sees the raw training edges.
     """
-    from .rng import substream
-
-    edges: list[tuple[int, int]] = []
+    users: list[int] = []
+    items: list[int] = []
     for user in sorted(split.train):
         cg = build_client_graph(
             split, user, privacy, substream(seed, "pretrain-graph", user)
         )
-        edges.extend((user, item) for item in sorted(cg.true_items | cg.pseudo_items))
-    return BipartiteGraph(split.n_users, split.n_items, tuple(edges))
+        claimed = sorted(cg.true_items | cg.pseudo_items)
+        users += [user] * len(claimed)
+        items += claimed
+    return BipartiteGraph(split.n_users, split.n_items, np.column_stack((users, items)))

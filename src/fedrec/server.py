@@ -299,22 +299,21 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
     return result
 
 
-def _clustering_inputs(
-    states: dict[int, ClientState], cfg: ExperimentConfig, round_idx: int
-) -> np.ndarray:
-    """Each user's uploaded embedding, LDP-noised when privacy is enabled."""
+def _noised_uploads(
+    states: dict[int, ClientState], cfg: ExperimentConfig, label: str, round_idx: int
+) -> list[np.ndarray]:
+    """Each user's uploaded embedding in user order, LDP-noised on
+    ``substream(seed, label, round, user)`` when privacy is enabled."""
+    ldp = privacy_settings(cfg).ldp
     rows = []
-    ldp = LdpConfig(
-        cfg.privacy.clip_delta, cfg.privacy.laplace_lambda, enabled=True
-    )
     for user in range(len(states)):
         vec = states[user].last_inferred
         if cfg.privacy.enabled:
             vec = randomize_vector(
-                vec, ldp, substream(cfg.train.seed, "cluster-upload", round_idx, user)
+                vec, ldp, substream(cfg.train.seed, label, round_idx, user)
             )
         rows.append(vec)
-    return np.vstack(rows)
+    return rows
 
 
 def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
@@ -335,28 +334,6 @@ def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
             pairs.extend((anon, item) for anon in anon_users)
         neighbors[user] = tuple(sorted(pairs))
     return neighbors
-
-
-def _neighbor_vec_snapshot(
-    cfg: ExperimentConfig,
-    states: dict[int, ClientState],
-    round_idx: int,
-) -> dict[str, np.ndarray]:
-    """Anonymous-token -> uploaded user embedding, LDP-noised when enabled."""
-    key = matcher_key(cfg.train.seed)
-    snapshot = {}
-    noised = cfg.privacy.enabled
-    ldp = LdpConfig(cfg.privacy.clip_delta, cfg.privacy.laplace_lambda, enabled=True)
-    for user in range(len(states)):
-        vec = states[user].last_inferred
-        if noised:
-            vec = randomize_vector(
-                vec,
-                ldp,
-                substream(cfg.train.seed, "neighbor-upload", round_idx, user),
-            )
-        snapshot[user_token(user, key)] = vec
-    return snapshot
 
 
 def eval_model(
@@ -480,8 +457,11 @@ def run_training(
     es_cutoff = 20 if 20 in cfg.eval.cutoffs else max(cfg.eval.cutoffs)
 
     neighbors: dict[int, tuple[tuple[str, int], ...]] = {}
+    tokens: list[str] = []
     if cfg.graph.neighbor_expansion:
         neighbors = _neighbor_setup(cfg, split)
+        key = matcher_key(seed)
+        tokens = [user_token(user, key) for user in range(n_users)]
 
     privacy = privacy_settings(cfg)
     assignment: ClusterAssignment | None = None
@@ -493,7 +473,7 @@ def run_training(
     evals_since_best = 0
 
     def make_assignment(round_idx: int) -> ClusterAssignment:
-        embeddings = _clustering_inputs(states, cfg, round_idx)
+        embeddings = np.vstack(_noised_uploads(states, cfg, "cluster-upload", round_idx))
         if k_clusters == 1:
             return ClusterAssignment(
                 1,
@@ -512,6 +492,12 @@ def run_training(
             # identities do not persist across re-clusterings
             cluster_items = {c: global_items.copy() for c in range(k_clusters)}
         selected = select_clients(assignment, budget, substream(seed, "select", round_idx))
+        # anonymous token -> uploaded user embedding, for one-hop expansion
+        neighbor_vecs = (
+            dict(zip(tokens, _noised_uploads(states, cfg, "neighbor-upload", round_idx)))
+            if cfg.graph.neighbor_expansion
+            else {}
+        )
 
         ctx = ClientConfig(
             split=split,
@@ -522,11 +508,7 @@ def run_training(
             privacy=privacy,
             local_base=local_base,
             neighbors=neighbors,
-            neighbor_vecs=(
-                _neighbor_vec_snapshot(cfg, states, round_idx)
-                if cfg.graph.neighbor_expansion
-                else {}
-            ),
+            neighbor_vecs=neighbor_vecs,
         )
 
         updates = {

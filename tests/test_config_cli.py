@@ -60,6 +60,7 @@ class TestConfig:
             ("train.clients_per_round", "0"),
             ("pretrain.tau", "-1"),
             ("pretrain.node_keep_prob", "0"),
+            ("pretrain.edge_add_count", "-5"),
             ("privacy.mask_ratio", "1.0"),
             ("personalization.alpha", "0.5,0.5"),
             ("eval.cutoffs", "0"),

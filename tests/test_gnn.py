@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec.gnn import (
+    BipartiteGraph,
     BprTriple,
     EmbeddingTable,
     PropagationOperator,
@@ -107,6 +108,45 @@ class TestReadout:
         oracle = dense_readout(2, 3, graph.edges, 3, t)
         np.testing.assert_allclose(out.users, oracle.users, atol=1e-12)
         np.testing.assert_allclose(out.items, oracle.items, atol=1e-12)
+
+
+class TestOperatorEdges:
+    # 4x5 takes the dense adjacency, 150x120 the sparse one
+    @pytest.mark.parametrize("n_users,n_items", [(4, 5), (150, 120)])
+    def test_array_and_pairs_build_the_same_operator(self, rng, n_users, n_items):
+        graph = random_bipartite(rng, n_users, n_items, edge_prob=0.1)
+        pairs = tuple(map(tuple, graph.edges.tolist()))
+        from_pairs = PropagationOperator(n_users, n_items, pairs, 2)
+        from_array = PropagationOperator(n_users, n_items, graph.edges, 2)
+        assert from_array.edges.shape == (len(pairs), 2)
+        assert from_array.edges.dtype == np.int64
+        np.testing.assert_array_equal(from_array.edges, from_pairs.edges)
+        np.testing.assert_array_equal(from_array.degree_u, from_pairs.degree_u)
+        np.testing.assert_array_equal(from_array.degree_i, from_pairs.degree_i)
+        t = random_table(rng, n_users, n_items, 3)
+        for a, b in zip(propagate(from_array, t), propagate(from_pairs, t)):
+            np.testing.assert_array_equal(a.users, b.users)
+            np.testing.assert_array_equal(a.items, b.items)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [((0, 1), (1, 0), (0, 1)), np.array([[0, 1], [1, 0], [0, 1]])],
+        ids=["pairs", "array"],
+    )
+    def test_duplicate_edge_rejected(self, edges):
+        with pytest.raises(ValueError, match="duplicate"):
+            PropagationOperator(2, 2, edges, 1)
+
+    @pytest.mark.parametrize("edges", [[[0, 2]], [[2, 0]], [[-1, 0]], [[0, -1]]])
+    def test_endpoint_out_of_range_rejected(self, edges):
+        with pytest.raises(ValueError, match="out of range"):
+            PropagationOperator(2, 2, np.array(edges), 1)
+
+    def test_graph_edges_become_one_index_array(self):
+        graph = BipartiteGraph(2, 3, ((0, 2), (1, 0)))
+        np.testing.assert_array_equal(graph.edges, [[0, 2], [1, 0]])
+        assert graph.edges.dtype == np.int64
+        assert BipartiteGraph(2, 3, ()).edges.shape == (0, 2)
 
 
 class TestBprLoss:
