@@ -17,7 +17,6 @@ from .data import (
 )
 from .gnn import (
     BipartiteGraph,
-    BprTriple,
     EmbeddingTable,
     GradientUpdate,
     PropagationOperator,
@@ -40,7 +39,6 @@ from .server import run_training
 
 __all__ = [
     "BipartiteGraph",
-    "BprTriple",
     "ClientGraph",
     "EmbeddingTable",
     "ExperimentConfig",

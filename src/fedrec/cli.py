@@ -150,13 +150,6 @@ def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
     warm_table = None
     if warm_start:
         warm_table, _flags = load_checkpoint(warm_start)
-        if warm_table.n_users != split.n_users or warm_table.n_items != split.n_items:
-            raise DataError("warm-start checkpoint does not match the dataset shape")
-        if warm_table.dim != cfg.model.dim:
-            raise ConfigError(
-                f"model.dim is {cfg.model.dim} but the warm-start checkpoint has dim "
-                f"{warm_table.dim}"
-            )
     if cfg.privacy.enabled and cfg.privacy.laplace_lambda > 0:
         eps = privacy_budget(privacy_settings(cfg).ldp)
         print(f"privacy: per-upload budget bound {eps:.4f}")

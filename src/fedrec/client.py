@@ -17,7 +17,6 @@ import numpy as np
 from .data import ClientGraph, SplitDataset, build_client_graph
 from .errors import DataError
 from .gnn import (
-    BprTriple,
     EmbeddingTable,
     GradientUpdate,
     PropagationOperator,
@@ -87,9 +86,10 @@ class ClientConfig:
 
 def sample_bpr_triples(
     cg: ClientGraph, batch: int, rng: np.random.Generator
-) -> list[BprTriple]:
-    """``batch`` triples: positives uniform over the unmasked items, one
-    negative each, uniform over items outside true+pseudo+masked."""
+) -> np.ndarray:
+    """``(batch, 3)`` int64 (user, pos, neg) rows: positives uniform over the
+    unmasked items, one negative each, uniform over items outside
+    true+pseudo+masked."""
     positives = sorted(cg.true_items)
     if not positives:
         raise DataError(f"user {cg.user} has no positive items to sample")
@@ -100,14 +100,15 @@ def sample_bpr_triples(
     )
     if len(negatives) == 0:
         raise DataError(f"user {cg.user} has no valid negative item")
-    pos = rng.choice(np.asarray(positives, dtype=np.int64), size=batch)
-    neg = rng.choice(negatives, size=batch)
-    return [BprTriple(cg.user, int(p), int(j)) for p, j in zip(pos, neg)]
+    triples = np.full((batch, 3), cg.user, dtype=np.int64)
+    triples[:, 1] = rng.choice(np.asarray(positives, dtype=np.int64), size=batch)
+    triples[:, 2] = rng.choice(negatives, size=batch)
+    return triples
 
 
 def _local_operator(
     cg: ClientGraph,
-    triples: Sequence[BprTriple],
+    triples: np.ndarray,
     n_layers: int,
     user_vec: np.ndarray,
     global_items: np.ndarray,
@@ -117,26 +118,26 @@ def _local_operator(
 
     Item space = claimed items + sampled negatives + neighbor-shared items;
     everything reachable from the batch lives there, so gradients computed on
-    the compact graph equal gradients on the full catalog graph.
+    the compact graph equal gradients on the full catalog graph. Returns the
+    operator, the raw table, the triples in local ids (user 0) and the sorted
+    catalogue ids of the local items.
     """
-    claimed = sorted(cg.true_items | cg.pseudo_items)
-    item_space = sorted(
-        set(claimed)
-        | {t.neg_item for t in triples}
-        | {item for _, item in cg.neighbor_users}
-    )
-    col = {item: j for j, item in enumerate(item_space)}
-    tokens = sorted({tok for tok, _ in cg.neighbor_users})
-    row = {tok: r + 1 for r, tok in enumerate(tokens)}
+    claimed = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
     pairs = sorted(cg.neighbor_users)
+    shared = np.array([item for _, item in pairs], dtype=np.int64)
+    item_space = np.unique(np.concatenate((claimed, triples[:, 2], shared)))
+    # row 0 is the client; the neighbor tokens follow in sorted order
+    tokens, rows = np.unique(
+        np.array([tok for tok, _ in pairs], dtype=str), return_inverse=True
+    )
     edges = np.zeros((len(claimed) + len(pairs), 2), dtype=np.int64)
-    edges[:, 1] = [col[item] for item in claimed] + [col[item] for _, item in pairs]
-    if pairs:
-        edges[len(claimed):, 0] = [row[tok] for tok, _ in pairs]
+    edges[len(claimed):, 0] = rows + 1
+    edges[:, 1] = np.searchsorted(item_space, np.concatenate((claimed, shared)))
     op = PropagationOperator(1 + len(tokens), len(item_space), edges, n_layers)
     user_rows = np.vstack([user_vec] + [neighbor_vecs[tok] for tok in tokens])
     raw = EmbeddingTable(user_rows, global_items[item_space])
-    local_triples = [BprTriple(0, col[t.pos_item], col[t.neg_item]) for t in triples]
+    local_triples = np.zeros_like(triples)
+    local_triples[:, 1:] = np.searchsorted(item_space, triples[:, 1:])
     return op, raw, local_triples, item_space
 
 
@@ -151,8 +152,10 @@ def client_update(
     Builds the obfuscated local graph, infers the user embedding through the
     local propagation, computes exact BPR gradients, applies the user-row and
     private item-row steps on-device, then returns the item gradients with
-    decoy pseudo rows attached and LDP applied. Draw order on ``rng``: mask,
-    pseudo items, positives, negatives, decoy noise, LDP noise.
+    decoy pseudo rows attached and LDP applied. The uploaded rows are those
+    with a nonzero gradient plus the batch's items; a pseudo item's decoy row
+    replaces its real one. Draw order on ``rng``: mask, pseudo items,
+    positives, negatives, decoy noise, LDP noise.
     """
     nb = cfg.neighbors.get(state.user, ()) if cfg.neighbors else ()
     cg = build_client_graph(cfg.split, state.user, cfg.privacy, rng, neighbors=nb)
@@ -171,23 +174,23 @@ def client_update(
     grads = bpr_gradients(op, raw, local_triples, cfg.gamma)
 
     # the true user-row gradient never leaves the device
-    own = grads.user_grads.get(0)
-    if own is not None:
-        state.user_vec = state.user_vec - cfg.eta * own
+    state.user_vec = state.user_vec - cfg.eta * grads.users[0]
 
-    real = {item_space[j]: g for j, g in grads.item_grads.items()}
-    for item in sorted(real):
-        base = state.local_rows.get(item)
-        if base is None:
-            base = cfg.local_base[item]
-        state.local_rows[item] = base - cfg.eta * real[item]
+    support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local_triples[:, 1:])
+    items, rows = item_space[support], grads.items[support]
+    for item, step in zip(items.tolist(), cfg.eta * rows):
+        state.local_rows[item] = state.local_rows.get(item, cfg.local_base[item]) - step
 
-    upload = dict(real)
     if cg.pseudo_items:
-        genuine = {i: g for i, g in real.items() if i not in cg.pseudo_items}
-        upload.update(pseudo_item_gradients(cg.pseudo_items, genuine, rng))
+        pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)
+        decoys = pseudo_item_gradients(pseudo, rows[~np.isin(items, pseudo)], rng)
+        upload = np.union1d(items, pseudo)
+        block = np.empty((len(upload), rows.shape[1]))
+        block[np.searchsorted(upload, items)] = rows
+        block[np.searchsorted(upload, pseudo)] = decoys
+        items, rows = upload, block
 
-    update = GradientUpdate({}, upload, data_count=len(cg.true_items))
+    update = GradientUpdate(items, rows, data_count=len(cg.true_items))
     return ldp_randomize(update, cfg.privacy.ldp, rng)
 
 

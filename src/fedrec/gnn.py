@@ -11,7 +11,7 @@ propagation and readout on the gradient of the final tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -159,57 +159,53 @@ def readout(layers: Sequence[EmbeddingTable]) -> EmbeddingTable:
     )
 
 
-class BprTriple(NamedTuple):
-    user: int
-    pos_item: int
-    neg_item: int
+def _triple_array(triples) -> np.ndarray:
+    """``(B, 3)`` int64 array of (user, pos, neg) rows from an array or triples."""
+    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass(eq=False)
 class GradientUpdate:
-    """Sparse per-row gradients plus the owning client's data count."""
+    """One upload: item-gradient rows plus the owning client's data count.
 
-    user_grads: dict[int, np.ndarray]
-    item_grads: dict[int, np.ndarray]
+    ``items`` holds sorted, distinct int64 item ids and ``item_grads`` their
+    ``(len(items), d)`` rows; anything else raises ``ValueError``, because a
+    repeated id would lose all but one of its rows in :func:`apply_update`.
+    """
+
+    items: np.ndarray
+    item_grads: np.ndarray
     data_count: int
 
-
-def _triple_arrays(triples: Sequence[BprTriple]):
-    n = len(triples)
-    u = np.fromiter((t.user for t in triples), dtype=np.int64, count=n)
-    p = np.fromiter((t.pos_item for t in triples), dtype=np.int64, count=n)
-    j = np.fromiter((t.neg_item for t in triples), dtype=np.int64, count=n)
-    return u, p, j
-
-
-def _margins(final: EmbeddingTable, triples: Sequence[BprTriple]) -> np.ndarray:
-    u, p, j = _triple_arrays(triples)
-    return np.einsum("nd,nd->n", final.users[u], final.items[p] - final.items[j])
-
-
-def _touched_rows(triples: Sequence[BprTriple]):
-    users = sorted({t.user for t in triples})
-    items = sorted({t.pos_item for t in triples} | {t.neg_item for t in triples})
-    return users, items
+    def __post_init__(self) -> None:
+        self.items = np.asarray(self.items, dtype=np.int64)
+        self.item_grads = np.asarray(self.item_grads, dtype=np.float64)
+        if self.items.ndim != 1 or (np.diff(self.items) <= 0).any():
+            raise ValueError("items must be strictly increasing 1-D ids")
+        if self.item_grads.ndim != 2 or len(self.item_grads) != len(self.items):
+            raise ValueError("item_grads must hold one row per item")
 
 
 def bpr_loss(
     final: EmbeddingTable,
-    triples: Sequence[BprTriple],
+    triples,
     gamma: float,
     raw: EmbeddingTable,
 ) -> float:
     """Mean of -ln sigmoid(pos - neg) over the batch, plus the L2 penalty.
 
-    The penalty is gamma times the summed squared norms of the raw rows the
-    batch touches (each distinct row counted once).
+    ``triples`` is a ``(B, 3)`` array of (user, pos, neg) rows, or anything
+    that converts to one. The penalty is gamma times the summed squared norms
+    of the raw rows the batch touches (each distinct row counted once).
     """
-    if not triples:
+    t = _triple_array(triples)
+    if not len(t):
         raise ValueError("empty triple batch")
-    m = _margins(final, triples)
+    u, p, j = t.T
+    m = np.einsum("nd,nd->n", final.users[u], final.items[p] - final.items[j])
     loss = float(np.mean(np.logaddexp(0.0, -m)))
     if gamma:
-        users, items = _touched_rows(triples)
+        users, items = np.unique(u), np.unique(t[:, 1:])
         loss += gamma * float(
             np.sum(raw.users[users] ** 2) + np.sum(raw.items[items] ** 2)
         )
@@ -219,46 +215,37 @@ def bpr_loss(
 def bpr_gradients(
     op: PropagationOperator,
     raw: EmbeddingTable,
-    triples: Sequence[BprTriple],
+    triples,
     gamma: float,
-) -> GradientUpdate:
-    """Exact gradient of :func:`bpr_loss` with respect to the raw table.
+) -> EmbeddingTable:
+    """Exact gradient of :func:`bpr_loss` with respect to the raw table, as a
+    dense table of the raw table's shape.
 
     The batch gradient on the final tables is pushed back through readout and
     propagation by reapplying the (self-adjoint) operator to it; the L2 term
-    acts on the raw rows directly. Support is restricted to rows with nonzero
-    gradient plus the batch-touched rows.
+    acts on the raw rows the batch touches directly.
     """
-    if not triples:
+    t = _triple_array(triples)
+    if not len(t):
         raise ValueError("empty triple batch")
     final = readout(propagate(op, raw))
-    u, p, j = _triple_arrays(triples)
-    m = np.einsum("nd,nd->n", final.users[u], final.items[p] - final.items[j])
-    coef = -expit(-m) / len(triples)
+    u, p, j = t.T
+    diff = final.items[p] - final.items[j]
+    m = np.einsum("nd,nd->n", final.users[u], diff)
+    coef = -expit(-m) / len(t)
 
     g_users = np.zeros_like(final.users)
     g_items = np.zeros_like(final.items)
-    np.add.at(g_users, u, coef[:, None] * (final.items[p] - final.items[j]))
+    np.add.at(g_users, u, coef[:, None] * diff)
     np.add.at(g_items, p, coef[:, None] * final.users[u])
     np.add.at(g_items, j, -coef[:, None] * final.users[u])
 
     back = readout(propagate(op, EmbeddingTable(g_users, g_items)))
-    raw_gu, raw_gi = back.users, back.items
-
-    touched_u, touched_i = _touched_rows(triples)
     if gamma:
-        for uu in touched_u:
-            raw_gu[uu] += 2.0 * gamma * raw.users[uu]
-        for ii in touched_i:
-            raw_gi[ii] += 2.0 * gamma * raw.items[ii]
-
-    support_u = sorted(set(np.flatnonzero(np.any(raw_gu, axis=1))) | set(touched_u))
-    support_i = sorted(set(np.flatnonzero(np.any(raw_gi, axis=1))) | set(touched_i))
-    return GradientUpdate(
-        {int(uu): raw_gu[uu].copy() for uu in support_u},
-        {int(ii): raw_gi[ii].copy() for ii in support_i},
-        len(triples),
-    )
+        users, items = np.unique(u), np.unique(t[:, 1:])
+        back.users[users] += 2.0 * gamma * raw.users[users]
+        back.items[items] += 2.0 * gamma * raw.items[items]
+    return back
 
 
 def save_checkpoint(table: EmbeddingTable, path, pretrained: bool = False) -> None:

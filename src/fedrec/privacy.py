@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -100,20 +100,15 @@ def ldp_randomize(
 ) -> GradientUpdate:
     """Randomize every gradient entry; the data count passes through.
 
-    Rows are processed in ascending id order (users before items) so the
-    noise draws are reproducible. A disabled config returns the update as-is.
+    The row block is randomized in one call, which draws the same noise as
+    row-by-row calls in ascending id order. A disabled config returns the
+    update as-is.
     """
     if not cfg.enabled:
         return update
-    user_grads = {
-        u: randomize_vector(update.user_grads[u], cfg, rng)
-        for u in sorted(update.user_grads)
-    }
-    item_grads = {
-        i: randomize_vector(update.item_grads[i], cfg, rng)
-        for i in sorted(update.item_grads)
-    }
-    return GradientUpdate(user_grads, item_grads, update.data_count)
+    return GradientUpdate(
+        update.items, randomize_vector(update.item_grads, cfg, rng), update.data_count
+    )
 
 
 def privacy_budget(cfg: LdpConfig) -> float:
@@ -124,24 +119,20 @@ def privacy_budget(cfg: LdpConfig) -> float:
 
 
 def pseudo_item_gradients(
-    pseudo_items: Iterable[int],
-    real_item_grads: Mapping[int, np.ndarray],
-    rng: np.random.Generator,
-) -> dict[int, np.ndarray]:
-    """Decoy gradients for pseudo items.
+    pseudo_items: Collection[int], real_rows: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Decoy gradient rows for the distinct ``pseudo_items``, in ascending id
+    order.
 
     Entries are zero-mean Gaussians whose standard deviation matches the
-    pooled per-entry spread of the real item gradients, so real and decoy
-    rows look alike before the LDP stage.
+    pooled per-entry spread of the real item-gradient rows, so real and decoy
+    rows look alike before the LDP stage. The block is one draw, equal to
+    one draw per id in ascending id order.
     """
-    pseudo = sorted(pseudo_items)
-    if not pseudo:
-        return {}
-    if not real_item_grads:
+    real_rows = np.asarray(real_rows, dtype=np.float64)
+    if not len(pseudo_items):
+        return np.zeros((0, real_rows.shape[1]))
+    if not len(real_rows):
         raise ValueError("need real item gradients to imitate")
-    pool = np.concatenate(
-        [np.ravel(real_item_grads[i]) for i in sorted(real_item_grads)]
-    )
-    std = float(pool.std())
-    dim = len(next(iter(real_item_grads.values())))
-    return {int(i): rng.normal(0.0, std, dim) for i in pseudo}
+    std = float(np.ravel(real_rows).std())
+    return rng.normal(0.0, std, (len(pseudo_items), real_rows.shape[1]))

@@ -27,7 +27,7 @@ from .client import (
 )
 from .config import ExperimentConfig, edge_add_count, pretrain_eta
 from .data import SplitDataset
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .evaluation import UserEvalModel, evaluate_cutoffs
 from .gnn import EmbeddingTable, GradientUpdate, init_table
 from .pretrain import (
@@ -153,23 +153,19 @@ def select_clients(
 
 
 def aggregate(updates: Sequence[GradientUpdate]) -> GradientUpdate:
-    """Data-count weighted average; rows absent from an update count as zero."""
+    """Data-count weighted average; rows absent from an update count as zero.
+    Each id's weighted rows are summed in update order."""
     if not updates:
         raise ValueError("nothing to aggregate")
     total = sum(u.data_count for u in updates)
     if total <= 0:
         raise ValueError("all data counts are zero")
-    users: dict[int, np.ndarray] = {}
-    items: dict[int, np.ndarray] = {}
-    for upd in updates:
-        w = upd.data_count / total
-        for uid in sorted(upd.user_grads):
-            grad = w * upd.user_grads[uid]
-            users[uid] = users[uid] + grad if uid in users else grad
-        for iid in sorted(upd.item_grads):
-            grad = w * upd.item_grads[iid]
-            items[iid] = items[iid] + grad if iid in items else grad
-    return GradientUpdate(users, items, total)
+    ids = np.concatenate([u.items for u in updates])
+    rows = np.concatenate([u.data_count / total * u.item_grads for u in updates])
+    items = np.unique(ids)
+    summed = np.zeros((len(items), rows.shape[1]))
+    np.add.at(summed, np.searchsorted(items, ids), rows)
+    return GradientUpdate(items, summed, total)
 
 
 def apply_update(
@@ -179,8 +175,7 @@ def apply_update(
     if eta <= 0:
         raise ValueError("eta must be > 0")
     out = item_table.copy()
-    for iid in sorted(update.item_grads):
-        out[iid] -= eta * update.item_grads[iid]
+    out[update.items] -= eta * update.item_grads
     return out
 
 
@@ -209,11 +204,12 @@ def neighborhood_match(
     for client in sorted(uploads):
         for token in uploads[client]:
             owners[token].append(client)
+    anon = {client: user_token(client, key) for client in uploads}
     responses: dict[int, dict[str, tuple[str, ...]]] = {}
     for client in sorted(uploads):
         entry: dict[str, tuple[str, ...]] = {}
         for token in uploads[client]:
-            others = tuple(user_token(o, key) for o in owners[token] if o != client)
+            others = tuple(anon[o] for o in owners[token] if o != client)
             if others:
                 entry[token] = others
         responses[client] = entry
@@ -318,20 +314,22 @@ def _noised_uploads(
 
 def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
     """One-hop expansion inputs: per-user (token, item) pairs from the
-    keyed matcher. Clients decode tokens for their own items only."""
+    keyed matcher, each item tokenised once. Clients decode tokens for their
+    own items only."""
     key = matcher_key(cfg.train.seed)
+    token_of = {
+        i: item_token(i, key) for i in sorted(set().union(*split.train.values()))
+    }
+    item_of = {token: i for i, token in token_of.items()}
     uploads = {
-        u: [item_token(i, key) for i in sorted(split.train[u])]
-        for u in sorted(split.train)
+        u: [token_of[i] for i in sorted(split.train[u])] for u in sorted(split.train)
     }
     responses = neighborhood_match(uploads, key)
     neighbors: dict[int, tuple[tuple[str, int], ...]] = {}
     for user in sorted(split.train):
-        own_tokens = {item_token(i, key): i for i in sorted(split.train[user])}
         pairs = []
         for token, anon_users in responses[user].items():
-            item = own_tokens[token]
-            pairs.extend((anon, item) for anon in anon_users)
+            pairs.extend((anon, item_of[token]) for anon in anon_users)
         neighbors[user] = tuple(sorted(pairs))
     return neighbors
 
@@ -442,6 +440,11 @@ def run_training(
     if warm_table is not None:
         if warm_table.n_users != n_users or warm_table.n_items != split.n_items:
             raise DataError("warm-start table shape does not match the dataset")
+        if warm_table.dim != cfg.model.dim:
+            raise ConfigError(
+                f"model.dim is {cfg.model.dim} but the warm-start table has dim "
+                f"{warm_table.dim}"
+            )
         table = warm_table.copy()
     elif cfg.pretrain.epochs == 0:
         table = init_table(n_users, split.n_items, cfg.model.dim, substream(seed, "init"))

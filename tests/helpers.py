@@ -103,13 +103,3 @@ def random_table(rng: np.random.Generator, n_users: int, n_items: int,
         rng.normal(0.0, scale, (n_items, dim)),
     )
 
-
-def grads_to_table(update, n_users: int, n_items: int, dim: int) -> EmbeddingTable:
-    """Densify a sparse GradientUpdate for comparisons."""
-    users = np.zeros((n_users, dim))
-    items = np.zeros((n_items, dim))
-    for u, g in update.user_grads.items():
-        users[u] = g
-    for i, g in update.item_grads.items():
-        items[i] = g
-    return EmbeddingTable(users, items)

@@ -31,7 +31,6 @@ from fedrec.evaluation import (
     recall_at_k,
 )
 from fedrec.gnn import (
-    BprTriple,
     EmbeddingTable,
     PropagationOperator,
     bpr_gradients,
@@ -55,7 +54,6 @@ from fedrec.server import (
 from fedrec.synthetic import two_community_dataset
 from helpers import (
     dense_readout,
-    grads_to_table,
     max_rel_error,
     random_bipartite,
     random_table,
@@ -91,7 +89,7 @@ def test_01_gradient_oracles_match_finite_differences():
         op = PropagationOperator(n_users, n_items, graph.edges, n_layers)
         raw = random_table(rng, n_users, n_items, dim)
         triples = [
-            BprTriple(
+            (
                 int(rng.integers(n_users)),
                 int(rng.integers(n_items)),
                 int(rng.integers(n_items)),
@@ -99,9 +97,7 @@ def test_01_gradient_oracles_match_finite_differences():
             for _ in range(4)
         ]
         gamma = float(rng.uniform(0.0, 0.1))
-        analytic = grads_to_table(
-            bpr_gradients(op, raw, triples, gamma), n_users, n_items, dim
-        )
+        analytic = bpr_gradients(op, raw, triples, gamma)
         fd = table_loss_gradient(
             lambda t: bpr_loss(readout(propagate(op, t)), triples, gamma, t), raw
         )
@@ -188,15 +184,15 @@ def test_03_one_federated_round_equals_a_centralized_step():
             1, 20, tuple((0, i) for i in sorted(cg.true_items)), 2
         )
         raw = EmbeddingTable(init.users[user][None, :], init.items)
-        local = [BprTriple(0, t.pos_item, t.neg_item) for t in triples]
+        local = triples.copy()
+        local[:, 0] = 0
         grads = bpr_gradients(op, raw, local, cfg.train.gamma)
-        expected_users[user] -= cfg.train.eta * grads.user_grads[0]
-        updates.append((len(cg.true_items), grads.item_grads))
+        expected_users[user] -= cfg.train.eta * grads.users[0]
+        updates.append((len(cg.true_items), grads.items))
     total = sum(d for d, _ in updates)
     expected_items = init.items.copy()
     for count, item_grads in updates:
-        for item, grad in item_grads.items():
-            expected_items[item] -= cfg.train.eta * (count / total) * grad
+        expected_items -= cfg.train.eta * (count / total) * item_grads
 
     item_err = float(np.abs(result.global_items - expected_items).max())
     user_err = float(np.abs(result.user_table - expected_users).max())
@@ -439,7 +435,7 @@ def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():
             update = client_update(
                 state, items, cfg, substream(3, "client", round_idx, user)
             )
-            support = set(update.item_grads)
+            support = set(update.items.tolist())
             outside = support - split.train[user]
             supports_ok &= bool(outside)
             supports_ok &= state.last_graph.pseudo_items <= support

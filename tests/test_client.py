@@ -44,9 +44,10 @@ def graph_of(true_items, n_items, pseudo=frozenset(), masked=frozenset()):
 class TestSampleBprTriples:
     def test_single_positive(self, rng):
         triples = sample_bpr_triples(graph_of({0}, 3), 20, rng)
-        assert all(t.pos_item == 0 for t in triples)
-        assert all(t.neg_item in {1, 2} for t in triples)
-        assert all(t.user == 0 for t in triples)
+        assert triples.shape == (20, 3) and triples.dtype == np.int64
+        assert (triples[:, 1] == 0).all()
+        assert set(triples[:, 2].tolist()) <= {1, 2}
+        assert (triples[:, 0] == 0).all()
 
     def test_full_catalog_has_no_negatives(self, rng):
         with pytest.raises(DataError, match="negative"):
@@ -56,13 +57,13 @@ class TestSampleBprTriples:
         triples = sample_bpr_triples(
             graph_of({0, 1}, 10), 10_000, substream(3, "triples")
         )
-        freq = np.mean([t.pos_item == 0 for t in triples])
+        freq = np.mean(triples[:, 1] == 0)
         assert abs(freq - 0.5) <= 0.02
 
     def test_negatives_avoid_pseudo_and_masked(self, rng):
         cg = graph_of({0}, 6, pseudo={1, 2}, masked={3})
         triples = sample_bpr_triples(cg, 200, rng)
-        assert {t.neg_item for t in triples} <= {4, 5}
+        assert set(triples[:, 2].tolist()) <= {4, 5}
 
 
 def make_split(n_items=8):
@@ -97,23 +98,16 @@ class TestClientUpdate:
         # replay the draws: no mask/pseudo draws when privacy is off
         replay = substream(1, "client", 1, 0)
         cg = build_client_graph(split, 0, cfg.privacy, replay)
-        triples = sample_bpr_triples(cg, 1, replay)
-        (t,) = triples
-        margin = float(user_before @ (items[t.pos_item] - items[t.neg_item]))
+        ((_, pos, neg),) = sample_bpr_triples(cg, 1, replay)
+        margin = float(user_before @ (items[pos] - items[neg]))
         coef = 1.0 / (1.0 + math.exp(-margin)) - 1.0
-        assert set(update.item_grads) == {t.pos_item, t.neg_item}
-        np.testing.assert_allclose(
-            update.item_grads[t.pos_item], coef * user_before, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            update.item_grads[t.neg_item], -coef * user_before, atol=1e-12
-        )
-        assert update.user_grads == {}
+        assert update.items.tolist() == sorted({pos, neg})
+        rows = dict(zip(update.items.tolist(), update.item_grads))
+        np.testing.assert_allclose(rows[pos], coef * user_before, atol=1e-12)
+        np.testing.assert_allclose(rows[neg], -coef * user_before, atol=1e-12)
         assert update.data_count == 3
         # the user step was applied locally
-        expected_user = user_before - cfg.eta * coef * (
-            items[t.pos_item] - items[t.neg_item]
-        )
+        expected_user = user_before - cfg.eta * coef * (items[pos] - items[neg])
         np.testing.assert_allclose(state.user_vec, expected_user, atol=1e-12)
 
     def test_pseudo_items_extend_the_gradient_support(self):
@@ -133,10 +127,39 @@ class TestClientUpdate:
         triples = sample_bpr_triples(cg, 4, replay)
         pseudo = state.last_graph.pseudo_items
         assert pseudo == cg.pseudo_items and len(pseudo) == 2
-        assert pseudo <= set(update.item_grads)
+        assert pseudo <= set(update.items.tolist())
         # decoys plus sampled negatives are the only rows outside the train set
-        outside = set(update.item_grads) - split.train[0]
-        assert outside == pseudo | {t.neg_item for t in triples}
+        outside = set(update.items.tolist()) - split.train[0]
+        assert outside == pseudo | set(triples[:, 2].tolist())
+
+    def test_decoy_rows_replace_the_real_rows_of_pseudo_items(self):
+        # with one layer the pseudo items, being claimed, get real gradients
+        # too; the upload carries the decoy draws in their place
+        split = make_split(n_items=12)
+        items = substream(0, "items").normal(size=(12, 3))
+        state = ClientState(0, np.array([0.5, 0.1, -0.4]))
+        cfg = make_cfg(
+            split,
+            items,
+            privacy=PrivacyConfig(pseudo_items_p=2),
+            n_layers=1,
+            batch_size=4,
+        )
+        update = client_update(state, items, cfg, substream(9, "c", 1, 0))
+        replay = substream(9, "c", 1, 0)
+        cg = build_client_graph(split, 0, cfg.privacy, replay)
+        sample_bpr_triples(cg, 4, replay)
+        pseudo = sorted(cg.pseudo_items)
+        rows = dict(zip(update.items.tolist(), update.item_grads))
+        genuine = [rows[i] for i in sorted(rows) if i not in cg.pseudo_items]
+        std = float(np.concatenate(genuine).std())
+        expected = replay.normal(0.0, std, (len(pseudo), 3))
+        np.testing.assert_array_equal([rows[i] for i in pseudo], expected)
+        # the private step used the real rows, not the decoys
+        for item in pseudo:
+            assert not np.array_equal(
+                state.local_rows[item], items[item] - cfg.eta * rows[item]
+            )
 
     def test_fixed_seed_reproduces_the_update(self):
         split = make_split(n_items=10)
@@ -148,9 +171,8 @@ class TestClientUpdate:
             cfg = make_cfg(split, items, privacy=privacy, n_layers=2, batch_size=3)
             results.append(client_update(state, items, cfg, substream(8, "c", 2, 0)))
         a, b = results
-        assert set(a.item_grads) == set(b.item_grads)
-        for key in a.item_grads:
-            np.testing.assert_array_equal(a.item_grads[key], b.item_grads[key])
+        np.testing.assert_array_equal(a.items, b.items)
+        np.testing.assert_array_equal(a.item_grads, b.item_grads)
         assert a.data_count == b.data_count
 
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
@@ -169,13 +191,15 @@ class TestClientUpdate:
             1, 9, tuple((0, i) for i in sorted(cg.true_items)), n_layers
         )
         raw = EmbeddingTable(user_vec[None, :], items)
-        local = [t._replace(user=0) for t in triples]
+        local = triples.copy()
+        local[:, 0] = 0
         oracle = bpr_gradients(full_op, raw, local, 0.02)
-        assert set(update.item_grads) == set(oracle.item_grads)
-        for key in update.item_grads:
-            np.testing.assert_allclose(
-                update.item_grads[key], oracle.item_grads[key], atol=1e-12
-            )
+        # nonzero rows plus the batch's items
+        support = np.union1d(np.flatnonzero(oracle.items.any(axis=1)), local[:, 1:])
+        np.testing.assert_array_equal(update.items, support)
+        np.testing.assert_allclose(
+            update.item_grads, oracle.items[support], atol=1e-12
+        )
 
 
 class TestPersonalize:

@@ -196,6 +196,28 @@ class TestCliTrain:
         assert code == 3
 
 
+    def test_warm_start_shape_mismatch_exits_with_code_three(
+        self, data_file, tmp_path, rng, capsys
+    ):
+        path = tmp_path / "small.txt"
+        small = EmbeddingTable(rng.normal(size=(2, 8)), rng.normal(size=(3, 8)))
+        save_checkpoint(small, path)
+        out = tmp_path / "ws"
+        assert run_cli(*self.train_args(data_file, out, "--warm-start", str(path))) == 3
+        assert "shape" in capsys.readouterr().err
+        assert not (out / "checkpoint.txt").exists()
+
+    def test_warm_start_dim_mismatch_exits_with_code_two(
+        self, data_file, tmp_path, rng, capsys
+    ):
+        path = tmp_path / "wide.txt"
+        wide = EmbeddingTable(rng.normal(size=(30, 4)), rng.normal(size=(20, 4)))
+        save_checkpoint(wide, path)
+        out = tmp_path / "wd"
+        assert run_cli(*self.train_args(data_file, out, "--warm-start", str(path))) == 2
+        assert "model.dim" in capsys.readouterr().err
+        assert not (out / "checkpoint.txt").exists()
+
 class TestCliEvaluate:
     def test_perfect_checkpoint_scores_recall_one(self, data_file, tmp_path):
         split = leave_one_out_split(load_interactions(data_file))

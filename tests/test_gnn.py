@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from fedrec.gnn import (
     BipartiteGraph,
-    BprTriple,
     EmbeddingTable,
+    GradientUpdate,
     PropagationOperator,
     bpr_gradients,
     bpr_loss,
@@ -19,7 +19,6 @@ from fedrec.gnn import (
 )
 from helpers import (
     dense_readout,
-    grads_to_table,
     max_rel_error,
     random_bipartite,
     random_table,
@@ -152,21 +151,21 @@ class TestOperatorEdges:
 class TestBprLoss:
     def test_equal_scores_give_ln2(self):
         t = table([[1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]])
-        loss = bpr_loss(t, [BprTriple(0, 0, 1)], 0.0, t)
+        loss = bpr_loss(t, [(0, 0, 1)], 0.0, t)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_wide_margin_vanishes(self):
         t = table([[1.0]], [[20.0], [0.0]])
-        assert bpr_loss(t, [BprTriple(0, 0, 1)], 0.0, t) <= 1e-8
+        assert bpr_loss(t, [(0, 0, 1)], 0.0, t) <= 1e-8
 
     def test_zero_embeddings_ignore_regularizer(self):
         t = EmbeddingTable(np.zeros((1, 3)), np.zeros((2, 3)))
-        loss = bpr_loss(t, [BprTriple(0, 0, 1)], 0.1, t)
+        loss = bpr_loss(t, [(0, 0, 1)], 0.1, t)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_regularizer_counts_touched_rows_once(self, rng):
         raw = random_table(rng, 2, 3, 2)
-        triples = [BprTriple(0, 0, 1), BprTriple(0, 0, 2)]
+        triples = [(0, 0, 1), (0, 0, 2)]
         base = bpr_loss(raw, triples, 0.0, raw)
         full = bpr_loss(raw, triples, 0.5, raw)
         touched = (
@@ -175,19 +174,33 @@ class TestBprLoss:
         assert full - base == pytest.approx(0.5 * touched, rel=1e-12)
 
 
+    def test_array_and_tuple_triples_give_the_same_loss(self, rng):
+        raw = random_table(rng, 2, 4, 3)
+        triples = [(0, 0, 1), (1, 2, 3), (0, 2, 1)]
+        as_array = np.array(triples, dtype=np.int64)
+        assert bpr_loss(raw, as_array, 0.1, raw) == bpr_loss(raw, triples, 0.1, raw)
+
+    def test_empty_batch_rejected(self):
+        t = table([[1.0]], [[1.0], [0.0]])
+        with pytest.raises(ValueError, match="empty"):
+            bpr_loss(t, np.zeros((0, 3), dtype=np.int64), 0.0, t)
+
+
 class TestBprGradients:
     def test_plain_bpr_closed_form_at_zero_layers(self, rng):
         raw = random_table(rng, 2, 3, 4)
         op = PropagationOperator(2, 3, ((0, 0), (0, 1)), 0)
-        triple = BprTriple(0, 0, 2)
-        update = bpr_gradients(op, raw, [triple], 0.0)
+        triple = (0, 0, 2)
+        grads = bpr_gradients(op, raw, [triple], 0.0)
         margin = float(raw.users[0] @ (raw.items[0] - raw.items[2]))
         coef = 1.0 / (1.0 + math.exp(-margin)) - 1.0
         np.testing.assert_allclose(
-            update.user_grads[0], coef * (raw.items[0] - raw.items[2]), atol=1e-12
+            grads.users[0], coef * (raw.items[0] - raw.items[2]), atol=1e-12
         )
-        np.testing.assert_allclose(update.item_grads[0], coef * raw.users[0], atol=1e-12)
-        np.testing.assert_allclose(update.item_grads[2], -coef * raw.users[0], atol=1e-12)
+        np.testing.assert_allclose(grads.items[0], coef * raw.users[0], atol=1e-12)
+        np.testing.assert_allclose(grads.items[2], -coef * raw.users[0], atol=1e-12)
+        np.testing.assert_array_equal(grads.users[1], 0.0)
+        np.testing.assert_array_equal(grads.items[1], 0.0)
 
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     def test_matches_finite_differences(self, n_layers):
@@ -196,12 +209,11 @@ class TestBprGradients:
         op = PropagationOperator(8, 8, graph.edges, n_layers)
         raw = random_table(rng, 8, 8, 3)
         triples = [
-            BprTriple(int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(8)))
+            (int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(8)))
             for _ in range(5)
         ]
         gamma = 0.05
-        update = bpr_gradients(op, raw, triples, gamma)
-        analytic = grads_to_table(update, 8, 8, 3)
+        analytic = bpr_gradients(op, raw, triples, gamma)
         fd = table_loss_gradient(
             lambda t: bpr_loss(readout(propagate(op, t)), triples, gamma, t), raw
         )
@@ -212,9 +224,8 @@ class TestBprGradients:
         graph = random_bipartite(rng, 5, 6, edge_prob=0.5)
         op = PropagationOperator(5, 6, graph.edges, 2)
         raw = random_table(rng, 5, 6, 4)
-        triples = [BprTriple(0, 1, 2), BprTriple(3, 4, 5), BprTriple(2, 0, 3)]
-        update = bpr_gradients(op, raw, triples, 0.01)
-        dense = grads_to_table(update, 5, 6, 4)
+        triples = [(0, 1, 2), (3, 4, 5), (2, 0, 3)]
+        dense = bpr_gradients(op, raw, triples, 0.01)
         eta = 1e-2
         stepped = EmbeddingTable(
             raw.users - eta * dense.users, raw.items - eta * dense.items
@@ -222,6 +233,29 @@ class TestBprGradients:
         before = bpr_loss(readout(propagate(op, raw)), triples, 0.01, raw)
         after = bpr_loss(readout(propagate(op, stepped)), triples, 0.01, stepped)
         assert after < before
+
+    def test_empty_batch_rejected(self, rng):
+        raw = random_table(rng, 1, 2, 2)
+        op = PropagationOperator(1, 2, ((0, 0),), 1)
+        with pytest.raises(ValueError, match="empty"):
+            bpr_gradients(op, raw, np.zeros((0, 3), dtype=np.int64), 0.0)
+
+
+class TestGradientUpdate:
+    def test_ids_and_rows_become_arrays(self):
+        update = GradientUpdate([1, 4], [[1.0, 2.0], [3.0, 4.0]], 2)
+        assert update.items.dtype == np.int64
+        assert update.item_grads.shape == (2, 2)
+
+    @pytest.mark.parametrize("items", [[3, 3], [4, 1], [[0, 1]]])
+    def test_ids_must_be_strictly_increasing_and_flat(self, items):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GradientUpdate(items, np.ones((2, 2)), 1)
+
+    @pytest.mark.parametrize("rows", [np.ones((3, 2)), np.ones(2)])
+    def test_one_row_per_id(self, rows):
+        with pytest.raises(ValueError, match="one row per item"):
+            GradientUpdate([0, 5], rows, 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,6 +12,7 @@ from fedrec.privacy import (
     mask_interacted_items,
     privacy_budget,
     pseudo_item_gradients,
+    randomize_vector,
     sample_pseudo_items,
 )
 from fedrec.rng import substream
@@ -59,7 +60,7 @@ class TestMaskInteractedItems:
 
 
 def update_of(entries):
-    return GradientUpdate({}, {0: np.asarray(entries, float)}, data_count=3)
+    return GradientUpdate([0], [np.asarray(entries, float)], data_count=3)
 
 
 class TestLdpRandomize:
@@ -93,7 +94,7 @@ class TestLdpRandomize:
     def test_noise_moments(self):
         # 1e5 zero entries, delta=1, lambda=0.5: mean near 0, E|x| near lambda
         cfg = LdpConfig(1.0, 0.5)
-        upd = GradientUpdate({}, {0: np.zeros(100_000)}, 1)
+        upd = GradientUpdate([0], np.zeros((1, 100_000)), 1)
         out = ldp_randomize(upd, cfg, substream(2024, "ldp"))
         noise = out.item_grads[0]
         assert abs(noise.mean()) <= 0.01
@@ -102,16 +103,21 @@ class TestLdpRandomize:
     def test_noise_is_unbiased_around_the_clipped_value(self):
         cfg = LdpConfig(1.0, 0.3)
         n = 200_000
-        upd = GradientUpdate({}, {0: np.full(n, 0.8)}, 1)
+        upd = GradientUpdate([0], np.full((1, n), 0.8), 1)
         out = ldp_randomize(upd, cfg, substream(5, "unbiased"))
         tolerance = 3 * 0.3 / np.sqrt(n)
         assert abs(out.item_grads[0].mean() - 0.8) <= tolerance
 
-    def test_user_rows_processed_too(self, rng):
-        cfg = LdpConfig(0.5, 0.0)
-        upd = GradientUpdate({4: np.array([2.0, -2.0])}, {}, 1)
-        out = ldp_randomize(upd, cfg, rng)
-        np.testing.assert_array_equal(out.user_grads[4], [0.5, -0.5])
+    def test_block_equals_row_by_row_in_id_order(self):
+        cfg = LdpConfig(0.5, 0.3)
+        rows = substream(1, "ldp-rows").normal(0.0, 1.0, (5, 4))
+        update = GradientUpdate([2, 3, 7, 8, 11], rows, 4)
+        out = ldp_randomize(update, cfg, substream(7, "ldp"))
+        stream = substream(7, "ldp")
+        expected = [randomize_vector(row, cfg, stream) for row in rows]
+        np.testing.assert_array_equal(out.item_grads, expected)
+        np.testing.assert_array_equal(out.items, [2, 3, 7, 8, 11])
+        assert out.data_count == 4
 
 
 class TestPrivacyBudget:
@@ -129,29 +135,34 @@ class TestPrivacyBudget:
 
 class TestPseudoItemGradients:
     def test_no_pseudo_items(self, rng):
-        assert pseudo_item_gradients(frozenset(), {0: np.ones(3)}, rng) == {}
+        assert pseudo_item_gradients(frozenset(), np.ones((1, 3)), rng).shape == (0, 3)
 
     def test_zero_real_gradients_make_zero_decoys(self, rng):
-        real = {0: np.zeros(4), 1: np.zeros(4)}
-        decoys = pseudo_item_gradients({5, 6}, real, rng)
-        assert set(decoys) == {5, 6}
-        for vec in decoys.values():
-            np.testing.assert_array_equal(vec, np.zeros(4))
+        decoys = pseudo_item_gradients({5, 6}, np.zeros((2, 4)), rng)
+        np.testing.assert_array_equal(decoys, np.zeros((2, 4)))
+
+    def test_block_equals_one_draw_per_id_in_ascending_order(self):
+        real = substream(2, "real").normal(0.0, 0.4, (6, 3))
+        std = float(real.std())
+        decoys = pseudo_item_gradients({9, 2, 5}, real, substream(4, "decoy"))
+        stream = substream(4, "decoy")
+        expected = [stream.normal(0.0, std, 3) for _ in sorted({9, 2, 5})]
+        np.testing.assert_array_equal(decoys, expected)
 
     def test_decoy_spread_matches_real_spread(self):
         gen = np.random.default_rng(3)
-        real = {i: gen.normal(0.0, 0.7, 8) for i in range(40)}
-        pool = np.concatenate([real[i] for i in sorted(real)])
+        real = gen.normal(0.0, 0.7, (40, 8))
+        pool = real.ravel()
         decoys = pseudo_item_gradients(
             set(range(100, 100 + 1250)), real, substream(11, "decoy")
         )
-        sample = np.concatenate([decoys[i] for i in sorted(decoys)])
+        sample = decoys.ravel()
         assert len(sample) == 10_000
         assert abs(sample.std() - pool.std()) <= 0.05 * pool.std()
 
     def test_requires_real_gradients(self, rng):
         with pytest.raises(ValueError, match="real item gradients"):
-            pseudo_item_gradients({1}, {}, rng)
+            pseudo_item_gradients({1}, np.zeros((0, 3)), rng)
 
 
 class TestConfigValidation:

@@ -11,6 +11,7 @@ from fedrec.evaluation import evaluate_cutoffs
 from fedrec.gnn import GradientUpdate, init_table
 from fedrec.rng import substream
 from fedrec.server import (
+    _neighbor_setup,
     ClusterAssignment,
     aggregate,
     apply_update,
@@ -125,7 +126,7 @@ class TestSelectClients:
 
 
 def scalar_update(value, count):
-    return GradientUpdate({}, {0: np.array([value], dtype=float)}, count)
+    return GradientUpdate([0], [[value]], count)
 
 
 class TestAggregate:
@@ -135,64 +136,76 @@ class TestAggregate:
         assert merged.data_count == 4
 
     def test_single_update_is_returned_as_is(self, rng):
-        upd = GradientUpdate({1: rng.normal(size=3)}, {2: rng.normal(size=3)}, 5)
+        upd = GradientUpdate([2, 6], rng.normal(size=(2, 3)), 5)
         merged = aggregate([upd])
-        np.testing.assert_allclose(merged.user_grads[1], upd.user_grads[1], atol=1e-15)
-        np.testing.assert_allclose(merged.item_grads[2], upd.item_grads[2], atol=1e-15)
+        np.testing.assert_array_equal(merged.items, upd.items)
+        np.testing.assert_allclose(merged.item_grads, upd.item_grads, atol=1e-15)
 
     def test_uniform_counts_match_plain_mean_oracle(self, rng):
         updates = [
-            GradientUpdate({}, {i: rng.normal(size=4) for i in range(3)}, 7)
+            GradientUpdate(np.arange(3), rng.normal(size=(3, 4)), 7)
             for _ in range(5)
         ]
         merged = aggregate(updates)
-        for i in range(3):
-            oracle = np.mean([u.item_grads[i] for u in updates], axis=0)
-            np.testing.assert_allclose(merged.item_grads[i], oracle, atol=1e-12)
+        oracle = np.mean([u.item_grads for u in updates], axis=0)
+        np.testing.assert_allclose(merged.item_grads, oracle, atol=1e-12)
 
     def test_missing_rows_count_as_zero(self):
-        a = GradientUpdate({}, {0: np.array([2.0])}, 1)
-        b = GradientUpdate({}, {1: np.array([2.0])}, 1)
+        a = GradientUpdate([0], [[2.0]], 1)
+        b = GradientUpdate([1], [[2.0]], 1)
         merged = aggregate([a, b])
+        np.testing.assert_array_equal(merged.items, [0, 1])
         assert merged.item_grads[0][0] == pytest.approx(1.0)
         assert merged.item_grads[1][0] == pytest.approx(1.0)
 
     def test_permutation_invariance(self, rng):
         updates = [
-            GradientUpdate({}, {i: rng.normal(size=2) for i in range(4)}, int(d))
+            GradientUpdate(np.arange(4), rng.normal(size=(4, 2)), int(d))
             for d in rng.integers(1, 9, size=6)
         ]
         forward = aggregate(updates)
         backward = aggregate(list(reversed(updates)))
-        for i in range(4):
-            np.testing.assert_allclose(
-                forward.item_grads[i], backward.item_grads[i], atol=1e-12
-            )
+        np.testing.assert_allclose(forward.item_grads, backward.item_grads, atol=1e-12)
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             aggregate([scalar_update(1.0, 0), scalar_update(2.0, 0)])
 
 
+    def test_rows_sum_in_update_order(self, rng):
+        updates = [
+            GradientUpdate(ids, rng.normal(size=(len(ids), 3)), int(d))
+            for ids, d in (([0, 2, 5], 3), ([2, 3], 1), ([0, 5, 7], 4), ([5], 2))
+        ]
+        total = sum(u.data_count for u in updates)
+        oracle: dict[int, np.ndarray] = {}
+        for upd in updates:
+            for item, row in zip(upd.items.tolist(), upd.item_grads):
+                grad = upd.data_count / total * row
+                oracle[item] = oracle[item] + grad if item in oracle else grad
+        merged = aggregate(updates)
+        np.testing.assert_array_equal(merged.items, sorted(oracle))
+        np.testing.assert_array_equal(
+            merged.item_grads, [oracle[i] for i in sorted(oracle)]
+        )
+
 class TestApplyUpdate:
     def test_zero_gradient_changes_nothing(self, rng):
         table = rng.normal(size=(3, 2))
-        out = apply_update(table, GradientUpdate({}, {}, 1), 0.5)
+        out = apply_update(table, GradientUpdate([], np.zeros((0, 2)), 1), 0.5)
         np.testing.assert_array_equal(out, table)
 
     def test_unit_eta_subtracts_the_row(self, rng):
         table = rng.normal(size=(3, 2))
         grad = rng.normal(size=2)
-        out = apply_update(table, GradientUpdate({}, {1: grad}, 1), 1.0)
+        out = apply_update(table, GradientUpdate([1], [grad], 1), 1.0)
         np.testing.assert_allclose(out[1], table[1] - grad, atol=1e-15)
 
     def test_sequential_steps_compose_linearly(self, rng):
         table = rng.normal(size=(4, 2))
-        g1 = GradientUpdate({}, {0: rng.normal(size=2)}, 1)
-        g2 = GradientUpdate({}, {0: rng.normal(size=2)}, 1)
-        combined = GradientUpdate(
-            {}, {0: g1.item_grads[0] + g2.item_grads[0]}, 2
-        )
+        g1 = GradientUpdate([0], rng.normal(size=(1, 2)), 1)
+        g2 = GradientUpdate([0], rng.normal(size=(1, 2)), 1)
+        combined = GradientUpdate([0], g1.item_grads + g2.item_grads, 2)
         stepwise = apply_update(apply_update(table, g1, 0.3), g2, 0.3)
         at_once = apply_update(table, combined, 0.3)
         np.testing.assert_allclose(stepwise, at_once, atol=1e-12)
@@ -242,6 +255,22 @@ class TestNeighborhoodMatch:
 
     def test_tokens_differ_across_keys(self):
         assert item_token(7, matcher_key(0)) != item_token(7, matcher_key(1))
+
+    def test_neighbor_setup_pairs_each_item_with_its_other_owners(self):
+        split = leave_one_out_split(two_community_dataset(12, 10, seed=2, per_user=4))
+        cfg = default_config()
+        cfg.train.seed = 6
+        key = matcher_key(6)
+        neighbors = _neighbor_setup(cfg, split)
+        assert sorted(neighbors) == sorted(split.train)
+        for user, own in split.train.items():
+            expected = sorted(
+                (user_token(other, key), item)
+                for item in own
+                for other, theirs in split.train.items()
+                if other != user and item in theirs
+            )
+            assert list(neighbors[user]) == expected
 
 
 def tiny_config(**overrides):
