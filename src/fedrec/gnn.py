@@ -159,9 +159,20 @@ def readout(layers: Sequence[EmbeddingTable]) -> EmbeddingTable:
     )
 
 
-def _triple_array(triples) -> np.ndarray:
-    """``(B, 3)`` int64 array of (user, pos, neg) rows from an array or triples."""
-    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+def _triple_array(
+    triples: np.ndarray | Sequence[tuple[int, int, int]],
+) -> np.ndarray:
+    """``(B, 3)`` int64 array of (user, pos, neg) rows from an array or triples.
+
+    Anything that is not a ``(B, 3)`` batch (an empty sequence aside) raises
+    ``ValueError`` rather than being re-read as different triples.
+    """
+    t = np.asarray(triples, dtype=np.int64)
+    if t.size == 0:
+        return t.reshape(0, 3)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise ValueError(f"triples must be a (B, 3) batch, got shape {t.shape}")
+    return t
 
 
 @dataclass(eq=False)
@@ -185,10 +196,16 @@ class GradientUpdate:
         if self.item_grads.ndim != 2 or len(self.item_grads) != len(self.items):
             raise ValueError("item_grads must hold one row per item")
 
+    @property
+    def user_grads(self) -> np.ndarray:
+        """An empty ``(0, d)`` block: no upload carries a user row. Kept
+        read-only because ``bench/tracer.py`` counts ``len(user_grads)``."""
+        return self.item_grads[:0]
+
 
 def bpr_loss(
     final: EmbeddingTable,
-    triples,
+    triples: np.ndarray | Sequence[tuple[int, int, int]],
     gamma: float,
     raw: EmbeddingTable,
 ) -> float:
@@ -215,7 +232,7 @@ def bpr_loss(
 def bpr_gradients(
     op: PropagationOperator,
     raw: EmbeddingTable,
-    triples,
+    triples: np.ndarray | Sequence[tuple[int, int, int]],
     gamma: float,
 ) -> EmbeddingTable:
     """Exact gradient of :func:`bpr_loss` with respect to the raw table, as a

@@ -148,6 +148,14 @@ class TestOperatorEdges:
         assert BipartiteGraph(2, 3, ()).edges.shape == (0, 2)
 
 
+# An empty batch, and six ids that a blind reshape would read as two triples.
+BAD_BATCHES = [
+    (np.zeros((0, 3), dtype=np.int64), "empty"),
+    (np.zeros((2, 6), dtype=np.int64), r"\(B, 3\)"),
+    ([0] * 6, r"\(B, 3\)"),
+]
+
+
 class TestBprLoss:
     def test_equal_scores_give_ln2(self):
         t = table([[1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]])
@@ -180,10 +188,11 @@ class TestBprLoss:
         as_array = np.array(triples, dtype=np.int64)
         assert bpr_loss(raw, as_array, 0.1, raw) == bpr_loss(raw, triples, 0.1, raw)
 
-    def test_empty_batch_rejected(self):
+    @pytest.mark.parametrize("bad, match", BAD_BATCHES)
+    def test_empty_or_misshaped_batch_rejected(self, bad, match):
         t = table([[1.0]], [[1.0], [0.0]])
-        with pytest.raises(ValueError, match="empty"):
-            bpr_loss(t, np.zeros((0, 3), dtype=np.int64), 0.0, t)
+        with pytest.raises(ValueError, match=match):
+            bpr_loss(t, bad, 0.0, t)
 
 
 class TestBprGradients:
@@ -234,11 +243,12 @@ class TestBprGradients:
         after = bpr_loss(readout(propagate(op, stepped)), triples, 0.01, stepped)
         assert after < before
 
-    def test_empty_batch_rejected(self, rng):
+    @pytest.mark.parametrize("bad, match", BAD_BATCHES)
+    def test_empty_or_misshaped_batch_rejected(self, rng, bad, match):
         raw = random_table(rng, 1, 2, 2)
         op = PropagationOperator(1, 2, ((0, 0),), 1)
-        with pytest.raises(ValueError, match="empty"):
-            bpr_gradients(op, raw, np.zeros((0, 3), dtype=np.int64), 0.0)
+        with pytest.raises(ValueError, match=match):
+            bpr_gradients(op, raw, bad, 0.0)
 
 
 class TestGradientUpdate:
@@ -256,6 +266,10 @@ class TestGradientUpdate:
     def test_one_row_per_id(self, rows):
         with pytest.raises(ValueError, match="one row per item"):
             GradientUpdate([0, 5], rows, 1)
+
+    def test_user_grads_is_an_empty_block(self):
+        update = GradientUpdate([1, 4], np.ones((2, 3)), 2)
+        assert update.user_grads.shape == (0, 3)
 
 
 @settings(max_examples=25, deadline=None)
