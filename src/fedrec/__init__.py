@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .data import (
     ClientGraph,
-    Interaction,
     InteractionDataset,
     SplitDataset,
     build_client_graph,
@@ -43,7 +42,6 @@ __all__ = [
     "EmbeddingTable",
     "ExperimentConfig",
     "GradientUpdate",
-    "Interaction",
     "InteractionDataset",
     "LdpConfig",
     "PrivacyConfig",

@@ -17,7 +17,7 @@ from .config import REGISTRY, ExperimentConfig, build_config, read_config_file
 from .data import SplitDataset, leave_one_out_split, load_interactions
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import PHASES, evaluate_cutoffs
-from .gnn import load_checkpoint, save_checkpoint
+from .gnn import EmbeddingTable, load_checkpoint, save_checkpoint
 from .privacy import privacy_budget
 from .server import (
     eval_model,
@@ -97,16 +97,6 @@ def _parse_args(argv: list[str]):
     return command, options, overrides
 
 
-def _load_split(cfg: ExperimentConfig) -> SplitDataset:
-    if not cfg.data.path:
-        raise ConfigError("data.path is required")
-    try:
-        ds = load_interactions(cfg.data.path)
-    except FileNotFoundError as exc:
-        raise DataError(f"data file not found: {cfg.data.path}") from exc
-    return leave_one_out_split(ds)
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -128,8 +118,8 @@ def _results_records(cfg, split, models, final_round) -> list[dict]:
     ]
 
 
-def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
-    split = _load_split(cfg)
+def cmd_pretrain(cfg: ExperimentConfig, split: SplitDataset, out: Path) -> EmbeddingTable:
+    """Warm up, write ``pretrained.txt`` and its summary, return the table."""
     result = warm_up(cfg, split)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.table, out / "pretrained.txt", pretrained=True)
@@ -142,14 +132,15 @@ def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
         },
     )
     print(f"pretrain: wrote {out / 'pretrained.txt'}")
-    return 0
+    return result.table
 
 
-def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
-    split = _load_split(cfg)
-    warm_table = None
-    if warm_start:
-        warm_table, _flags = load_checkpoint(warm_start)
+def cmd_train(
+    cfg: ExperimentConfig,
+    split: SplitDataset,
+    out: Path,
+    warm_table: EmbeddingTable | None,
+) -> None:
     if cfg.privacy.enabled and cfg.privacy.laplace_lambda > 0:
         eps = privacy_budget(privacy_settings(cfg).ldp)
         print(f"privacy: per-upload budget bound {eps:.4f}")
@@ -177,20 +168,18 @@ def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: str | None) -> int:
         out / "results.json", _results_records(cfg, split, models, result.final_round)
     )
     print(f"train: wrote {out / 'checkpoint.txt'} ({result.final_round} effective rounds)")
-    return 0
 
 
-def cmd_evaluate(cfg: ExperimentConfig, out: Path, checkpoint: str | None) -> int:
-    if not checkpoint:
-        raise ConfigError("evaluate needs --checkpoint PATH")
-    split = _load_split(cfg)
+def cmd_evaluate(
+    cfg: ExperimentConfig, split: SplitDataset, out: Path, checkpoint: str
+) -> None:
     table, _flags = load_checkpoint(checkpoint)
     if table.n_users != split.n_users or table.n_items != split.n_items:
         raise DataError("checkpoint does not match the dataset shape")
     # bare-model protocol: the checkpoint's own rows, no personalization mix
     models = (
         (user, eval_model(cfg, split, user, table.users[user], table.items))
-        for user in sorted(split.train)
+        for user in range(split.n_users)
     )
     records = _results_records(cfg, split, models, 0)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,16 +189,6 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, checkpoint: str | None) -> in
             f"{rec['phase']:>10} @ {rec['k']:<3d} recall {rec['recall']:.4f}  "
             f"ndcg {rec['ndcg']:.4f}"
         )
-    return 0
-
-
-def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.pretrain.epochs == 0:
-        return cmd_train(cfg, out, warm_start=None)
-    status = cmd_pretrain(cfg, out)
-    if status:
-        return status
-    return cmd_train(cfg, out, warm_start=str(out / "pretrained.txt"))
 
 
 def main(argv=None) -> int:
@@ -224,13 +203,24 @@ def main(argv=None) -> int:
         )
         cfg = build_config(file_overrides, overrides)
         out = Path(options["out"])
+        if command == "evaluate" and not options["checkpoint"]:
+            raise ConfigError("evaluate needs --checkpoint PATH")
+        if not cfg.data.path:
+            raise ConfigError("data.path is required")
+        split = leave_one_out_split(load_interactions(cfg.data.path))
         if command == "pretrain":
-            return cmd_pretrain(cfg, out)
-        if command == "train":
-            return cmd_train(cfg, out, options["warm_start"])
-        if command == "evaluate":
-            return cmd_evaluate(cfg, out, options["checkpoint"])
-        return cmd_simulate(cfg, out)
+            cmd_pretrain(cfg, split, out)
+        elif command == "train":
+            warm_start = options["warm_start"]
+            warm_table = load_checkpoint(warm_start)[0] if warm_start else None
+            cmd_train(cfg, split, out, warm_table)
+        elif command == "evaluate":
+            cmd_evaluate(cfg, split, out, options["checkpoint"])
+        else:
+            # simulate: the warm-up table goes to training in memory
+            warm_table = cmd_pretrain(cfg, split, out) if cfg.pretrain.epochs else None
+            cmd_train(cfg, split, out, warm_table)
+        return 0
     except (ConfigError, DataError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -10,7 +10,7 @@ anonymous co-interacting neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ClientState:
     local_rows: dict[int, np.ndarray] = field(default_factory=dict)
     last_inferred: np.ndarray | None = None
     last_loss: float = float("nan")
-    last_graph: ClientGraph | None = None
 
 
 def init_client_states(table: EmbeddingTable) -> dict[int, ClientState]:
@@ -159,7 +158,6 @@ def client_update(
     """
     nb = cfg.neighbors.get(state.user, ()) if cfg.neighbors else ()
     cg = build_client_graph(cfg.split, state.user, cfg.privacy, rng, neighbors=nb)
-    state.last_graph = cg
 
     batch = cfg.batch_size if cfg.batch_size > 0 else len(cg.true_items)
     triples = sample_bpr_triples(cg, batch, rng)
@@ -224,16 +222,16 @@ def local_item_table(state: ClientState, base: np.ndarray) -> np.ndarray:
 def infer_user_embedding(
     user_row: np.ndarray,
     item_rows: np.ndarray,
-    graph_items: Sequence[int],
+    items: np.ndarray,
     n_layers: int,
 ) -> np.ndarray:
-    """Readout embedding of a single user on its star graph."""
-    items = sorted(graph_items)
+    """Readout embedding of a single user on its star graph over the sorted
+    item ids ``items``."""
     edges = np.zeros((len(items), 2), dtype=np.int64)
     edges[:, 1] = np.arange(len(items))
     op = PropagationOperator(1, max(len(items), 1), edges, n_layers)
     raw = EmbeddingTable(
         user_row[None, :],
-        item_rows[items] if items else np.zeros((1, len(user_row))),
+        item_rows[items] if len(items) else np.zeros((1, len(user_row))),
     )
     return readout(propagate(op, raw)).users[0]

@@ -253,8 +253,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         "personalization.alpha needs exactly 3 values",
     )
     _require(
-        min(cfg.personalization.alpha) >= 0,
-        "personalization.alpha values must be >= 0",
+        min(cfg.personalization.alpha) >= 0 and sum(cfg.personalization.alpha) > 0,
+        "personalization.alpha values must be >= 0 with a positive sum",
     )
     _require(len(cfg.eval.cutoffs) >= 1, "eval.cutoffs needs at least one cutoff")
     _require(min(cfg.eval.cutoffs) >= 1, "eval.cutoffs values must be >= 1")

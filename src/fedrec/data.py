@@ -2,78 +2,75 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .privacy import PrivacyConfig, mask_interacted_items, sample_pseudo_items
 
 
-class Interaction(NamedTuple):
-    user: int
-    item: int
-    timestamp: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionDataset:
-    """Densified user-item interactions; ids run 0..N-1 and 0..M-1."""
+    """Densified user-item interactions; ids run 0..N-1 and 0..M-1.
+    ``interactions`` is an ``(R, 3)`` int64 array of (user, item, timestamp)
+    rows; any sequence of triples is converted on construction."""
 
     n_users: int
     n_items: int
-    interactions: tuple[Interaction, ...]
+    interactions: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.interactions, dtype=np.int64).reshape(-1, 3)
+        object.__setattr__(self, "interactions", rows)
+
+
+def _first_appearance_ids(raw: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids for ``raw`` numbered in order of first appearance, and
+    how many distinct values there are."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse], len(first)
 
 
 def load_interactions(path) -> InteractionDataset:
     """Read `user<TAB>item<TAB>timestamp` lines into a dataset.
 
     Raw ids are densified to contiguous 0-based ranges in first-appearance
-    order. Duplicate (user, item) pairs keep the earliest timestamp. Lines
-    starting with ``#`` and blank lines are skipped.
+    order. Duplicate (user, item) pairs keep the earliest timestamp, at their
+    first line's position. ``#`` lines and blank lines are skipped. Fields
+    are integers in [0, 2**63).
     """
-    user_ids: dict[int, int] = {}
-    item_ids: dict[int, int] = {}
-    position: dict[tuple[int, int], int] = {}
-    rows: list[Interaction] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            line = rawline.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected `user<TAB>item<TAB>timestamp`"
-                )
-            try:
-                raw_user, raw_item, ts = (int(p) for p in parts)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer field") from exc
-            if raw_user < 0 or raw_item < 0 or ts < 0:
-                raise DataError(f"{path}:{lineno}: negative value")
-            user = user_ids.setdefault(raw_user, len(user_ids))
-            item = item_ids.setdefault(raw_item, len(item_ids))
-            key = (user, item)
-            if key in position:
-                idx = position[key]
-                if ts < rows[idx].timestamp:
-                    rows[idx] = Interaction(user, item, ts)
-            else:
-                position[key] = len(rows)
-                rows.append(Interaction(user, item, ts))
+    rows: list[tuple[int, ...]] = []
+    for lineno, rawline in enumerate(read_text(path).split("\n"), start=1):
+        line = rawline.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected `user<TAB>item<TAB>timestamp`")
+        try:
+            row = tuple(map(int, parts))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-integer field") from exc
+        if min(row) < 0 or max(row) >= 2**63:
+            raise DataError(f"{path}:{lineno}: value out of range [0, 2**63)")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty dataset")
-    return InteractionDataset(len(user_ids), len(item_ids), tuple(rows))
+    raw = np.array(rows, dtype=np.int64)
+    users, n_users = _first_appearance_ids(raw[:, 0])
+    items, n_items = _first_appearance_ids(raw[:, 1])
+    pair, n_pairs = _first_appearance_ids(users * n_items + items)
+    dedup = np.full((n_pairs, 3), np.iinfo(np.int64).max)
+    dedup[pair, 0], dedup[pair, 1] = users, items
+    np.minimum.at(dedup[:, 2], pair, raw[:, 2])
+    return InteractionDataset(n_users, n_items, dedup)
 
 
 def write_interactions(ds: InteractionDataset, path) -> None:
     """Serialize a dataset back to the tab-separated input format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for it in ds.interactions:
-            fh.write(f"{it.user}\t{it.item}\t{it.timestamp}\n")
+    np.savetxt(path, ds.interactions, fmt="%d", delimiter="\t")
 
 
 def density(ds: InteractionDataset) -> float:
@@ -83,15 +80,28 @@ def density(ds: InteractionDataset) -> float:
     return len(ds.interactions) / (ds.n_users * ds.n_items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitDataset:
-    """Per-user train/validation/test partition of the interactions."""
+    """Per-user train/validation/test partition of the interactions.
+
+    The training sets are CSR: user ``u``'s items, sorted ascending, are
+    ``indices[indptr[u]:indptr[u + 1]]``. ``validation`` and ``test`` hold
+    one item per user. :func:`leave_one_out_split` makes all four arrays
+    int64 and read-only.
+    """
 
     n_users: int
     n_items: int
-    train: Mapping[int, frozenset[int]]
-    validation: Mapping[int, int]
-    test: Mapping[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
+
+    def train_items(self, user: int) -> np.ndarray:
+        """User ``user``'s training items as a sorted int64 array."""
+        if not 0 <= user < self.n_users:
+            raise DataError(f"user {user} not present in the split")
+        return self.indices[self.indptr[user] : self.indptr[user + 1]]
 
 
 def leave_one_out_split(ds: InteractionDataset) -> SplitDataset:
@@ -101,23 +111,26 @@ def leave_one_out_split(ds: InteractionDataset) -> SplitDataset:
     becomes the test item, the second-to-last the validation item, the rest
     the training set. Users with fewer than three interactions are rejected.
     """
-    per_user: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for order, it in enumerate(ds.interactions):
-        per_user[it.user].append((it.timestamp, order, it.item))
-    train: dict[int, frozenset[int]] = {}
-    validation: dict[int, int] = {}
-    test: dict[int, int] = {}
-    for user in range(ds.n_users):
-        rows = sorted(per_user[user])
-        if len(rows) < 3:
-            raise DataError(
-                f"user {user} has {len(rows)} interaction(s); the split needs >= 3"
-            )
-        *rest, second_last, last = rows
-        train[user] = frozenset(item for _, _, item in rest)
-        validation[user] = second_last[2]
-        test[user] = last[2]
-    return SplitDataset(ds.n_users, ds.n_items, train, validation, test)
+    users, items, stamps = ds.interactions.T
+    order = np.lexsort((np.arange(len(users)), stamps, users))
+    counts = np.bincount(users, minlength=ds.n_users)
+    short = np.flatnonzero(counts < 3)
+    if len(short):
+        user = int(short[0])
+        raise DataError(
+            f"user {user} has {counts[user]} interaction(s); the split needs >= 3"
+        )
+    ends = np.cumsum(counts)
+    held = np.zeros(len(order), dtype=bool)
+    held[ends - 1] = held[ends - 2] = True
+    # (user, item) keys of the training rows, sorted and deduplicated
+    train = np.unique((users * ds.n_items + items)[order[~held]])
+    per_user = np.bincount(train // ds.n_items, minlength=ds.n_users)
+    indptr = np.concatenate(([0], np.cumsum(per_user)))
+    arrays = (indptr, train % ds.n_items, items[order[ends - 2]], items[order[ends - 1]])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return SplitDataset(ds.n_users, ds.n_items, *arrays)
 
 
 @dataclass(frozen=True)
@@ -151,9 +164,7 @@ def build_client_graph(
     they never collide with masked items either. Draw order (mask, pseudo)
     is fixed so a keyed stream reproduces the graph bit for bit.
     """
-    if user not in split.train:
-        raise DataError(f"user {user} not present in the split")
-    train_items = split.train[user]
+    train_items = split.train_items(user)
     kept, masked = mask_interacted_items(train_items, privacy.mask_ratio, rng)
     pseudo = sample_pseudo_items(
         split.n_items, train_items, privacy.pseudo_items_p, rng
@@ -161,8 +172,8 @@ def build_client_graph(
     return ClientGraph(
         user=user,
         n_items=split.n_items,
-        true_items=kept,
-        pseudo_items=pseudo,
-        masked_items=masked,
+        true_items=frozenset(kept.tolist()),
+        pseudo_items=frozenset(pseudo.tolist()),
+        masked_items=frozenset(masked.tolist()),
         neighbor_users=tuple(sorted(neighbors)),
     )

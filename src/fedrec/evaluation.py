@@ -34,14 +34,14 @@ def ndcg_at_k(rank: int | None, k: int) -> float:
 class UserEvalModel:
     """Everything needed to rank one user's catalog.
 
-    ``excluded`` are the non-candidates: training items plus any pseudo items
-    the local graph currently claims. The held-out item can land in there (a
-    pseudo draw may swallow it), which scores as a miss.
+    ``excluded`` indexes the non-candidates: training items plus any pseudo
+    items the local graph currently claims. The held-out item can land in
+    there (a pseudo draw may swallow it), which scores as a miss.
     """
 
     user_embedding: np.ndarray
     item_rows: np.ndarray
-    excluded: frozenset[int]
+    excluded: np.ndarray
 
     @cached_property
     def scores(self) -> np.ndarray:
@@ -58,21 +58,20 @@ class EvalResult:
 
 
 def target_rank(
-    model: UserEvalModel, target: int, extra_excluded: frozenset[int] = frozenset()
+    model: UserEvalModel, target: int, extra_excluded: Sequence[int] = ()
 ) -> int | None:
     """1-based rank of ``target`` among candidates, or None if excluded.
 
-    Candidates are all items outside the exclusion set; ordering is by
-    descending score with ties to the smaller item id.
+    Candidates are all items outside ``model.excluded`` and ``extra_excluded``;
+    ordering is by descending score with ties to the smaller item id.
     """
-    excluded = model.excluded | extra_excluded
-    if target in excluded:
+    keep = np.ones(len(model.item_rows), dtype=bool)
+    keep[model.excluded] = False
+    keep[np.asarray(extra_excluded, dtype=np.int64)] = False
+    if not keep[target]:
         return None
     scores = model.scores
     target_score = scores[target]
-    keep = np.ones(len(scores), dtype=bool)
-    if excluded:
-        keep[list(excluded)] = False
     ahead = keep & (
         (scores > target_score)
         | ((scores == target_score) & (np.arange(len(scores)) < target))
@@ -91,12 +90,12 @@ def user_ranks(
     """
     ranks: dict[int, tuple[int | None, int | None]] = {}
     for user, model in models:
-        if user not in split.validation or user not in split.test:
+        if not 0 <= user < split.n_users:
             raise ValueError(f"user {user} has no held-out items")
-        val = split.validation[user]
+        val = int(split.validation[user])
         ranks[user] = (
             target_rank(model, val),
-            target_rank(model, split.test[user], frozenset({val})),
+            target_rank(model, int(split.test[user]), (val,)),
         )
     return ranks
 

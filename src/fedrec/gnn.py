@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 
 @dataclass(eq=False)
@@ -280,8 +280,7 @@ def save_checkpoint(table: EmbeddingTable, path, pretrained: bool = False) -> No
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
     """Read a checkpoint; returns the table and any header flags."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty checkpoint")
     head = lines[0].split()

@@ -268,13 +268,10 @@ def assemble_pretraining_graph(
     items are added, each drawn from a per-user keyed stream. The server
     never sees the raw training edges.
     """
-    users: list[int] = []
-    items: list[int] = []
-    for user in sorted(split.train):
+    edges: list[tuple[int, int]] = []
+    for user in range(split.n_users):
         cg = build_client_graph(
             split, user, privacy, substream(seed, "pretrain-graph", user)
         )
-        claimed = sorted(cg.true_items | cg.pseudo_items)
-        users += [user] * len(claimed)
-        items += claimed
-    return BipartiteGraph(split.n_users, split.n_items, np.column_stack((users, items)))
+        edges += [(user, item) for item in sorted(cg.true_items | cg.pseudo_items)]
+    return BipartiteGraph(split.n_users, split.n_items, edges)

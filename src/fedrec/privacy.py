@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Collection
 
 import numpy as np
 
@@ -46,36 +46,36 @@ class PrivacyConfig:
 
 
 def sample_pseudo_items(
-    catalog_size: int, true_items: Iterable[int], p: int, rng: np.random.Generator
-) -> frozenset[int]:
-    """Up to ``p`` distinct items drawn uniformly outside ``true_items``."""
+    catalog_size: int, true_items: np.ndarray, p: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Up to ``p`` distinct items, sorted, drawn uniformly outside the sorted
+    ``true_items``."""
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
-        return frozenset()
-    true_arr = np.fromiter(true_items, dtype=np.int64)
-    pool = np.setdiff1d(np.arange(catalog_size, dtype=np.int64), true_arr)
+        return true_items[:0]
+    pool = np.setdiff1d(np.arange(catalog_size), true_items, assume_unique=True)
     if len(pool) <= p:
-        return frozenset(int(x) for x in pool)
-    return frozenset(int(x) for x in rng.choice(pool, size=p, replace=False))
+        return pool
+    return np.sort(rng.choice(pool, size=p, replace=False))
 
 
 def mask_interacted_items(
-    true_items: Iterable[int], mask_ratio: float, rng: np.random.Generator
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Hide floor(mask_ratio * n) of the user's items; returns (kept, masked).
+    true_items: np.ndarray, mask_ratio: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hide floor(mask_ratio * n) of the sorted ``true_items``; returns
+    (kept, masked), both sorted.
 
     Masked items behave as non-interacted during local training. When the
     count is zero no random draw is consumed.
     """
     if not 0.0 <= mask_ratio < 1.0:
         raise ValueError("mask_ratio must be in [0, 1)")
-    items = sorted(true_items)
-    count = math.floor(mask_ratio * len(items))
+    count = math.floor(mask_ratio * len(true_items))
     if count == 0:
-        return frozenset(items), frozenset()
-    masked = frozenset(int(x) for x in rng.choice(items, size=count, replace=False))
-    return frozenset(items) - masked, masked
+        return true_items, true_items[:0]
+    masked = np.sort(rng.choice(true_items, size=count, replace=False))
+    return np.setdiff1d(true_items, masked, assume_unique=True), masked
 
 
 def laplace_noise(rng: np.random.Generator, scale: float, size) -> np.ndarray:

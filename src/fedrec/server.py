@@ -317,16 +317,15 @@ def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
     keyed matcher, each item tokenised once. Clients decode tokens for their
     own items only."""
     key = matcher_key(cfg.train.seed)
-    token_of = {
-        i: item_token(i, key) for i in sorted(set().union(*split.train.values()))
-    }
+    token_of = {i: item_token(i, key) for i in np.unique(split.indices).tolist()}
     item_of = {token: i for i, token in token_of.items()}
     uploads = {
-        u: [token_of[i] for i in sorted(split.train[u])] for u in sorted(split.train)
+        u: [token_of[i] for i in split.train_items(u).tolist()]
+        for u in range(split.n_users)
     }
     responses = neighborhood_match(uploads, key)
     neighbors: dict[int, tuple[tuple[str, int], ...]] = {}
-    for user in sorted(split.train):
+    for user in range(split.n_users):
         pairs = []
         for token, anon_users in responses[user].items():
             pairs.extend((anon, item_of[token]) for anon in anon_users)
@@ -349,17 +348,15 @@ def eval_model(
     isolated in the local graph, so propagation would only rescale them
     uniformly.
     """
-    train_items = split.train[user]
+    train_items = split.train_items(user)
     pseudo = sample_pseudo_items(
         split.n_items,
         train_items,
         cfg.privacy.pseudo_items_p,
         substream(cfg.train.seed, "eval-graph", user),
     )
-    graph_items = train_items | pseudo
-    user_emb = infer_user_embedding(
-        user_row, item_rows, sorted(graph_items), cfg.model.layers
-    )
+    graph_items = np.union1d(train_items, pseudo)
+    user_emb = infer_user_embedding(user_row, item_rows, graph_items, cfg.model.layers)
     return UserEvalModel(user_emb, item_rows, graph_items)
 
 
@@ -402,7 +399,7 @@ def personalized_models(
 ) -> Iterator[tuple[int, UserEvalModel]]:
     """``(user, model)`` for every user on the alpha-mixed item table, built
     one at a time: only one user's M x d table exists at once."""
-    for user in sorted(split.train):
+    for user in range(split.n_users):
         yield from build_eval_models(
             split,
             states,

@@ -6,7 +6,7 @@ import argparse
 
 import numpy as np
 
-from .data import Interaction, InteractionDataset, write_interactions
+from .data import InteractionDataset, write_interactions
 from .rng import substream
 
 
@@ -31,9 +31,11 @@ def two_community_dataset(
     if per_user > min(len(pools[0]), len(pools[1])):
         raise ValueError("per_user exceeds the community pool size")
     rng = substream(seed, "two-community")
-    rows: list[Interaction] = []
     n_cross = int(round(per_user * cross_rate))
     n_own = per_user - n_cross
+    rows = np.empty((n_users * per_user, 3), dtype=np.int64)
+    rows[:, 0] = np.repeat(np.arange(n_users), per_user)
+    rows[:, 2] = np.tile(np.arange(per_user), n_users)
     for user in range(n_users):
         own, other = pools[user % 2], pools[1 - user % 2]
         picks = np.concatenate(
@@ -43,10 +45,8 @@ def two_community_dataset(
             ]
         )
         rng.shuffle(picks)
-        rows.extend(
-            Interaction(user, int(item), ts) for ts, item in enumerate(picks)
-        )
-    return InteractionDataset(n_users, n_items, tuple(rows))
+        rows[user * per_user : (user + 1) * per_user, 1] = picks
+    return InteractionDataset(n_users, n_items, rows)
 
 
 def main(argv=None) -> int:

@@ -90,9 +90,9 @@ def random_bipartite(rng: np.random.Generator, n_users: int, n_items: int,
 
 def training_graph(split: SplitDataset) -> BipartiteGraph:
     """Global bipartite graph over the raw training interactions."""
-    edges = tuple(
-        sorted((u, i) for u, items in split.train.items() for i in items)
-    )
+    edges = [
+        (u, i) for u in range(split.n_users) for i in split.train_items(u).tolist()
+    ]
     return BipartiteGraph(split.n_users, split.n_items, edges)
 
 

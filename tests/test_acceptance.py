@@ -17,7 +17,6 @@ from fedrec.cli import main as cli_main
 from fedrec.client import ClientConfig, ClientState, client_update, sample_bpr_triples
 from fedrec.config import default_config
 from fedrec.data import (
-    Interaction,
     InteractionDataset,
     build_client_graph,
     density,
@@ -221,9 +220,7 @@ def test_04_ldp_budget_and_noise_statistics():
 
 
 def test_05_dataset_density_arithmetic():
-    ds = InteractionDataset(
-        5224, 7741, tuple(Interaction(0, 0, t) for t in range(123024))
-    )
+    ds = InteractionDataset(5224, 7741, np.zeros((123024, 3)))
     value = density(ds)
     assert _report(
         5, "density-arithmetic", abs(value - 0.003042) <= 1e-6, f"density {value:.6f}"
@@ -235,13 +232,11 @@ def test_06_evaluation_matches_full_sort_oracle():
     rows = []
     for u in range(20):
         items = gen.choice(15, size=6, replace=False)
-        rows.extend(Interaction(u, int(i), t) for t, i in enumerate(items))
-    split = leave_one_out_split(InteractionDataset(20, 15, tuple(rows)))
+        rows.extend((u, int(i), t) for t, i in enumerate(items))
+    split = leave_one_out_split(InteractionDataset(20, 15, rows))
     items_table = gen.normal(size=(15, 5))
     models = {
-        u: UserEvalModel(
-            gen.normal(size=5), items_table, frozenset(split.train[u])
-        )
+        u: UserEvalModel(gen.normal(size=5), items_table, split.train_items(u))
         for u in range(20)
     }
     exact = True
@@ -435,14 +430,18 @@ def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():
             update = client_update(
                 state, items, cfg, substream(3, "client", round_idx, user)
             )
+            # the update's local graph, rebuilt from the same stream
+            graph = build_client_graph(
+                split, user, privacy, substream(3, "client", round_idx, user)
+            )
             support = set(update.items.tolist())
-            outside = support - split.train[user]
+            outside = support - set(split.train_items(user).tolist())
             supports_ok &= bool(outside)
-            supports_ok &= state.last_graph.pseudo_items <= support
+            supports_ok &= graph.pseudo_items <= support
 
     key = matcher_key(3)
     uploads = {
-        u: [item_token(i, key) for i in sorted(split.train[u])]
+        u: [item_token(i, key) for i in split.train_items(u).tolist()]
         for u in range(12)
     }
     responses = neighborhood_match(uploads, key)

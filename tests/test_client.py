@@ -16,7 +16,6 @@ from fedrec.client import (
 )
 from fedrec.data import (
     ClientGraph,
-    Interaction,
     InteractionDataset,
     build_client_graph,
     leave_one_out_split,
@@ -67,7 +66,7 @@ class TestSampleBprTriples:
 
 
 def make_split(n_items=8):
-    rows = tuple(Interaction(0, i, i) for i in range(5))
+    rows = [(0, i, i) for i in range(5)]
     return leave_one_out_split(InteractionDataset(1, n_items, rows))
 
 
@@ -122,14 +121,15 @@ class TestClientUpdate:
             batch_size=4,
         )
         update = client_update(state, items, cfg, substream(9, "c", 1, 0))
+        # the graph the update built, rebuilt from the same stream
         replay = substream(9, "c", 1, 0)
         cg = build_client_graph(split, 0, cfg.privacy, replay)
         triples = sample_bpr_triples(cg, 4, replay)
-        pseudo = state.last_graph.pseudo_items
-        assert pseudo == cg.pseudo_items and len(pseudo) == 2
+        pseudo = cg.pseudo_items
+        assert len(pseudo) == 2
         assert pseudo <= set(update.items.tolist())
         # decoys plus sampled negatives are the only rows outside the train set
-        outside = set(update.items.tolist()) - split.train[0]
+        outside = set(update.items.tolist()) - set(split.train_items(0).tolist())
         assert outside == pseudo | set(triples[:, 2].tolist())
 
     def test_decoy_rows_replace_the_real_rows_of_pseudo_items(self):

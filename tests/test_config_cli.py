@@ -63,6 +63,7 @@ class TestConfig:
             ("pretrain.edge_add_count", "-5"),
             ("privacy.mask_ratio", "1.0"),
             ("personalization.alpha", "0.5,0.5"),
+            ("personalization.alpha", "0,0,0"),
             ("eval.cutoffs", "0"),
         ],
     )
@@ -195,6 +196,28 @@ class TestCliTrain:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command,flag,kind",
+        [
+            ("train", "--data.path", "missing"),
+            ("train", "--data.path", "directory"),
+            ("train", "--data.path", "latin-1"),
+            ("evaluate", "--checkpoint", "missing"),
+            ("train", "--warm-start", "missing"),
+        ],
+    )
+    def test_unreadable_input_is_a_data_error_naming_it(
+        self, data_file, tmp_path, capsys, command, flag, kind
+    ):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "latin-1":
+            path.write_bytes("1\t2\t3 caf\u00e9\n".encode("latin-1"))
+        args = [command, "--data.path", str(data_file), "--out", str(tmp_path / "o")]
+        args += [flag, str(path)]
+        assert run_cli(*args) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_warm_start_shape_mismatch_exits_with_code_three(
         self, data_file, tmp_path, rng, capsys
@@ -298,10 +321,18 @@ class TestCliSimulate:
             "--pretrain.epochs", "2", "--seed", "11",
         )
         sim, train = tmp_path / "sim", tmp_path / "train"
+        pre, warm = tmp_path / "pre", tmp_path / "warm"
         assert run_cli("simulate", *common, "--out", str(sim)) == 0
         assert run_cli("train", *common, "--out", str(train)) == 0
+        # simulate hands its warm-up table over in memory; the two-command
+        # path reads it back from pretrained.txt
+        assert run_cli("pretrain", *common, "--out", str(pre)) == 0
+        warm_start = ("--warm-start", str(pre / "pretrained.txt"))
+        assert run_cli("train", *common, *warm_start, "--out", str(warm)) == 0
+        assert (sim / "pretrained.txt").read_bytes() == (pre / "pretrained.txt").read_bytes()
         for name in ("checkpoint.txt", "rounds.jsonl", "clusters.csv", "results.json"):
             assert (sim / name).read_bytes() == (train / name).read_bytes(), name
+            assert (sim / name).read_bytes() == (warm / name).read_bytes(), name
 
     def test_unknown_command_is_a_config_error(self, capsys):
         assert run_cli("trainn") == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec.data import Interaction, InteractionDataset, leave_one_out_split
+from fedrec.data import InteractionDataset, leave_one_out_split
 from fedrec.evaluation import (
     UserEvalModel,
     evaluate_cutoffs,
@@ -41,8 +41,8 @@ def fixture_split(n_users=20, n_items=15, seed=0):
     rows = []
     for u in range(n_users):
         items = gen.choice(n_items, size=6, replace=False)
-        rows.extend(Interaction(u, int(i), t) for t, i in enumerate(items))
-    ds = InteractionDataset(n_users, n_items, tuple(rows))
+        rows.extend((u, int(i), t) for t, i in enumerate(items))
+    ds = InteractionDataset(n_users, n_items, rows)
     return leave_one_out_split(ds)
 
 
@@ -50,8 +50,8 @@ def bare_models(split, tables_seed=1):
     gen = np.random.default_rng(tables_seed)
     items = gen.normal(size=(split.n_items, 4))
     return {
-        u: UserEvalModel(gen.normal(size=4), items, frozenset(split.train[u]))
-        for u in sorted(split.train)
+        u: UserEvalModel(gen.normal(size=4), items, split.train_items(u))
+        for u in range(split.n_users)
     }
 
 
@@ -70,11 +70,11 @@ class TestEvaluate:
     def test_perfect_model_scores_one(self):
         split = fixture_split(n_users=5)
         models = {}
-        for u in sorted(split.train):
+        for u in range(split.n_users):
             items = np.zeros((split.n_items, 2))
             items[split.test[u]] = [5.0, 0.0]
             models[u] = UserEvalModel(
-                np.array([1.0, 0.0]), items, frozenset(split.train[u])
+                np.array([1.0, 0.0]), items, split.train_items(u)
             )
         result = evaluate_cutoffs(split, models.items(), (10,))["test"][10]
         assert result.recall == 1.0
@@ -83,11 +83,9 @@ class TestEvaluate:
     def test_equal_scores_rank_by_item_id(self):
         split = fixture_split(n_users=1, n_items=10, seed=3)
         user = 0
-        model = UserEvalModel(
-            np.zeros(2), np.zeros((10, 2)), frozenset(split.train[user])
-        )
+        model = UserEvalModel(np.zeros(2), np.zeros((10, 2)), split.train_items(user))
         rank = target_rank(model, split.validation[user])
-        candidates = sorted(set(range(10)) - split.train[user])
+        candidates = sorted(set(range(10)) - set(split.train_items(user).tolist()))
         assert rank == candidates.index(split.validation[user]) + 1
 
     def test_matches_brute_force_oracle_on_twenty_users(self):
@@ -111,14 +109,12 @@ class TestEvaluate:
     def test_validation_item_blocks_the_test_ranking(self):
         split = fixture_split(n_users=1, seed=5)
         model = UserEvalModel(
-            np.ones(2), np.ones((split.n_items, 2)), frozenset(split.train[0])
+            np.ones(2), np.ones((split.n_items, 2)), split.train_items(0)
         )
         ranks_val = target_rank(model, split.validation[0])
         assert ranks_val is not None
         # in the test phase the validation item is not a candidate
-        assert target_rank(
-            model, split.validation[0], frozenset({split.validation[0]})
-        ) is None
+        assert target_rank(model, split.validation[0], (split.validation[0],)) is None
 
     def test_rescaling_a_user_embedding_changes_nothing(self):
         split = fixture_split()
@@ -138,7 +134,7 @@ class TestEvaluate:
         model = UserEvalModel(
             np.ones(2),
             np.ones((split.n_items, 2)),
-            frozenset(split.train[0]) | {split.test[0]},
+            np.union1d(split.train_items(0), [split.test[0]]),
         )
         result = evaluate_cutoffs(split, [(0, model)], (10,))["test"][10]
         assert result.recall == 0.0

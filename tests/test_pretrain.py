@@ -341,7 +341,7 @@ class TestAssemblePretrainingGraph:
         added = edges - true_edges
         assert added  # pseudo edges present
         for u, i in added:
-            assert i not in small_split.train[u]
+            assert i not in small_split.train_items(u)
         np.testing.assert_array_equal(
             graph.edges, assemble_pretraining_graph(small_split, privacy, seed=3).edges
         )  # keyed per-user streams, reproducible

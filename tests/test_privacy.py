@@ -18,45 +18,63 @@ from fedrec.privacy import (
 from fedrec.rng import substream
 
 
+def ids(*items):
+    return np.array(items, dtype=np.int64)
+
+
 class TestSamplePseudoItems:
     def test_zero_p(self, rng):
-        assert sample_pseudo_items(10, {1, 2}, 0, rng) == frozenset()
+        assert sample_pseudo_items(10, ids(1, 2), 0, rng).tolist() == []
 
     def test_full_catalog_leaves_nothing_to_sample(self, rng):
-        assert sample_pseudo_items(4, {0, 1, 2, 3}, 5, rng) == frozenset()
+        assert sample_pseudo_items(4, ids(0, 1, 2, 3), 5, rng).tolist() == []
 
     def test_three_distinct_non_interacted(self, rng):
-        true_items = {0, 1, 2, 3}
-        picked = sample_pseudo_items(10, true_items, 3, rng)
-        assert len(picked) == 3
-        assert picked <= set(range(4, 10))
+        picked = sample_pseudo_items(10, ids(0, 1, 2, 3), 3, rng).tolist()
+        assert len(set(picked)) == 3 and picked == sorted(picked)
+        assert set(picked) <= set(range(4, 10))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 6))
     def test_never_intersects_true_items(self, seed, catalog, p):
         rng = np.random.default_rng(seed)
-        true_items = {int(x) for x in rng.integers(0, catalog, size=catalog // 2)}
+        true_items = np.unique(rng.integers(0, catalog, size=catalog // 2))
         picked = sample_pseudo_items(catalog, true_items, p, np.random.default_rng(seed))
-        assert not picked & true_items
+        assert not set(picked.tolist()) & set(true_items.tolist())
+
+    def test_draws_equal_a_choice_over_the_sorted_complement(self):
+        # the set-based sampler drew from the sorted complement
+        picked = sample_pseudo_items(20, ids(1, 4, 9), 5, substream(4, "p"))
+        pool = sorted(set(range(20)) - {1, 4, 9})
+        expected = substream(4, "p").choice(pool, 5, replace=False)
+        assert picked.tolist() == sorted(expected.tolist())
 
 
 class TestMaskInteractedItems:
     def test_zero_ratio(self, rng):
-        kept, masked = mask_interacted_items({3, 5, 9}, 0.0, rng)
-        assert kept == frozenset({3, 5, 9})
-        assert masked == frozenset()
+        kept, masked = mask_interacted_items(ids(3, 5, 9), 0.0, rng)
+        assert kept.tolist() == [3, 5, 9]
+        assert masked.tolist() == []
 
     def test_half_of_four(self, rng):
-        items = {1, 2, 3, 4}
+        items = ids(1, 2, 3, 4)
         kept, masked = mask_interacted_items(items, 0.5, rng)
         assert len(masked) == 2
-        assert kept | masked == items
-        assert not kept & masked
+        assert sorted(kept.tolist() + masked.tolist()) == items.tolist()
+        assert kept.tolist() == sorted(kept.tolist())
+        assert masked.tolist() == sorted(masked.tolist())
 
     def test_floor_keeps_a_single_item(self, rng):
-        kept, masked = mask_interacted_items({7}, 0.9, rng)
-        assert kept == frozenset({7})
-        assert masked == frozenset()
+        kept, masked = mask_interacted_items(ids(7), 0.9, rng)
+        assert kept.tolist() == [7]
+        assert masked.tolist() == []
+
+    def test_draws_equal_a_choice_over_the_sorted_list(self):
+        # the set-based sampler drew from sorted(true_items)
+        items = ids(2, 5, 8, 13, 21, 34)
+        _, masked = mask_interacted_items(items, 0.5, substream(4, "m"))
+        expected = substream(4, "m").choice(sorted(items.tolist()), 3, replace=False)
+        assert masked.tolist() == sorted(expected.tolist())
 
 
 def update_of(entries):

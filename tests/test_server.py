@@ -21,12 +21,13 @@ from fedrec.server import (
     matcher_key,
     neighborhood_match,
     personalized_models,
+    privacy_settings,
     run_training,
     select_clients,
     user_token,
 )
 from fedrec.synthetic import two_community_dataset
-from fedrec.data import leave_one_out_split
+from fedrec.data import build_client_graph, leave_one_out_split
 
 
 class TestClusterUsers:
@@ -262,12 +263,13 @@ class TestNeighborhoodMatch:
         cfg.train.seed = 6
         key = matcher_key(6)
         neighbors = _neighbor_setup(cfg, split)
-        assert sorted(neighbors) == sorted(split.train)
-        for user, own in split.train.items():
+        train = {u: set(split.train_items(u).tolist()) for u in range(split.n_users)}
+        assert sorted(neighbors) == sorted(train)
+        for user, own in train.items():
             expected = sorted(
                 (user_token(other, key), item)
                 for item in own
-                for other, theirs in split.train.items()
+                for other, theirs in train.items()
                 if other != user and item in theirs
             )
             assert list(neighbors[user]) == expected
@@ -336,7 +338,7 @@ class TestRunTraining:
         table = result.checkpoint_table()
         bare = (
             (u, eval_model(cfg, tiny_split, u, table.users[u], table.items))
-            for u in sorted(tiny_split.train)
+            for u in range(tiny_split.n_users)
         )
         ours = evaluate_cutoffs(tiny_split, models, (10,))
         theirs = evaluate_cutoffs(tiny_split, bare, (10,))
@@ -351,7 +353,19 @@ class TestRunTraining:
         a = run_training(cfg, tiny_split)
         b = run_training(cfg, tiny_split)
         np.testing.assert_array_equal(a.global_items, b.global_items)
-        touched = [s.last_graph for s in a.states.values() if s.last_graph]
+        # the local graphs of the run's client updates, rebuilt from their streams
+        neighbors = _neighbor_setup(cfg, tiny_split)
+        touched = [
+            build_client_graph(
+                tiny_split,
+                user,
+                privacy_settings(cfg),
+                substream(cfg.train.seed, "client", report.round, user),
+                neighbors=neighbors[user],
+            )
+            for report in a.reports
+            for user in report.selected
+        ]
         assert any(g.neighbor_users for g in touched)
 
     def test_early_stopping_restores_the_best_round(self, tiny_split):
