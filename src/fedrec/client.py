@@ -10,7 +10,7 @@ anonymous co-interacting neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -51,13 +51,20 @@ class PersonalizedModel:
 
 @dataclass(eq=False)
 class ClientState:
-    """Mutable per-client state kept on the (simulated) device."""
+    """Mutable per-client state kept on the (simulated) device. Its private
+    overlay is row ``local_rows[k]`` for item ``local_items[k]`` (sorted ids);
+    updates rebind these arrays and never write into them."""
 
     user: int
     user_vec: np.ndarray
-    local_rows: dict[int, np.ndarray] = field(default_factory=dict)
+    local_items: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    local_rows: np.ndarray | None = None
     last_inferred: np.ndarray | None = None
     last_loss: float = float("nan")
+
+    def __post_init__(self) -> None:
+        if self.local_rows is None:
+            self.local_rows = np.empty((0, len(self.user_vec)))
 
 
 def init_client_states(table: EmbeddingTable) -> dict[int, ClientState]:
@@ -79,8 +86,9 @@ class ClientConfig:
     batch_size: int
     privacy: PrivacyConfig
     local_base: np.ndarray
-    neighbors: Mapping[int, tuple[tuple[str, int], ...]] = field(default_factory=dict)
-    neighbor_vecs: Mapping[str, np.ndarray] = field(default_factory=dict)
+    # per user, sorted (handle, item) rows; uploaded user rows by handle
+    neighbors: Sequence[np.ndarray] = ()
+    neighbor_vecs: np.ndarray | None = None
 
 
 def sample_bpr_triples(
@@ -111,7 +119,7 @@ def _local_operator(
     n_layers: int,
     user_vec: np.ndarray,
     global_items: np.ndarray,
-    neighbor_vecs: Mapping[str, np.ndarray],
+    neighbor_vecs: np.ndarray | None,
 ):
     """Compact propagation problem around one client.
 
@@ -122,18 +130,17 @@ def _local_operator(
     catalogue ids of the local items.
     """
     claimed = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
-    pairs = sorted(cg.neighbor_users)
-    shared = np.array([item for _, item in pairs], dtype=np.int64)
+    handles, shared = cg.neighbor_users.T
     item_space = np.unique(np.concatenate((claimed, triples[:, 2], shared)))
-    # row 0 is the client; the neighbor tokens follow in sorted order
-    tokens, rows = np.unique(
-        np.array([tok for tok, _ in pairs], dtype=str), return_inverse=True
-    )
-    edges = np.zeros((len(claimed) + len(pairs), 2), dtype=np.int64)
+    # row 0 is the client; the neighbor handles follow in sorted order
+    handles, rows = np.unique(handles, return_inverse=True)
+    edges = np.zeros((len(claimed) + len(shared), 2), dtype=np.int64)
     edges[len(claimed):, 0] = rows + 1
     edges[:, 1] = np.searchsorted(item_space, np.concatenate((claimed, shared)))
-    op = PropagationOperator(1 + len(tokens), len(item_space), edges, n_layers)
-    user_rows = np.vstack([user_vec] + [neighbor_vecs[tok] for tok in tokens])
+    op = PropagationOperator(1 + len(handles), len(item_space), edges, n_layers)
+    user_rows = user_vec[None, :]
+    if len(handles):
+        user_rows = np.vstack((user_rows, neighbor_vecs[handles]))
     raw = EmbeddingTable(user_rows, global_items[item_space])
     local_triples = np.zeros_like(triples)
     local_triples[:, 1:] = np.searchsorted(item_space, triples[:, 1:])
@@ -156,7 +163,7 @@ def client_update(
     replaces its real one. Draw order on ``rng``: mask, pseudo items,
     positives, negatives, decoy noise, LDP noise.
     """
-    nb = cfg.neighbors.get(state.user, ()) if cfg.neighbors else ()
+    nb = cfg.neighbors[state.user] if cfg.neighbors else ()
     cg = build_client_graph(cfg.split, state.user, cfg.privacy, rng, neighbors=nb)
 
     batch = cfg.batch_size if cfg.batch_size > 0 else len(cg.true_items)
@@ -176,8 +183,12 @@ def client_update(
 
     support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local_triples[:, 1:])
     items, rows = item_space[support], grads.items[support]
-    for item, step in zip(items.tolist(), cfg.eta * rows):
-        state.local_rows[item] = state.local_rows.get(item, cfg.local_base[item]) - step
+    # private step: untouched rows start from the warm-start table
+    merged = np.union1d(state.local_items, items)
+    local = cfg.local_base[merged]
+    local[np.searchsorted(merged, state.local_items)] = state.local_rows
+    local[np.searchsorted(merged, items)] -= cfg.eta * rows
+    state.local_items, state.local_rows = merged, local
 
     if cg.pseudo_items:
         pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)
@@ -214,8 +225,7 @@ def local_item_table(state: ClientState, base: np.ndarray) -> np.ndarray:
     """The client's fine-tuned item table: warm-start rows plus its own
     accumulated raw-gradient steps on the rows it has touched."""
     rows = base.copy()
-    for item, vec in state.local_rows.items():
-        rows[item] = vec
+    rows[state.local_items] = state.local_rows
     return rows
 
 

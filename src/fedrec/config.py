@@ -2,7 +2,7 @@
 
 Precedence is command-line flags > config file > defaults. The file format is
 one `key = value` assignment per line with `#` comments; every key round-trips
-through :func:`dump_flat` / :func:`apply_overrides` unchanged.
+through :func:`dump_flat` / :func:`build_config` unchanged.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,14 +132,15 @@ def leave_one_out_split(ds: InteractionDataset) -> SplitDataset:
     return SplitDataset(ds.n_users, ds.n_items, *arrays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientGraph:
     """One user's local ego-graph after the obfuscation steps.
 
     ``true_items`` are the unmasked training items, ``pseudo_items`` the
     decoys reported as interacted, ``masked_items`` the hidden training
-    items. ``neighbor_users`` holds (anonymous-user-token, shared-item-id)
-    pairs when one-hop neighbor expansion is on.
+    items. ``neighbor_users`` holds sorted (neighbor handle, shared item)
+    int64 rows when one-hop neighbor expansion is on; a handle indexes the
+    server's anonymous user rows.
     """
 
     user: int
@@ -148,7 +148,9 @@ class ClientGraph:
     true_items: frozenset[int]
     pseudo_items: frozenset[int]
     masked_items: frozenset[int]
-    neighbor_users: tuple[tuple[str, int], ...] = ()
+    neighbor_users: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), dtype=np.int64)
+    )
 
 
 def build_client_graph(
@@ -156,13 +158,14 @@ def build_client_graph(
     user: int,
     privacy: PrivacyConfig,
     rng: np.random.Generator,
-    neighbors: Iterable[tuple[str, int]] = (),
+    neighbors: np.ndarray | tuple = (),
 ) -> ClientGraph:
     """Apply masking and then pseudo-item sampling to a user's train items.
 
     Pseudo items are drawn from the complement of the full training set, so
     they never collide with masked items either. Draw order (mask, pseudo)
     is fixed so a keyed stream reproduces the graph bit for bit.
+    ``neighbors`` are the user's sorted (handle, item) rows, kept as given.
     """
     train_items = split.train_items(user)
     kept, masked = mask_interacted_items(train_items, privacy.mask_ratio, rng)
@@ -175,5 +178,5 @@ def build_client_graph(
         true_items=frozenset(kept.tolist()),
         pseudo_items=frozenset(pseudo.tolist()),
         masked_items=frozenset(masked.tolist()),
-        neighbor_users=tuple(sorted(neighbors)),
+        neighbor_users=np.asarray(neighbors, dtype=np.int64).reshape(-1, 2),
     )

@@ -122,10 +122,7 @@ class PropagationOperator:
             raise ValueError("duplicate edges")
         self.degree_u = np.bincount(us, minlength=self.n_users).astype(np.int64)
         self.degree_i = np.bincount(its, minlength=self.n_items).astype(np.int64)
-        if len(us):
-            weights = 1.0 / np.sqrt(self.degree_u[us] * self.degree_i[its])
-        else:
-            weights = np.zeros(0)
+        weights = 1.0 / np.sqrt(self.degree_u[us] * self.degree_i[its])
         if self.n_users * self.n_items <= self._DENSE_CELLS:
             adj = np.zeros((self.n_users, self.n_items))
             adj[us, its] = weights

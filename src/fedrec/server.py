@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -229,14 +229,9 @@ class RoundReport:
     def record(self) -> dict:
         # wall_time stays out of the serialized record so reruns are
         # byte-identical
-        return {
-            "round": self.round,
-            "selected": list(self.selected),
-            "n_clusters": self.n_clusters,
-            "train_loss": self.train_loss,
-            "val_recall": self.val_recall,
-            "val_ndcg": self.val_ndcg,
-        }
+        record = asdict(self)
+        del record["wall_time"]
+        return record
 
 
 @dataclass(eq=False)
@@ -297,25 +292,24 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
 
 def _noised_uploads(
     states: dict[int, ClientState], cfg: ExperimentConfig, label: str, round_idx: int
-) -> list[np.ndarray]:
-    """Each user's uploaded embedding in user order, LDP-noised on
-    ``substream(seed, label, round, user)`` when privacy is enabled."""
-    ldp = privacy_settings(cfg).ldp
-    rows = []
-    for user in range(len(states)):
-        vec = states[user].last_inferred
-        if cfg.privacy.enabled:
-            vec = randomize_vector(
-                vec, ldp, substream(cfg.train.seed, label, round_idx, user)
-            )
-        rows.append(vec)
-    return rows
+) -> np.ndarray:
+    """Every user's uploaded embedding as one ``(N, d)`` block in user order,
+    LDP-noised on ``substream(seed, label, round, user)`` when privacy is
+    enabled."""
+    block = np.vstack([states[u].last_inferred for u in range(len(states))])
+    if cfg.privacy.enabled:
+        ldp = privacy_settings(cfg).ldp
+        for user, vec in enumerate(block):
+            stream = substream(cfg.train.seed, label, round_idx, user)
+            block[user] = randomize_vector(vec, ldp, stream)
+    return block
 
 
 def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
-    """One-hop expansion inputs: per-user (token, item) pairs from the
-    keyed matcher, each item tokenised once. Clients decode tokens for their
-    own items only."""
+    """One-hop expansion inputs from the keyed matcher, each item tokenised
+    once. Each anonymous user token becomes a handle, its rank among all
+    users' tokens, so clients see neither tokens nor raw ids. Returns per user
+    sorted (handle, item) int64 rows and ``by_handle``, each handle's user."""
     key = matcher_key(cfg.train.seed)
     token_of = {i: item_token(i, key) for i in np.unique(split.indices).tolist()}
     item_of = {token: i for i, token in token_of.items()}
@@ -324,13 +318,14 @@ def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
         for u in range(split.n_users)
     }
     responses = neighborhood_match(uploads, key)
-    neighbors: dict[int, tuple[tuple[str, int], ...]] = {}
-    for user in range(split.n_users):
-        pairs = []
-        for token, anon_users in responses[user].items():
-            pairs.extend((anon, item_of[token]) for anon in anon_users)
-        neighbors[user] = tuple(sorted(pairs))
-    return neighbors
+    anon = [user_token(u, key) for u in range(split.n_users)]
+    by_handle = np.argsort(anon)
+    handle_of = {anon[u]: h for h, u in enumerate(by_handle.tolist())}
+    pairs = (  # responses run in user order
+        sorted((handle_of[a], item_of[t]) for t, anons in entry.items() for a in anons)
+        for entry in responses.values()
+    )
+    return [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs], by_handle
 
 
 def eval_model(
@@ -456,12 +451,9 @@ def run_training(
     weights = eval_weights(cfg)
     es_cutoff = 20 if 20 in cfg.eval.cutoffs else max(cfg.eval.cutoffs)
 
-    neighbors: dict[int, tuple[tuple[str, int], ...]] = {}
-    tokens: list[str] = []
-    if cfg.graph.neighbor_expansion:
-        neighbors = _neighbor_setup(cfg, split)
-        key = matcher_key(seed)
-        tokens = [user_token(user, key) for user in range(n_users)]
+    neighbors, by_handle = (
+        _neighbor_setup(cfg, split) if cfg.graph.neighbor_expansion else ((), None)
+    )
 
     privacy = privacy_settings(cfg)
     assignment: ClusterAssignment | None = None
@@ -473,16 +465,8 @@ def run_training(
     evals_since_best = 0
 
     def make_assignment(round_idx: int) -> ClusterAssignment:
-        embeddings = np.vstack(_noised_uploads(states, cfg, "cluster-upload", round_idx))
-        if k_clusters == 1:
-            return ClusterAssignment(
-                1,
-                np.zeros(n_users, dtype=np.int64),
-                embeddings.mean(axis=0, keepdims=True),
-            )
-        return cluster_users(
-            embeddings, k_clusters, substream(seed, "cluster", round_idx)
-        )
+        X = _noised_uploads(states, cfg, "cluster-upload", round_idx)
+        return cluster_users(X, k_clusters, substream(seed, "cluster", round_idx))
 
     for round_idx in range(1, cfg.train.max_rounds + 1):
         started = time.perf_counter()
@@ -492,11 +476,11 @@ def run_training(
             # identities do not persist across re-clusterings
             cluster_items = {c: global_items.copy() for c in range(k_clusters)}
         selected = select_clients(assignment, budget, substream(seed, "select", round_idx))
-        # anonymous token -> uploaded user embedding, for one-hop expansion
+        # uploaded user embeddings in handle order, for one-hop expansion
         neighbor_vecs = (
-            dict(zip(tokens, _noised_uploads(states, cfg, "neighbor-upload", round_idx)))
+            _noised_uploads(states, cfg, "neighbor-upload", round_idx)[by_handle]
             if cfg.graph.neighbor_expansion
-            else {}
+            else None
         )
 
         ctx = ClientConfig(
@@ -511,17 +495,16 @@ def run_training(
             neighbor_vecs=neighbor_vecs,
         )
 
-        updates = {
-            user: client_update(
+        updates = [
+            client_update(
                 states[user], global_items, ctx, substream(seed, "client", round_idx, user)
             )
             for user in selected
-        }
-        ordered = [updates[u] for u in selected]
-        global_items = apply_update(global_items, aggregate(ordered), cfg.train.eta)
+        ]
+        global_items = apply_update(global_items, aggregate(updates), cfg.train.eta)
         by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
-        for user in selected:
-            by_cluster[int(assignment.assignment[user])].append(updates[user])
+        for user, update in zip(selected, updates):
+            by_cluster[int(assignment.assignment[user])].append(update)
         for c in sorted(by_cluster):
             cluster_items[c] = apply_update(
                 cluster_items[c], aggregate(by_cluster[c]), cfg.train.eta
@@ -556,10 +539,7 @@ def run_training(
                     global_items,
                     dict(cluster_items),
                     assignment,
-                    {
-                        u: replace(s, local_rows=dict(s.local_rows))
-                        for u, s in states.items()
-                    },
+                    {u: replace(s) for u, s in states.items()},
                 )
             else:
                 evals_since_best += 1

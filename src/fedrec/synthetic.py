@@ -24,8 +24,12 @@ def two_community_dataset(
     Timestamps enumerate each user's draws in random order, so the held-out
     items are representative of the user's community.
     """
+    if n_users < 1:
+        raise ValueError("n_users must be >= 1")
     if per_user < 3:
         raise ValueError("per_user must be >= 3 for a leave-one-out split")
+    if not 0 <= cross_rate <= 1:
+        raise ValueError("cross_rate must be in [0, 1]")
     half = n_items // 2
     pools = (np.arange(half), np.arange(half, n_items))
     if per_user > min(len(pools[0]), len(pools[1])):
@@ -60,9 +64,12 @@ def main(argv=None) -> int:
     parser.add_argument("--cross-rate", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    ds = two_community_dataset(
-        args.users, args.items, args.seed, args.per_user, args.cross_rate
-    )
+    try:
+        ds = two_community_dataset(
+            args.users, args.items, args.seed, args.per_user, args.cross_rate
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     write_interactions(ds, args.out)
     print(f"wrote {len(ds.interactions)} interactions to {args.out}")
     return 0

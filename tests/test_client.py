@@ -7,6 +7,7 @@ from fedrec.client import (
     ClientConfig,
     ClientState,
     PersonalizationWeights,
+    _local_operator,
     client_update,
     infer_user_embedding,
     init_client_states,
@@ -156,9 +157,10 @@ class TestClientUpdate:
         expected = replay.normal(0.0, std, (len(pseudo), 3))
         np.testing.assert_array_equal([rows[i] for i in pseudo], expected)
         # the private step used the real rows, not the decoys
+        local = dict(zip(state.local_items.tolist(), state.local_rows))
         for item in pseudo:
             assert not np.array_equal(
-                state.local_rows[item], items[item] - cfg.eta * rows[item]
+                local[item], items[item] - cfg.eta * rows[item]
             )
 
     def test_fixed_seed_reproduces_the_update(self):
@@ -200,6 +202,45 @@ class TestClientUpdate:
         np.testing.assert_allclose(
             update.item_grads, oracle.items[support], atol=1e-12
         )
+
+
+class TestNeighborExpandedOperator:
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_compact_gradients_equal_the_full_catalogue_gradients(self, n_layers):
+        n_items, n_handles, dim = 14, 5, 4
+        items = substream(3, "items").normal(size=(n_items, dim))
+        neighbor_vecs = substream(3, "neighbors").normal(size=(n_handles, dim))
+        user_vec = np.array([0.3, -0.2, 0.1, 0.5])
+        # handles 0 and 2 have no shared item; 9 and 11 are reached only
+        # through neighbors
+        neighbors = np.array([[1, 2], [1, 9], [3, 0], [3, 2], [3, 11], [4, 9]])
+        cg = ClientGraph(
+            user=0,
+            n_items=n_items,
+            true_items=frozenset({0, 2, 5}),
+            pseudo_items=frozenset({7}),
+            masked_items=frozenset({3}),
+            neighbor_users=neighbors,
+        )
+        triples = sample_bpr_triples(cg, 6, substream(3, "triples"))
+        op, raw, local, item_space = _local_operator(
+            cg, triples, n_layers, user_vec, items, neighbor_vecs
+        )
+        compact = bpr_gradients(op, raw, local, 0.01)
+
+        # full catalogue: user 0 is the client, user 1 + h has handle h
+        claimed = sorted(cg.true_items | cg.pseudo_items)
+        edges = [(0, i) for i in claimed] + [(1 + h, i) for h, i in neighbors.tolist()]
+        full_op = PropagationOperator(1 + n_handles, n_items, edges, n_layers)
+        full_raw = EmbeddingTable(np.vstack((user_vec, neighbor_vecs)), items)
+        full = bpr_gradients(full_op, full_raw, triples, 0.01)
+
+        assert {2, 9, 11} <= set(item_space.tolist())
+        scattered = np.zeros((n_items, dim))
+        scattered[item_space] = compact.items
+        np.testing.assert_allclose(scattered, full.items, rtol=0, atol=1e-10)
+        rows = np.concatenate(([0], 1 + np.unique(neighbors[:, 0])))
+        np.testing.assert_allclose(compact.users, full.users[rows], rtol=0, atol=1e-10)
 
 
 class TestPersonalize:
@@ -269,7 +310,9 @@ class TestLocalState:
 
     def test_local_item_table_applies_the_overlay(self, rng):
         base = rng.normal(size=(4, 2))
-        state = ClientState(0, np.zeros(2), local_rows={2: np.array([5.0, 5.0])})
+        state = ClientState(
+            0, np.zeros(2), local_items=np.array([2]), local_rows=np.array([[5.0, 5.0]])
+        )
         rows = local_item_table(state, base)
         np.testing.assert_array_equal(rows[2], [5.0, 5.0])
         np.testing.assert_array_equal(rows[0], base[0])

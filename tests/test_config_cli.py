@@ -15,6 +15,7 @@ from fedrec.data import write_interactions, load_interactions, leave_one_out_spl
 from fedrec.errors import ConfigError
 from fedrec.gnn import EmbeddingTable, init_table, load_checkpoint, save_checkpoint
 from fedrec.rng import substream
+from fedrec.synthetic import main as synthetic_main
 from fedrec.synthetic import two_community_dataset
 
 
@@ -360,3 +361,23 @@ class TestCliSimulate:
     def test_help_exits_cleanly(self, capsys):
         assert run_cli("--help") == 0
         assert "commands" in capsys.readouterr().out
+
+
+class TestSyntheticCli:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--users", "10", "--items", "10", "--per-user", "8"], "pool size"),
+            (["--per-user", "2"], "per_user"),
+            (["--cross-rate", "2"], "cross_rate"),
+            (["--cross-rate", "-0.5"], "cross_rate"),
+            (["--users", "0"], "n_users"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, args, message):
+        out = tmp_path / "s.tsv"
+        with pytest.raises(SystemExit) as exc:
+            synthetic_main([str(out), *args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
