@@ -236,12 +236,14 @@ def infer_user_embedding(
     n_layers: int,
 ) -> np.ndarray:
     """Readout embedding of a single user on its star graph over the sorted
-    item ids ``items``."""
-    edges = np.zeros((len(items), 2), dtype=np.int64)
-    edges[:, 1] = np.arange(len(items))
-    op = PropagationOperator(1, max(len(items), 1), edges, n_layers)
-    raw = EmbeddingTable(
-        user_row[None, :],
-        item_rows[items] if len(items) else np.zeros((1, len(user_row))),
-    )
-    return readout(propagate(op, raw)).users[0]
+    item ids ``items``, equal to the bit to ``readout(propagate(op, raw))``
+    on the star's operator, without building one."""
+    n = len(items)
+    # the operator's edge weight 1/sqrt(n * 1); no items: one zero row
+    adj = np.full((1, n), 1.0 / np.sqrt(np.int64(n))) if n else np.zeros((1, 1))
+    item_layer = item_rows[items] if n else np.zeros((1, len(user_row)))
+    user_layers = [np.asarray(user_row, dtype=np.float64)[None, :]]
+    for _ in range(n_layers):
+        user_layers.append(adj @ item_layer)
+        item_layer = adj.T @ user_layers[-2]
+    return np.mean(user_layers, axis=0)[0]

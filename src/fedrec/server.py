@@ -22,7 +22,6 @@ from .client import (
     client_update,
     infer_user_embedding,
     init_client_states,
-    local_item_table,
     personalize,
 )
 from .config import ExperimentConfig, edge_add_count, pretrain_eta
@@ -89,7 +88,8 @@ def cluster_users(
     assign = np.full(n, -1, dtype=np.int64)
     inertia_path: list[float] = []
     for _ in range(100):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        # one centre at a time: no N x k x d temporary
+        d2 = np.column_stack([((X - m) ** 2).sum(axis=1) for m in centers])
         new_assign = d2.argmin(axis=1)
         counts = np.bincount(new_assign, minlength=k)
         for c in range(k):
@@ -343,14 +343,12 @@ def eval_model(
     isolated in the local graph, so propagation would only rescale them
     uniformly.
     """
-    train_items = split.train_items(user)
-    pseudo = sample_pseudo_items(
-        split.n_items,
-        train_items,
-        cfg.privacy.pseudo_items_p,
-        substream(cfg.train.seed, "eval-graph", user),
-    )
-    graph_items = np.union1d(train_items, pseudo)
+    graph_items, p = split.train_items(user), cfg.privacy.pseudo_items_p
+    if p > 0:
+        pseudo = sample_pseudo_items(
+            split.n_items, graph_items, p, substream(cfg.train.seed, "eval-graph", user)
+        )
+        graph_items = np.union1d(graph_items, pseudo)
     user_emb = infer_user_embedding(user_row, item_rows, graph_items, cfg.model.layers)
     return UserEvalModel(user_emb, item_rows, graph_items)
 
@@ -358,27 +356,27 @@ def eval_model(
 def build_eval_models(
     split: SplitDataset,
     states: dict[int, ClientState],
-    cluster_items: dict[int, np.ndarray],
-    assignment: ClusterAssignment,
+    base: np.ndarray,
+    cluster_items: np.ndarray,
     global_items: np.ndarray,
-    local_base: np.ndarray,
     weights: PersonalizationWeights,
     cfg: ExperimentConfig,
     users: Sequence[int],
 ) -> dict[int, UserEvalModel]:
-    """The models of ``users`` on their alpha-mixed item tables. Each model
-    holds an M x d table, so callers ask for a few users at a time."""
+    """The models of ``users``, members of one cluster, on their alpha-mixed
+    item tables: a copy of ``base``, the cluster's mix over the warm-start
+    table, with the user's overlay rows mixed the same way. Each model holds
+    an M x d table, so callers ask for a few users at a time."""
     models = {}
     for user in users:
         state = states[user]
-        mixed = personalize(
-            local_item_table(state, local_base),
-            cluster_items[int(assignment.assignment[user])],
-            global_items,
-            weights,
-            state.user_vec,
+        ids = state.local_items
+        overlay = personalize(
+            state.local_rows, cluster_items[ids], global_items[ids], weights, state.user_vec
         )
-        models[user] = eval_model(cfg, split, user, mixed.user_row, mixed.item_rows)
+        rows = base.copy()
+        rows[ids] = overlay.item_rows
+        models[user] = eval_model(cfg, split, user, overlay.user_row, rows)
     return models
 
 
@@ -392,20 +390,17 @@ def personalized_models(
     weights: PersonalizationWeights,
     cfg: ExperimentConfig,
 ) -> Iterator[tuple[int, UserEvalModel]]:
-    """``(user, model)`` for every user on the alpha-mixed item table, built
-    one at a time: only one user's M x d table exists at once."""
-    for user in range(split.n_users):
-        yield from build_eval_models(
-            split,
-            states,
-            cluster_items,
-            assignment,
-            global_items,
-            local_base,
-            weights,
-            cfg,
-            (user,),
-        ).items()
+    """``(user, model)`` for every user on the alpha-mixed item table, cluster
+    by cluster: only one cluster's base mix and one user's copy of it exist at
+    once."""
+    for c in range(assignment.k):  # k-means leaves no cluster empty
+        base = personalize(
+            local_base, cluster_items[c], global_items, weights, ()
+        ).item_rows
+        for user in np.flatnonzero(assignment.assignment == c).tolist():
+            yield from build_eval_models(
+                split, states, base, cluster_items[c], global_items, weights, cfg, (user,)
+            ).items()
 
 
 def eval_weights(cfg: ExperimentConfig) -> PersonalizationWeights:
@@ -495,22 +490,30 @@ def run_training(
             neighbor_vecs=neighbor_vecs,
         )
 
-        updates = [
-            client_update(
-                states[user], global_items, ctx, substream(seed, "client", round_idx, user)
-            )
-            for user in selected
-        ]
-        global_items = apply_update(global_items, aggregate(updates), cfg.train.eta)
-        by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
-        for user, update in zip(selected, updates):
-            by_cluster[int(assignment.assignment[user])].append(update)
-        for c in sorted(by_cluster):
-            cluster_items[c] = apply_update(
-                cluster_items[c], aggregate(by_cluster[c]), cfg.train.eta
-            )
-        if not np.isfinite(global_items).all():
-            raise NumericError(f"non-finite global table after round {round_idx}")
+        # a blow-up here is named by the checks below, not by a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            updates = [
+                client_update(
+                    states[user], global_items, ctx, substream(seed, "client", round_idx, user)
+                )
+                for user in selected
+            ]
+            global_items = apply_update(global_items, aggregate(updates), cfg.train.eta)
+            by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
+            for user, update in zip(selected, updates):
+                by_cluster[int(assignment.assignment[user])].append(update)
+            for c in sorted(by_cluster):
+                cluster_items[c] = apply_update(
+                    cluster_items[c], aggregate(by_cluster[c]), cfg.train.eta
+                )
+        tables = [global_items] + [cluster_items[c] for c in by_cluster]
+        if not all(np.isfinite(t).all() for t in tables):
+            raise NumericError(f"non-finite global or cluster table after round {round_idx}")
+        if not all(
+            np.isfinite(states[u].user_vec).all() and np.isfinite(states[u].local_rows).all()
+            for u in selected
+        ):
+            raise NumericError(f"non-finite client state after round {round_idx}")
 
         train_loss = float(np.mean([states[u].last_loss for u in selected]))
         val_recall = val_ndcg = None

@@ -26,6 +26,8 @@ from fedrec.gnn import (
     EmbeddingTable,
     PropagationOperator,
     bpr_gradients,
+    propagate,
+    readout,
 )
 from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
@@ -321,6 +323,19 @@ class TestLocalState:
         row = rng.normal(size=3)
         out = infer_user_embedding(row, rng.normal(size=(5, 3)), [0, 2], 0)
         np.testing.assert_array_equal(out, row)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 999])
+    @pytest.mark.parametrize("n_layers", range(5))
+    def test_infer_user_embedding_equals_the_operator_readout(self, n, n_layers):
+        gen = np.random.default_rng(n)
+        row, rows = gen.normal(size=16), gen.normal(size=(1000, 16))
+        items = np.sort(gen.choice(1000, size=n, replace=False))
+        edges = np.column_stack((np.zeros(n, np.int64), np.arange(n)))
+        op = PropagationOperator(1, max(n, 1), edges, n_layers)
+        raw = EmbeddingTable(row[None, :], rows[items] if n else np.zeros((1, 16)))
+        expected = readout(propagate(op, raw)).users[0]
+        out = infer_user_embedding(row, rows, items, n_layers)
+        assert out.tobytes() == expected.tobytes()
 
     def test_infer_user_embedding_single_item_one_layer(self):
         row = np.array([1.0, 0.0])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -182,12 +183,15 @@ class TestCliTrain:
 
     def test_numeric_blowup_exits_with_code_four(self, data_file, tmp_path, capsys):
         out = tmp_path / "tn"
-        code = run_cli(
-            "train", "--data.path", str(data_file), "--model.dim", "8",
-            "--model.layers", "1", "--train.max_rounds", "4",
-            "--train.eta", "1e308", "--pretrain.epochs", "0",
-            "--train.clients_per_round", "30", "--out", str(out),
-        )
+        # the named error is the only report: no overflow warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(
+                "train", "--data.path", str(data_file), "--model.dim", "8",
+                "--model.layers", "1", "--train.max_rounds", "4",
+                "--train.eta", "1e308", "--pretrain.epochs", "0",
+                "--train.clients_per_round", "30", "--out", str(out),
+            )
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
 

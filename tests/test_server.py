@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec.client import PersonalizationWeights
+from fedrec import server
+from fedrec.client import PersonalizationWeights, local_item_table, personalize
 from fedrec.config import default_config
 from fedrec.evaluation import evaluate_cutoffs
+from fedrec.errors import NumericError
 from fedrec.gnn import GradientUpdate, init_table
 from fedrec.rng import substream
 from fedrec.server import (
+    _kmeans_pp,
     _neighbor_setup,
     ClusterAssignment,
     aggregate,
     apply_update,
     cluster_users,
     eval_model,
+    eval_weights,
     item_token,
     matcher_key,
     neighborhood_match,
@@ -70,6 +74,40 @@ class TestClusterUsers:
     def test_bad_k_rejected(self, rng):
         with pytest.raises(ValueError):
             cluster_users(rng.normal(size=(3, 2)), 4, rng)
+
+    @pytest.mark.parametrize("n, k, d", [(7, 3, 3), (400, 4, 32), (513, 17, 129)])
+    def test_equals_a_lloyd_loop_on_broadcast_distances(self, n, k, d):
+        X = np.random.default_rng(n + k + d).normal(size=(n, d))
+        ours = cluster_users(X, k, np.random.default_rng(5))
+
+        # reference: the same seeding, revival and stopping rule, with the
+        # N x k x d broadcast distance
+        centers = _kmeans_pp(X, k, np.random.default_rng(5))
+        assign = np.full(n, -1, dtype=np.int64)
+        path = []
+        for _ in range(100):
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new = d2.argmin(axis=1)
+            counts = np.bincount(new, minlength=k)
+            for c in range(k):
+                if counts[c] > 0:
+                    continue
+                own = d2[np.arange(n), new].copy()
+                own[counts[new] < 2] = -np.inf
+                donor = int(own.argmax())
+                counts[new[donor]] -= 1
+                new[donor] = c
+                counts[c] = 1
+            if np.array_equal(new, assign):
+                break
+            assign = new
+            for c in range(k):
+                centers[c] = X[assign == c].mean(axis=0)
+            path.append(float(((X - centers[assign]) ** 2).sum()))
+
+        np.testing.assert_array_equal(ours.assignment, assign)
+        assert ours.centroids.tobytes() == centers.tobytes()
+        assert ours.inertia_path == tuple(path)
 
 
 def assignment_of(cluster_sizes):
@@ -401,3 +439,93 @@ class TestRunTraining:
             theirs = stopped.states[user]
             np.testing.assert_array_equal(state.local_items, theirs.local_items)
             np.testing.assert_array_equal(state.local_rows, theirs.local_rows)
+
+    def test_a_non_finite_client_state_is_named(self, tiny_split, monkeypatch):
+        real = server.client_update
+
+        def overflowing(state, *args):
+            update = real(state, *args)
+            state.user_vec = np.full_like(state.user_vec, np.inf)
+            return update
+
+        monkeypatch.setattr(server, "client_update", overflowing)
+        with pytest.raises(NumericError, match="client state after round 1"):
+            run_training(tiny_config(), tiny_split)
+
+    def test_a_non_finite_cluster_table_is_named(self, tiny_split, monkeypatch):
+        real, calls = server.apply_update, []
+
+        def overflowing(table, update, eta):
+            calls.append(eta)
+            out = real(table, update, eta)
+            if len(calls) == 2:  # the first cluster step; the global one is first
+                out[0, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(server, "apply_update", overflowing)
+        with pytest.raises(NumericError, match="cluster table after round 1"):
+            run_training(tiny_config(), tiny_split)
+
+
+class TestPersonalizedModels:
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_split):
+        cfg = tiny_config(**{"cluster.k": 3, "privacy.pseudo_items_p": 2})
+        return cfg, run_training(cfg, tiny_split)
+
+    def test_equal_the_full_three_table_mix(self, tiny_split, trained):
+        cfg, result = trained
+        assert len(np.unique(result.assignment.assignment)) >= 2
+        assert any(len(s.local_items) for s in result.states.values())
+        weights = PersonalizationWeights(0.5, 0.3, 0.2)
+        models = dict(
+            personalized_models(
+                tiny_split,
+                result.states,
+                result.cluster_items,
+                result.assignment,
+                result.global_items,
+                result.local_base,
+                weights,
+                cfg,
+            )
+        )
+        assert sorted(models) == list(range(tiny_split.n_users))
+        for user, state in result.states.items():
+            cluster = result.cluster_items[int(result.assignment.assignment[user])]
+            mixed = personalize(
+                local_item_table(state, result.local_base),
+                cluster,
+                result.global_items,
+                weights,
+                state.user_vec,
+            )
+            ref = eval_model(cfg, tiny_split, user, mixed.user_row, mixed.item_rows)
+            ours = models[user]
+            assert ours.item_rows.tobytes() == ref.item_rows.tobytes()
+            assert ours.user_embedding.tobytes() == ref.user_embedding.tobytes()
+            np.testing.assert_array_equal(ours.excluded, ref.excluded)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_exclusions_are_the_training_items_plus_pseudo_items(
+        self, tiny_split, trained, p
+    ):
+        _, result = trained
+        cfg = tiny_config(**{"privacy.pseudo_items_p": p})
+        models = personalized_models(
+            tiny_split,
+            result.states,
+            result.cluster_items,
+            result.assignment,
+            result.global_items,
+            result.local_base,
+            eval_weights(cfg),
+            cfg,
+        )
+        for user, model in models:
+            train = tiny_split.train_items(user)
+            if p == 0:
+                np.testing.assert_array_equal(model.excluded, train)
+            else:
+                assert np.isin(train, model.excluded).all()
+                assert len(model.excluded) == len(train) + p
