@@ -22,7 +22,6 @@ from .gnn import (
     bpr_gradients,
     bpr_loss,
     propagate,
-    readout,
 )
 from .privacy import (
     LdpConfig,
@@ -59,7 +58,6 @@ __all__ = [
     "privacy_budget",
     "propagate",
     "pseudo_item_gradients",
-    "readout",
     "run_training",
     "sample_pseudo_items",
 ]

@@ -21,11 +21,8 @@ from .gnn import (
     GradientUpdate,
     PropagationOperator,
     bpr_gradients,
-    bpr_loss,
-    propagate,
-    readout,
 )
-from .privacy import PrivacyConfig, ldp_randomize, pseudo_item_gradients
+from .privacy import PrivacyConfig, complement_ids, ldp_randomize, pseudo_item_gradients
 
 
 @dataclass(frozen=True)
@@ -39,14 +36,6 @@ class PersonalizationWeights:
     def __post_init__(self) -> None:
         if min(self.alpha_local, self.alpha_cluster, self.alpha_global) < 0:
             raise ValueError("personalization weights must be >= 0")
-
-
-@dataclass(eq=False)
-class PersonalizedModel:
-    """The alpha-mixed item table plus the client's own user row."""
-
-    item_rows: np.ndarray
-    user_row: np.ndarray
 
 
 @dataclass(eq=False)
@@ -96,20 +85,18 @@ def sample_bpr_triples(
 ) -> np.ndarray:
     """``(batch, 3)`` int64 (user, pos, neg) rows: positives uniform over the
     unmasked items, one negative each, uniform over items outside
-    true+pseudo+masked."""
+    true+pseudo+masked (drawn as a position in that complement)."""
     positives = sorted(cg.true_items)
     if not positives:
         raise DataError(f"user {cg.user} has no positive items to sample")
-    blocked = cg.true_items | cg.pseudo_items | cg.masked_items
-    negatives = np.setdiff1d(
-        np.arange(cg.n_items, dtype=np.int64),
-        np.fromiter(blocked, dtype=np.int64, count=len(blocked)),
-    )
-    if len(negatives) == 0:
+    blocked = np.array(sorted(cg.true_items | cg.pseudo_items | cg.masked_items), np.int64)
+    if len(blocked) >= cg.n_items:
         raise DataError(f"user {cg.user} has no valid negative item")
     triples = np.full((batch, 3), cg.user, dtype=np.int64)
     triples[:, 1] = rng.choice(np.asarray(positives, dtype=np.int64), size=batch)
-    triples[:, 2] = rng.choice(negatives, size=batch)
+    triples[:, 2] = complement_ids(
+        blocked, rng.choice(cg.n_items - len(blocked), size=batch)
+    )
     return triples
 
 
@@ -155,13 +142,13 @@ def client_update(
 ) -> GradientUpdate:
     """One federated round on a single client.
 
-    Builds the obfuscated local graph, infers the user embedding through the
-    local propagation, computes exact BPR gradients, applies the user-row and
-    private item-row steps on-device, then returns the item gradients with
-    decoy pseudo rows attached and LDP applied. The uploaded rows are those
-    with a nonzero gradient plus the batch's items; a pseudo item's decoy row
-    replaces its real one. Draw order on ``rng``: mask, pseudo items,
-    positives, negatives, decoy noise, LDP noise.
+    Builds the obfuscated local graph and propagates once forward (the loss
+    and the inferred user embedding) and once back (exact BPR gradients).
+    Applies the user-row and private item-row steps on-device, then returns
+    the item gradients with decoy pseudo rows attached and LDP applied. The
+    uploaded rows are those with a nonzero gradient plus the batch's items; a
+    pseudo item's decoy row replaces its real one. Draw order on ``rng``:
+    mask, pseudo items, positives, negatives, decoy noise, LDP noise.
     """
     nb = cfg.neighbors[state.user] if cfg.neighbors else ()
     cg = build_client_graph(cfg.split, state.user, cfg.privacy, rng, neighbors=nb)
@@ -172,11 +159,8 @@ def client_update(
     op, raw, local_triples, item_space = _local_operator(
         cg, triples, cfg.n_layers, state.user_vec, global_items, cfg.neighbor_vecs
     )
-    final = readout(propagate(op, raw))
-    state.last_loss = bpr_loss(final, local_triples, cfg.gamma, raw)
+    state.last_loss, final, grads = bpr_gradients(op, raw, local_triples, cfg.gamma)
     state.last_inferred = final.users[0].copy()
-
-    grads = bpr_gradients(op, raw, local_triples, cfg.gamma)
 
     # the true user-row gradient never leaves the device
     state.user_vec = state.user_vec - cfg.eta * grads.users[0]
@@ -208,17 +192,15 @@ def personalize(
     cluster_items: np.ndarray,
     global_items: np.ndarray,
     weights: PersonalizationWeights,
-    user_row: np.ndarray,
-) -> PersonalizedModel:
-    """Weighted mix of the three item tables; the user row stays local."""
+) -> np.ndarray:
+    """Weighted mix of the three item tables."""
     if not (local_items.shape == cluster_items.shape == global_items.shape):
         raise ValueError("item tables must have identical shapes")
-    mixed = (
+    return (
         weights.alpha_local * local_items
         + weights.alpha_cluster * cluster_items
         + weights.alpha_global * global_items
     )
-    return PersonalizedModel(mixed, np.asarray(user_row, dtype=np.float64).copy())
 
 
 def local_item_table(state: ClientState, base: np.ndarray) -> np.ndarray:
@@ -236,7 +218,7 @@ def infer_user_embedding(
     n_layers: int,
 ) -> np.ndarray:
     """Readout embedding of a single user on its star graph over the sorted
-    item ids ``items``, equal to the bit to ``readout(propagate(op, raw))``
+    item ids ``items``, equal to the bit to ``propagate(op, raw).users[0]``
     on the star's operator, without building one."""
     n = len(items)
     # the operator's edge weight 1/sqrt(n * 1); no items: one zero row

@@ -54,7 +54,6 @@ class EvalResult:
     k: int
     recall: float
     ndcg: float
-    per_user: tuple[tuple[int, int | None], ...] | None = None
 
 
 def target_rank(
@@ -110,13 +109,11 @@ def evaluate_cutoffs(
     ranks = user_ranks(split, models)
     results: dict[str, dict[int, EvalResult]] = {}
     for index, phase in enumerate(PHASES):
-        detail = tuple(sorted((user, pair[index]) for user, pair in ranks.items()))
+        phase_ranks = [pair[index] for _, pair in sorted(ranks.items())]
         results[phase] = {}
         for k in cutoffs:
-            recalls = [recall_at_k(r, k) for _, r in detail]
-            ndcgs = [ndcg_at_k(r, k) for _, r in detail]
-            results[phase][k] = EvalResult(
-                k, float(np.mean(recalls)), float(np.mean(ndcgs)), detail
-            )
+            recalls = [recall_at_k(r, k) for r in phase_ranks]
+            ndcgs = [ndcg_at_k(r, k) for r in phase_ranks]
+            results[phase][k] = EvalResult(k, float(np.mean(recalls)), float(np.mean(ndcgs)))
     return results
 

@@ -1,11 +1,12 @@
 """Embedding tables, normalized bipartite propagation, BPR math, checkpoints.
 
 The model state is nothing but the user/item embedding tables. A layer is a
-linear map over the symmetrically normalized interaction graph, the readout
-is the mean over layers, and predictions are inner products. Because one
-propagation step is self-adjoint on the stacked user+item space, the exact
-loss gradient with respect to the raw tables is obtained by running the same
-propagation and readout on the gradient of the final tables.
+linear map over the symmetrically normalized interaction graph, and
+:func:`propagate` returns the readout, the mean over layers 0..L;
+predictions are inner products. Because one propagation step is
+self-adjoint on the stacked user+item space, so is the readout map, and the
+exact loss gradient with respect to the raw tables is obtained by
+propagating the gradient of the final tables.
 """
 
 from __future__ import annotations
@@ -133,27 +134,22 @@ class PropagationOperator:
             )
 
 
-def propagate(op: PropagationOperator, table: EmbeddingTable) -> list[EmbeddingTable]:
-    """All L+1 layer tables; layer 0 is the input table."""
+def propagate(op: PropagationOperator, table: EmbeddingTable) -> EmbeddingTable:
+    """Readout of the propagation: the elementwise mean of layers 0..L, where
+    layer 0 is the input table and each layer is one step of ``op`` applied
+    to the one before. Layers are summed in order and divided once, the same
+    arithmetic as ``np.mean`` over the stacked layers."""
     if table.n_users != op.n_users or table.n_items != op.n_items:
         raise ValueError("table shape does not match the operator")
-    layers = [table.copy()]
+    total = table.copy()
+    users, items = table.users, table.items
     for _ in range(op.n_layers):
-        prev = layers[-1]
-        layers.append(
-            EmbeddingTable(op._adj @ prev.items, op._adj.T @ prev.users)
-        )
-    return layers
-
-
-def readout(layers: Sequence[EmbeddingTable]) -> EmbeddingTable:
-    """Elementwise mean over layers 0..L."""
-    if not layers:
-        raise ValueError("readout needs at least one layer")
-    return EmbeddingTable(
-        np.mean([t.users for t in layers], axis=0),
-        np.mean([t.items for t in layers], axis=0),
-    )
+        users, items = op._adj @ items, op._adj.T @ users
+        total.users += users
+        total.items += items
+    total.users /= op.n_layers + 1
+    total.items /= op.n_layers + 1
+    return total
 
 
 def _triple_array(
@@ -231,18 +227,21 @@ def bpr_gradients(
     raw: EmbeddingTable,
     triples: np.ndarray | Sequence[tuple[int, int, int]],
     gamma: float,
-) -> EmbeddingTable:
-    """Exact gradient of :func:`bpr_loss` with respect to the raw table, as a
-    dense table of the raw table's shape.
+) -> tuple[float, EmbeddingTable, EmbeddingTable]:
+    """``(loss, final, grads)``: the :func:`bpr_loss` of the batch, the
+    readout ``final = propagate(op, raw)`` it is computed on, and the exact
+    gradient of the loss with respect to the raw table, as a dense table of
+    the raw table's shape.
 
-    The batch gradient on the final tables is pushed back through readout and
-    propagation by reapplying the (self-adjoint) operator to it; the L2 term
-    acts on the raw rows the batch touches directly.
+    One forward and one backward propagation: the batch gradient on the final
+    tables is pushed back by reapplying the (self-adjoint) readout map to it;
+    the L2 term acts on the raw rows the batch touches directly.
     """
     t = _triple_array(triples)
     if not len(t):
         raise ValueError("empty triple batch")
-    final = readout(propagate(op, raw))
+    final = propagate(op, raw)
+    loss = bpr_loss(final, t, gamma, raw)
     u, p, j = t.T
     diff = final.items[p] - final.items[j]
     m = np.einsum("nd,nd->n", final.users[u], diff)
@@ -254,12 +253,12 @@ def bpr_gradients(
     np.add.at(g_items, p, coef[:, None] * final.users[u])
     np.add.at(g_items, j, -coef[:, None] * final.users[u])
 
-    back = readout(propagate(op, EmbeddingTable(g_users, g_items)))
+    back = propagate(op, EmbeddingTable(g_users, g_items))
     if gamma:
         users, items = np.unique(u), np.unique(t[:, 1:])
         back.users[users] += 2.0 * gamma * raw.users[users]
         back.items[items] += 2.0 * gamma * raw.items[items]
-    return back
+    return loss, final, back
 
 
 def save_checkpoint(table: EmbeddingTable, path, pretrained: bool = False) -> None:
@@ -287,6 +286,8 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
         dim, n_users, n_items = (int(x) for x in head[:3])
     except ValueError as exc:
         raise DataError(f"{path}: bad header {lines[0]!r}") from exc
+    if dim < 1 or n_users < 0 or n_items < 0:
+        raise DataError(f"{path}: header needs dim >= 1 and N, M >= 0, got {lines[0]!r}")
     flags = {}
     for token in head[3:]:
         key, _, value = token.partition("=")

@@ -21,7 +21,6 @@ from .gnn import (
     EmbeddingTable,
     PropagationOperator,
     propagate,
-    readout,
 )
 from .privacy import PrivacyConfig
 from .rng import substream
@@ -119,7 +118,7 @@ class ViewPipeline:
 
     def backprop(self, grad_final: EmbeddingTable) -> EmbeddingTable:
         """Gradient w.r.t. the raw input table for this view."""
-        back = readout(propagate(self.operator, grad_final))
+        back = propagate(self.operator, grad_final)
         return EmbeddingTable(
             back.users * self.view.user_mask[:, None],
             back.items * self.view.item_mask[:, None],
@@ -159,7 +158,7 @@ def compose_view(
         table = noise_injection(table, cfg.noise_magnitude, rng)
     x0 = EmbeddingTable(table.users * user_mask[:, None], table.items * item_mask[:, None])
     op = view_operator(view, n_layers)
-    return ViewPipeline(view, op, readout(propagate(op, x0)))
+    return ViewPipeline(view, op, propagate(op, x0))
 
 
 def _normalized_rows(x: np.ndarray):

@@ -45,6 +45,13 @@ class PrivacyConfig:
             raise ValueError("pseudo_items_p must be >= 0")
 
 
+def complement_ids(blocked: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The ids at positions ``pos`` of the sorted complement of the sorted,
+    distinct ids ``blocked``, without building the complement: position k
+    maps to k plus the number of blocked ids at or below the answer."""
+    return pos + np.searchsorted(blocked - np.arange(len(blocked)), pos, side="right")
+
+
 def sample_pseudo_items(
     catalog_size: int, true_items: np.ndarray, p: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -54,10 +61,10 @@ def sample_pseudo_items(
         raise ValueError("p must be >= 0")
     if p == 0:
         return true_items[:0]
-    pool = np.setdiff1d(np.arange(catalog_size), true_items, assume_unique=True)
-    if len(pool) <= p:
-        return pool
-    return np.sort(rng.choice(pool, size=p, replace=False))
+    n_free = catalog_size - len(true_items)
+    if n_free <= p:
+        return np.setdiff1d(np.arange(catalog_size), true_items, assume_unique=True)
+    return complement_ids(true_items, np.sort(rng.choice(n_free, size=p, replace=False)))
 
 
 def mask_interacted_items(

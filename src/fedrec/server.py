@@ -371,12 +371,9 @@ def build_eval_models(
     for user in users:
         state = states[user]
         ids = state.local_items
-        overlay = personalize(
-            state.local_rows, cluster_items[ids], global_items[ids], weights, state.user_vec
-        )
         rows = base.copy()
-        rows[ids] = overlay.item_rows
-        models[user] = eval_model(cfg, split, user, overlay.user_row, rows)
+        rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], weights)
+        models[user] = eval_model(cfg, split, user, state.user_vec, rows)
     return models
 
 
@@ -394,9 +391,7 @@ def personalized_models(
     by cluster: only one cluster's base mix and one user's copy of it exist at
     once."""
     for c in range(assignment.k):  # k-means leaves no cluster empty
-        base = personalize(
-            local_base, cluster_items[c], global_items, weights, ()
-        ).item_rows
+        base = personalize(local_base, cluster_items[c], global_items, weights)
         for user in np.flatnonzero(assignment.assignment == c).tolist():
             yield from build_eval_models(
                 split, states, base, cluster_items[c], global_items, weights, cfg, (user,)
@@ -465,7 +460,7 @@ def run_training(
 
     for round_idx in range(1, cfg.train.max_rounds + 1):
         started = time.perf_counter()
-        if assignment is None or (round_idx - 1) % cfg.cluster.recluster_every == 0:
+        if (round_idx - 1) % cfg.cluster.recluster_every == 0:
             assignment = make_assignment(round_idx)
             # cluster tables restart from the current global table: cluster
             # identities do not persist across re-clusterings

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fedrec import client as client_module
+from fedrec import gnn
 from fedrec.client import (
     ClientConfig,
     ClientState,
@@ -26,8 +28,8 @@ from fedrec.gnn import (
     EmbeddingTable,
     PropagationOperator,
     bpr_gradients,
+    bpr_loss,
     propagate,
-    readout,
 )
 from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
@@ -66,6 +68,15 @@ class TestSampleBprTriples:
         cg = graph_of({0}, 6, pseudo={1, 2}, masked={3})
         triples = sample_bpr_triples(cg, 200, rng)
         assert set(triples[:, 2].tolist()) <= {4, 5}
+
+    def test_negatives_equal_a_choice_over_the_setdiff(self):
+        cg = graph_of({2, 5}, 12, pseudo={0, 7}, masked={11})
+        triples = sample_bpr_triples(cg, 50, substream(5, "triples"))
+        replay = substream(5, "triples")
+        positives = replay.choice(np.array([2, 5]), size=50)
+        negatives = replay.choice(np.setdiff1d(np.arange(12), [0, 2, 5, 7, 11]), size=50)
+        np.testing.assert_array_equal(triples[:, 1], positives)
+        np.testing.assert_array_equal(triples[:, 2], negatives)
 
 
 def make_split(n_items=8):
@@ -179,6 +190,47 @@ class TestClientUpdate:
         np.testing.assert_array_equal(a.item_grads, b.item_grads)
         assert a.data_count == b.data_count
 
+    def test_propagates_once_forward_and_once_back(self, monkeypatch):
+        split = make_split(n_items=9)
+        items = substream(2, "items").normal(size=(9, 4))
+        cfg = make_cfg(split, items, n_layers=2, batch_size=3)
+        original, calls = gnn.propagate, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (gnn, client_module):
+            if getattr(module, "propagate", None) is original:
+                monkeypatch.setattr(module, "propagate", counting)
+        state = ClientState(0, np.array([0.2, -0.1, 0.4, 0.05]))
+        client_update(state, items, cfg, substream(6, "c", 1, 0))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_loss_and_inferred_row_come_from_the_forward_pass(self, n_layers):
+        split = make_split(n_items=9)
+        items = substream(2, "items").normal(size=(9, 4))
+        user_vec = np.array([0.2, -0.1, 0.4, 0.05])
+        state = ClientState(0, user_vec.copy())
+        privacy = PrivacyConfig(pseudo_items_p=2)
+        cfg = make_cfg(
+            split, items, n_layers=n_layers, gamma=0.02, batch_size=4, privacy=privacy
+        )
+        client_update(state, items, cfg, substream(6, "c", 1, 0))
+
+        replay = substream(6, "c", 1, 0)
+        cg = build_client_graph(split, 0, privacy, replay)
+        triples = sample_bpr_triples(cg, 4, replay)
+        op, raw, local, _ = _local_operator(cg, triples, n_layers, user_vec, items, None)
+        loss, final, _ = bpr_gradients(op, raw, local, 0.02)
+        expected = propagate(op, raw)
+        assert final.users.tobytes() == expected.users.tobytes()
+        assert final.items.tobytes() == expected.items.tobytes()
+        assert loss == bpr_loss(expected, local, 0.02, raw)
+        assert state.last_loss == loss
+        assert state.last_inferred.tobytes() == final.users[0].tobytes()
+
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_matches_direct_gradients_on_the_local_subgraph(self, n_layers):
         split = make_split(n_items=9)
@@ -197,7 +249,7 @@ class TestClientUpdate:
         raw = EmbeddingTable(user_vec[None, :], items)
         local = triples.copy()
         local[:, 0] = 0
-        oracle = bpr_gradients(full_op, raw, local, 0.02)
+        oracle = bpr_gradients(full_op, raw, local, 0.02)[2]
         # nonzero rows plus the batch's items
         support = np.union1d(np.flatnonzero(oracle.items.any(axis=1)), local[:, 1:])
         np.testing.assert_array_equal(update.items, support)
@@ -228,14 +280,14 @@ class TestNeighborExpandedOperator:
         op, raw, local, item_space = _local_operator(
             cg, triples, n_layers, user_vec, items, neighbor_vecs
         )
-        compact = bpr_gradients(op, raw, local, 0.01)
+        compact = bpr_gradients(op, raw, local, 0.01)[2]
 
         # full catalogue: user 0 is the client, user 1 + h has handle h
         claimed = sorted(cg.true_items | cg.pseudo_items)
         edges = [(0, i) for i in claimed] + [(1 + h, i) for h, i in neighbors.tolist()]
         full_op = PropagationOperator(1 + n_handles, n_items, edges, n_layers)
         full_raw = EmbeddingTable(np.vstack((user_vec, neighbor_vecs)), items)
-        full = bpr_gradients(full_op, full_raw, triples, 0.01)
+        full = bpr_gradients(full_op, full_raw, triples, 0.01)[2]
 
         assert {2, 9, 11} <= set(item_space.tolist())
         scattered = np.zeros((n_items, dim))
@@ -251,42 +303,39 @@ class TestPersonalize:
         cluster = rng.normal(size=(4, 2))
         global_ = rng.normal(size=(4, 2))
         w = PersonalizationWeights(1.0, 0.0, 0.0)
-        model = personalize(local, cluster, global_, w, np.ones(2))
-        np.testing.assert_array_equal(model.item_rows, local)
+        mixed = personalize(local, cluster, global_, w)
+        np.testing.assert_array_equal(mixed, local)
 
     def test_identical_models_mix_to_themselves(self, rng):
         rows = rng.normal(size=(3, 2))
         w = PersonalizationWeights(1 / 3, 1 / 3, 1 / 3)
-        model = personalize(rows, rows.copy(), rows.copy(), w, np.zeros(2))
-        np.testing.assert_allclose(model.item_rows, rows, atol=1e-15)
+        mixed = personalize(rows, rows.copy(), rows.copy(), w)
+        np.testing.assert_allclose(mixed, rows, atol=1e-15)
 
     def test_scalar_example(self):
         w = PersonalizationWeights(1 / 3, 1 / 3, 1 / 3)
-        model = personalize(
+        mixed = personalize(
             np.full((1, 1), 2.0),
             np.full((1, 1), 4.0),
             np.full((1, 1), 6.0),
             w,
-            np.zeros(1),
         )
-        assert model.item_rows[0, 0] == pytest.approx(4.0, abs=1e-12)
+        assert mixed[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_global_only_is_bit_exact(self, rng):
         local = rng.normal(size=(5, 3))
         cluster = rng.normal(size=(5, 3))
         global_ = rng.normal(size=(5, 3))
         w = PersonalizationWeights(0.0, 0.0, 1.0)
-        model = personalize(local, cluster, global_, w, np.zeros(3))
-        assert np.array_equal(model.item_rows, global_)
+        mixed = personalize(local, cluster, global_, w)
+        assert np.array_equal(mixed, global_)
 
     def test_linearity_in_each_argument(self, rng):
         tables = [rng.normal(size=(3, 2)) for _ in range(3)]
         w = PersonalizationWeights(0.5, 0.25, 2.0)
-        doubled = personalize(2 * tables[0], tables[1], tables[2], w, np.zeros(2))
-        base = personalize(*tables, w, np.zeros(2))
-        np.testing.assert_allclose(
-            doubled.item_rows - base.item_rows, 0.5 * tables[0], atol=1e-12
-        )
+        doubled = personalize(2 * tables[0], tables[1], tables[2], w)
+        base = personalize(*tables, w)
+        np.testing.assert_allclose(doubled - base, 0.5 * tables[0], atol=1e-12)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="shape"):
@@ -295,7 +344,6 @@ class TestPersonalize:
                 rng.normal(size=(3, 2)),
                 rng.normal(size=(2, 2)),
                 PersonalizationWeights(1, 1, 1),
-                np.zeros(2),
             )
 
     def test_negative_weights_rejected(self):
@@ -333,7 +381,7 @@ class TestLocalState:
         edges = np.column_stack((np.zeros(n, np.int64), np.arange(n)))
         op = PropagationOperator(1, max(n, 1), edges, n_layers)
         raw = EmbeddingTable(row[None, :], rows[items] if n else np.zeros((1, 16)))
-        expected = readout(propagate(op, raw)).users[0]
+        expected = propagate(op, raw).users[0]
         out = infer_user_embedding(row, rows, items, n_layers)
         assert out.tobytes() == expected.tobytes()
 

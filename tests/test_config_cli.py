@@ -195,6 +195,16 @@ class TestCliTrain:
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exits_with_code_two(self, data_file, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfetrain.eta = 0.5\n")
+        code = run_cli(
+            "train", "--config", str(path), "--data.path", str(data_file),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_missing_data_file_exits_with_code_three(self, tmp_path):
         code = run_cli(
             "train", "--data.path", str(tmp_path / "nope.tsv"), "--out", str(tmp_path)

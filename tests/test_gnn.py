@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrec.errors import DataError
 from fedrec.gnn import (
     BipartiteGraph,
     EmbeddingTable,
@@ -14,7 +15,6 @@ from fedrec.gnn import (
     bpr_loss,
     load_checkpoint,
     propagate,
-    readout,
     save_checkpoint,
 )
 from helpers import (
@@ -32,35 +32,39 @@ def table(users, items):
 
 class TestPropagate:
     def test_single_edge_swaps_rows(self):
+        # layer 1 swaps the two rows; the readout averages it with layer 0
         op = PropagationOperator(1, 1, ((0, 0),), 1)
-        layers = propagate(op, table([[1.0, 0.0]], [[0.0, 1.0]]))
-        np.testing.assert_allclose(layers[1].users, [[0.0, 1.0]])
-        np.testing.assert_allclose(layers[1].items, [[1.0, 0.0]])
+        out = propagate(op, table([[1.0, 0.0]], [[0.0, 1.0]]))
+        np.testing.assert_array_equal(out.users, [[0.5, 0.5]])
+        np.testing.assert_array_equal(out.items, [[0.5, 0.5]])
 
     def test_zero_layers_return_the_input(self, rng):
         op = PropagationOperator(3, 4, ((0, 1), (2, 3)), 0)
         t = random_table(rng, 3, 4, 5)
-        layers = propagate(op, t)
-        assert len(layers) == 1
-        np.testing.assert_array_equal(layers[0].users, t.users)
-        np.testing.assert_array_equal(layers[0].items, t.items)
+        out = propagate(op, t)
+        np.testing.assert_array_equal(out.users, t.users)
+        np.testing.assert_array_equal(out.items, t.items)
+        # a copy, not a view of the input
+        assert not np.shares_memory(out.users, t.users)
+        assert not np.shares_memory(out.items, t.items)
 
     def test_two_step_path_matches_dense_power(self, rng):
         # u0 - i0 - u1 path, two layers
         edges = ((0, 0), (1, 0))
         op = PropagationOperator(2, 1, edges, 2)
         t = random_table(rng, 2, 1, 3)
-        out = readout(propagate(op, t))
+        out = propagate(op, t)
         oracle = dense_readout(2, 1, edges, 2, t)
         np.testing.assert_allclose(out.users, oracle.users, atol=1e-12)
         np.testing.assert_allclose(out.items, oracle.items, atol=1e-12)
 
     def test_isolated_nodes_propagate_to_zero(self, rng):
-        op = PropagationOperator(2, 2, ((0, 0),), 1)
+        # every layer after the input is zero, so the readout is x / (L + 1)
         t = random_table(rng, 2, 2, 3)
-        layers = propagate(op, t)
-        np.testing.assert_array_equal(layers[1].users[1], np.zeros(3))
-        np.testing.assert_array_equal(layers[1].items[1], np.zeros(3))
+        for n_layers in (1, 3):
+            out = propagate(PropagationOperator(2, 2, ((0, 0),), n_layers), t)
+            np.testing.assert_array_equal(out.users[1], t.users[1] / (n_layers + 1))
+            np.testing.assert_array_equal(out.items[1], t.items[1] / (n_layers + 1))
 
     def test_linearity(self, rng):
         graph = random_bipartite(rng, 4, 5)
@@ -69,41 +73,30 @@ class TestPropagate:
         f = random_table(rng, 4, 5, 3)
         a, b = 0.7, -2.5
         combo = EmbeddingTable(a * e.users + b * f.users, a * e.items + b * f.items)
-        lhs = readout(propagate(op, combo))
-        ye = readout(propagate(op, e))
-        yf = readout(propagate(op, f))
+        lhs = propagate(op, combo)
+        ye = propagate(op, e)
+        yf = propagate(op, f)
         np.testing.assert_allclose(lhs.users, a * ye.users + b * yf.users, atol=1e-12)
         np.testing.assert_allclose(lhs.items, a * ye.items + b * yf.items, atol=1e-12)
 
-    def test_one_step_operator_is_self_adjoint(self, rng):
+    def test_readout_map_is_self_adjoint(self, rng):
         graph = random_bipartite(rng, 5, 6)
-        op = PropagationOperator(5, 6, graph.edges, 1)
         x = random_table(rng, 5, 6, 4)
         y = random_table(rng, 5, 6, 4)
-        sx = propagate(op, x)[1]
-        sy = propagate(op, y)[1]
-        lhs = np.vdot(sx.users, y.users) + np.vdot(sx.items, y.items)
-        rhs = np.vdot(x.users, sy.users) + np.vdot(x.items, sy.items)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+        for n_layers in (1, 3):
+            op = PropagationOperator(5, 6, graph.edges, n_layers)
+            rx, ry = propagate(op, x), propagate(op, y)
+            lhs = np.vdot(rx.users, y.users) + np.vdot(rx.items, y.items)
+            rhs = np.vdot(x.users, ry.users) + np.vdot(x.items, ry.items)
+            assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 class TestReadout:
-    def test_single_layer_is_identity(self, rng):
-        t = random_table(rng, 2, 2, 3)
-        out = readout([t])
-        np.testing.assert_array_equal(out.users, t.users)
-
-    def test_mean_of_two_layers(self):
-        a = table([[2.0, 0.0]], [[2.0, 0.0]])
-        b = table([[0.0, 2.0]], [[0.0, 2.0]])
-        out = readout([a, b])
-        np.testing.assert_allclose(out.users, [[1.0, 1.0]])
-
     def test_random_graph_matches_dense_oracle(self, rng):
         graph = random_bipartite(rng, 2, 3)  # 5 nodes
         op = PropagationOperator(2, 3, graph.edges, 3)
         t = random_table(rng, 2, 3, 4)
-        out = readout(propagate(op, t))
+        out = propagate(op, t)
         oracle = dense_readout(2, 3, graph.edges, 3, t)
         np.testing.assert_allclose(out.users, oracle.users, atol=1e-12)
         np.testing.assert_allclose(out.items, oracle.items, atol=1e-12)
@@ -123,9 +116,9 @@ class TestOperatorEdges:
         np.testing.assert_array_equal(from_array.degree_u, from_pairs.degree_u)
         np.testing.assert_array_equal(from_array.degree_i, from_pairs.degree_i)
         t = random_table(rng, n_users, n_items, 3)
-        for a, b in zip(propagate(from_array, t), propagate(from_pairs, t)):
-            np.testing.assert_array_equal(a.users, b.users)
-            np.testing.assert_array_equal(a.items, b.items)
+        a, b = propagate(from_array, t), propagate(from_pairs, t)
+        np.testing.assert_array_equal(a.users, b.users)
+        np.testing.assert_array_equal(a.items, b.items)
 
     @pytest.mark.parametrize(
         "edges",
@@ -200,7 +193,7 @@ class TestBprGradients:
         raw = random_table(rng, 2, 3, 4)
         op = PropagationOperator(2, 3, ((0, 0), (0, 1)), 0)
         triple = (0, 0, 2)
-        grads = bpr_gradients(op, raw, [triple], 0.0)
+        grads = bpr_gradients(op, raw, [triple], 0.0)[2]
         margin = float(raw.users[0] @ (raw.items[0] - raw.items[2]))
         coef = 1.0 / (1.0 + math.exp(-margin)) - 1.0
         np.testing.assert_allclose(
@@ -210,6 +203,18 @@ class TestBprGradients:
         np.testing.assert_allclose(grads.items[2], -coef * raw.users[0], atol=1e-12)
         np.testing.assert_array_equal(grads.users[1], 0.0)
         np.testing.assert_array_equal(grads.items[1], 0.0)
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_loss_and_readout_are_the_forward_pass(self, rng, n_layers):
+        graph = random_bipartite(rng, 6, 7, edge_prob=0.4)
+        op = PropagationOperator(6, 7, graph.edges, n_layers)
+        raw = random_table(rng, 6, 7, 3)
+        triples = [(0, 1, 2), (3, 4, 5), (5, 6, 0)]
+        loss, final, _ = bpr_gradients(op, raw, triples, 0.05)
+        expected = propagate(op, raw)
+        assert final.users.tobytes() == expected.users.tobytes()
+        assert final.items.tobytes() == expected.items.tobytes()
+        assert loss == bpr_loss(expected, triples, 0.05, raw)
 
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     def test_matches_finite_differences(self, n_layers):
@@ -222,9 +227,9 @@ class TestBprGradients:
             for _ in range(5)
         ]
         gamma = 0.05
-        analytic = bpr_gradients(op, raw, triples, gamma)
+        analytic = bpr_gradients(op, raw, triples, gamma)[2]
         fd = table_loss_gradient(
-            lambda t: bpr_loss(readout(propagate(op, t)), triples, gamma, t), raw
+            lambda t: bpr_loss(propagate(op, t), triples, gamma, t), raw
         )
         assert max_rel_error(analytic.users, fd.users) < 1e-5
         assert max_rel_error(analytic.items, fd.items) < 1e-5
@@ -234,13 +239,13 @@ class TestBprGradients:
         op = PropagationOperator(5, 6, graph.edges, 2)
         raw = random_table(rng, 5, 6, 4)
         triples = [(0, 1, 2), (3, 4, 5), (2, 0, 3)]
-        dense = bpr_gradients(op, raw, triples, 0.01)
+        dense = bpr_gradients(op, raw, triples, 0.01)[2]
         eta = 1e-2
         stepped = EmbeddingTable(
             raw.users - eta * dense.users, raw.items - eta * dense.items
         )
-        before = bpr_loss(readout(propagate(op, raw)), triples, 0.01, raw)
-        after = bpr_loss(readout(propagate(op, stepped)), triples, 0.01, stepped)
+        before = bpr_loss(propagate(op, raw), triples, 0.01, raw)
+        after = bpr_loss(propagate(op, stepped), triples, 0.01, stepped)
         assert after < before
 
     @pytest.mark.parametrize("bad, match", BAD_BATCHES)
@@ -280,7 +285,7 @@ def test_propagation_matches_dense_oracle_property(seed, n_users, n_items, n_lay
     graph = random_bipartite(rng, n_users, n_items, edge_prob=0.5)
     op = PropagationOperator(n_users, n_items, graph.edges, n_layers)
     t = random_table(rng, n_users, n_items, 3)
-    out = readout(propagate(op, t))
+    out = propagate(op, t)
     oracle = dense_readout(n_users, n_items, graph.edges, n_layers, t)
     np.testing.assert_allclose(out.users, oracle.users, atol=1e-10)
     np.testing.assert_allclose(out.items, oracle.items, atol=1e-10)
@@ -303,6 +308,17 @@ class TestCheckpoint:
         assert path.read_text().splitlines()[0] == "2 1 1 pretrained=true"
         _, flags = load_checkpoint(path)
         assert flags == {"pretrained": "true"}
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 -1 2\n0.0 0.0\n", "0 1 1\n\n\n", "-1 1 0\n0.0\n", "2 1 -1\n"],
+        ids=["negative-users", "zero-dim", "negative-dim", "negative-items"],
+    )
+    def test_negative_or_zero_header_fields_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match="bad.txt.*header"):
+            load_checkpoint(path)
 
     def test_row_count_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec.data import leave_one_out_split
-from fedrec.gnn import BipartiteGraph, EmbeddingTable, init_table, propagate, readout
+from fedrec.gnn import BipartiteGraph, EmbeddingTable, init_table, propagate
 from fedrec.pretrain import (
     AugmentationConfig,
     GraphView,
@@ -143,7 +143,7 @@ class TestMakeViews:
         v1, v2 = view_pair(graph, t, cfg, 2, rng)
         from fedrec.gnn import PropagationOperator
 
-        plain = readout(propagate(PropagationOperator(3, 3, graph.edges, 2), t))
+        plain = propagate(PropagationOperator(3, 3, graph.edges, 2), t)
         np.testing.assert_array_equal(v1.users, plain.users)
         np.testing.assert_array_equal(v2.users, plain.users)
         np.testing.assert_array_equal(v1.items, plain.items)

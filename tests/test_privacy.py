@@ -7,6 +7,7 @@ from fedrec.gnn import GradientUpdate
 from fedrec.privacy import (
     LdpConfig,
     PrivacyConfig,
+    complement_ids,
     laplace_noise,
     ldp_randomize,
     mask_interacted_items,
@@ -48,6 +49,23 @@ class TestSamplePseudoItems:
         pool = sorted(set(range(20)) - {1, 4, 9})
         expected = substream(4, "p").choice(pool, 5, replace=False)
         assert picked.tolist() == sorted(expected.tolist())
+
+
+# (catalogue size, blocked ids): none blocked, both ends blocked, one id free
+COMPLEMENTS = [(9, []), (10, [0, 3, 4, 9]), (6, [0, 1, 2, 4, 5])]
+
+
+class TestComplementIds:
+    @pytest.mark.parametrize("n_items,blocked", COMPLEMENTS)
+    @pytest.mark.parametrize("replace", [True, False])
+    def test_draws_equal_a_choice_over_the_setdiff(self, n_items, blocked, replace):
+        blocked = ids(*blocked)
+        free = np.setdiff1d(np.arange(n_items), blocked)
+        size = 7 if replace else len(free)
+        for seed in range(20):
+            pos = np.random.default_rng(seed).choice(len(free), size, replace=replace)
+            expected = np.random.default_rng(seed).choice(free, size, replace=replace)
+            assert complement_ids(blocked, pos).tolist() == expected.tolist()
 
 
 class TestMaskInteractedItems:

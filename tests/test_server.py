@@ -498,9 +498,8 @@ class TestPersonalizedModels:
                 cluster,
                 result.global_items,
                 weights,
-                state.user_vec,
             )
-            ref = eval_model(cfg, tiny_split, user, mixed.user_row, mixed.item_rows)
+            ref = eval_model(cfg, tiny_split, user, state.user_vec, mixed)
             ours = models[user]
             assert ours.item_rows.tobytes() == ref.item_rows.tobytes()
             assert ours.user_embedding.tobytes() == ref.user_embedding.tobytes()
