@@ -20,12 +20,7 @@ from .evaluation import PHASES, evaluate_cutoffs
 from .gnn import EmbeddingTable, load_checkpoint, save_checkpoint
 from .privacy import privacy_budget
 from .server import (
-    eval_model,
-    eval_weights,
-    personalized_models,
-    privacy_settings,
-    run_training,
-    warm_up,
+    eval_model, personalized_models, privacy_settings, run_training, warm_up
 )
 
 COMMANDS = ("pretrain", "train", "evaluate", "simulate")
@@ -35,6 +30,8 @@ _ABLATION_SUGAR = {
     "no_personalization": ("personalization.alpha", "0,0,1"),
     "no_clustering": ("cluster.k", "1"),
 }
+# flags that only one command reads
+_COMMAND_FLAGS = {"checkpoint": "evaluate", "warm-start": "train"}
 
 USAGE = """\
 usage: fedrec COMMAND [options]
@@ -65,7 +62,7 @@ def _parse_args(argv: list[str]):
     command = argv[0]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
-    options = {"out": ".", "config": None, "checkpoint": None, "warm_start": None}
+    options = {"out": ".", "config": None, "checkpoint": None, "warm-start": None}
     overrides: dict[str, str] = {}
     i = 1
     while i < len(argv):
@@ -84,16 +81,17 @@ def _parse_args(argv: list[str]):
                 raise ConfigError(f"flag --{body} needs a value")
             key, value = body, argv[i + 1]
             i += 2
-        if key in ("config", "out", "checkpoint"):
+        if key in ("config", "out", "checkpoint", "warm-start"):
             options[key] = value
-        elif key == "warm-start":
-            options["warm_start"] = value
         elif key == "seed":
             overrides["train.seed"] = value
         elif key in REGISTRY:
             overrides[key] = value
         else:
             raise ConfigError(f"unknown flag --{key}")
+    for flag, only in _COMMAND_FLAGS.items():
+        if options[flag] is not None and command != only:
+            raise ConfigError(f"--{flag} is only for {only}, not {command}")
     return command, options, overrides
 
 
@@ -121,7 +119,6 @@ def _results_records(cfg, split, models, final_round) -> list[dict]:
 def cmd_pretrain(cfg: ExperimentConfig, split: SplitDataset, out: Path) -> EmbeddingTable:
     """Warm up, write ``pretrained.txt`` and its summary, return the table."""
     result = warm_up(cfg, split)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.table, out / "pretrained.txt", pretrained=True)
     _write_json(
         out / "pretrain_summary.json",
@@ -145,7 +142,6 @@ def cmd_train(
         eps = privacy_budget(privacy_settings(cfg).ldp)
         print(f"privacy: per-upload budget bound {eps:.4f}")
     result = run_training(cfg, split, warm_table=warm_table, verbose=True)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.checkpoint_table(), out / "checkpoint.txt")
     with open(out / "rounds.jsonl", "w", encoding="utf-8") as fh:
         for report in result.reports:
@@ -154,16 +150,7 @@ def cmd_train(
         fh.write("user_id,cluster_id\n")
         for user in range(split.n_users):
             fh.write(f"{user},{int(result.assignment.assignment[user])}\n")
-    models = personalized_models(
-        split,
-        result.states,
-        result.cluster_items,
-        result.assignment,
-        result.global_items,
-        result.local_base,
-        eval_weights(cfg),
-        cfg,
-    )
+    models = personalized_models(split, result, cfg)
     _write_json(
         out / "results.json", _results_records(cfg, split, models, result.final_round)
     )
@@ -182,7 +169,6 @@ def cmd_evaluate(
         for user in range(split.n_users)
     )
     records = _results_records(cfg, split, models, 0)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "results.json", records)
     for rec in records:
         print(
@@ -207,11 +193,15 @@ def main(argv=None) -> int:
             raise ConfigError("evaluate needs --checkpoint PATH")
         if not cfg.data.path:
             raise ConfigError("data.path is required")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
         split = leave_one_out_split(load_interactions(cfg.data.path))
         if command == "pretrain":
             cmd_pretrain(cfg, split, out)
         elif command == "train":
-            warm_start = options["warm_start"]
+            warm_start = options["warm-start"]
             warm_table = load_checkpoint(warm_start)[0] if warm_start else None
             cmd_train(cfg, split, out, warm_table)
         elif command == "evaluate":

@@ -66,7 +66,8 @@ def init_client_states(table: EmbeddingTable) -> dict[int, ClientState]:
 
 @dataclass(eq=False)
 class ClientConfig:
-    """Round-invariant inputs shared by every client update."""
+    """Inputs shared by every client update; only ``neighbor_vecs`` changes
+    from round to round."""
 
     split: SplitDataset
     n_layers: int

@@ -7,6 +7,7 @@ through :func:`dump_flat` / :func:`build_config` unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -113,9 +114,12 @@ def _parse_int(key: str, text: str) -> int:
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_str(key: str, text: str) -> str:
@@ -258,6 +262,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     )
     _require(len(cfg.eval.cutoffs) >= 1, "eval.cutoffs needs at least one cutoff")
     _require(min(cfg.eval.cutoffs) >= 1, "eval.cutoffs values must be >= 1")
+    _require(
+        len(set(cfg.eval.cutoffs)) == len(cfg.eval.cutoffs),
+        "eval.cutoffs values must be distinct",
+    )
 
 
 def pretrain_eta(cfg: ExperimentConfig) -> float:

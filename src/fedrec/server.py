@@ -236,14 +236,23 @@ class RoundReport:
 
 @dataclass(eq=False)
 class TrainResult:
+    """The model the round loop trains: the global item table, the cluster
+    tables with their assignment, every client's state and the warm-start
+    item table under the clients' overlays. No table is ever written in place
+    (``apply_update`` returns a copy, ``client_update`` rebinds), so records
+    and snapshots may share arrays."""
+
     global_items: np.ndarray
-    user_table: np.ndarray
     cluster_items: dict[int, np.ndarray]
-    assignment: ClusterAssignment
-    reports: list[RoundReport]
+    assignment: ClusterAssignment | None
     states: dict[int, ClientState]
     local_base: np.ndarray
-    final_round: int
+    reports: list[RoundReport]
+    final_round: int = 0
+
+    @property
+    def user_table(self) -> np.ndarray:
+        return np.vstack([self.states[u].user_vec for u in range(len(self.states))])
 
     def checkpoint_table(self) -> EmbeddingTable:
         return EmbeddingTable(self.user_table, self.global_items)
@@ -276,15 +285,17 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
         split.n_users, split.n_items, cfg.model.dim, substream(cfg.train.seed, "init")
     )
     graph = assemble_pretraining_graph(split, privacy_settings(cfg), cfg.train.seed)
-    result = pretrain(
-        graph,
-        table,
-        cfg.pretrain.epochs,
-        augmentation_settings(cfg, split.n_users),
-        pretrain_eta(cfg),
-        cfg.model.layers,
-        substream(cfg.train.seed, "pretrain"),
-    )
+    # a blow-up here is named by the check below, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = pretrain(
+            graph,
+            table,
+            cfg.pretrain.epochs,
+            augmentation_settings(cfg, split.n_users),
+            pretrain_eta(cfg),
+            cfg.model.layers,
+            substream(cfg.train.seed, "pretrain"),
+        )
     if not result.table.allfinite():
         raise NumericError("non-finite embeddings after pre-training")
     return result
@@ -378,28 +389,20 @@ def build_eval_models(
 
 
 def personalized_models(
-    split: SplitDataset,
-    states: dict[int, ClientState],
-    cluster_items: dict[int, np.ndarray],
-    assignment: ClusterAssignment,
-    global_items: np.ndarray,
-    local_base: np.ndarray,
-    weights: PersonalizationWeights,
-    cfg: ExperimentConfig,
+    split: SplitDataset, model: TrainResult, cfg: ExperimentConfig
 ) -> Iterator[tuple[int, UserEvalModel]]:
-    """``(user, model)`` for every user on the alpha-mixed item table, cluster
-    by cluster: only one cluster's base mix and one user's copy of it exist at
-    once."""
+    """``(user, model)`` for every user on the item table mixed by
+    ``personalization.alpha``, cluster by cluster: only one cluster's base mix
+    and one user's copy of it exist at once."""
+    weights = PersonalizationWeights(*cfg.personalization.alpha)
+    states, assignment, global_items = model.states, model.assignment, model.global_items
     for c in range(assignment.k):  # k-means leaves no cluster empty
-        base = personalize(local_base, cluster_items[c], global_items, weights)
+        cluster_items = model.cluster_items[c]
+        base = personalize(model.local_base, cluster_items, global_items, weights)
         for user in np.flatnonzero(assignment.assignment == c).tolist():
             yield from build_eval_models(
-                split, states, base, cluster_items[c], global_items, weights, cfg, (user,)
+                split, states, base, cluster_items, global_items, weights, cfg, (user,)
             ).items()
-
-
-def eval_weights(cfg: ExperimentConfig) -> PersonalizationWeights:
-    return PersonalizationWeights(*cfg.personalization.alpha)
 
 
 def run_training(
@@ -414,8 +417,8 @@ def run_training(
     proportion to cluster sizes, collect privacy-protected client updates,
     apply the weighted-average step to the global table and to each cluster
     table, and periodically evaluate the personalized models on validation
-    data with early stopping on NDCG@20. The best-validation snapshot is
-    restored at the end.
+    data with early stopping on NDCG@20. Returns the best-validation
+    snapshot of the model, with every round's report.
     """
     seed = cfg.train.seed
     n_users = split.n_users
@@ -432,76 +435,66 @@ def run_training(
         table = init_table(n_users, split.n_items, cfg.model.dim, substream(seed, "init"))
     else:
         table = warm_up(cfg, split).table
-    states = init_client_states(table)
-    global_items = table.items.copy()
-    local_base = table.items.copy()
+    # the global and the warm-start item table start as one array
+    model = TrainResult(table.items, {}, None, init_client_states(table), table.items, [])
 
     k_clusters = min(cfg.cluster.k, n_users)
     budget = min(cfg.train.clients_per_round, n_users)
-    weights = eval_weights(cfg)
     es_cutoff = 20 if 20 in cfg.eval.cutoffs else max(cfg.eval.cutoffs)
-
     neighbors, by_handle = (
         _neighbor_setup(cfg, split) if cfg.graph.neighbor_expansion else ((), None)
     )
+    ctx = ClientConfig(
+        split=split,
+        n_layers=cfg.model.layers,
+        eta=cfg.train.eta,
+        gamma=cfg.train.gamma,
+        batch_size=cfg.train.batch_size,
+        privacy=privacy_settings(cfg),
+        local_base=model.local_base,
+        neighbors=neighbors,
+    )
+    best, best_ndcg, evals_since_best = None, -np.inf, 0
 
-    privacy = privacy_settings(cfg)
-    assignment: ClusterAssignment | None = None
-    cluster_items: dict[int, np.ndarray] = {}
-    reports: list[RoundReport] = []
-    best_snapshot = None
-    best_ndcg = -np.inf
-    best_round = 0
-    evals_since_best = 0
+    def recluster(round_idx: int) -> None:
+        X = _noised_uploads(model.states, cfg, "cluster-upload", round_idx)
+        rng = substream(seed, "cluster", round_idx)
+        model.assignment = cluster_users(X, k_clusters, rng)
+        # cluster tables restart from the current global table: cluster
+        # identities do not persist across re-clusterings
+        model.cluster_items = dict.fromkeys(range(k_clusters), model.global_items)
 
-    def make_assignment(round_idx: int) -> ClusterAssignment:
-        X = _noised_uploads(states, cfg, "cluster-upload", round_idx)
-        return cluster_users(X, k_clusters, substream(seed, "cluster", round_idx))
-
+    states, eta = model.states, cfg.train.eta  # the states dict is never rebound
     for round_idx in range(1, cfg.train.max_rounds + 1):
         started = time.perf_counter()
         if (round_idx - 1) % cfg.cluster.recluster_every == 0:
-            assignment = make_assignment(round_idx)
-            # cluster tables restart from the current global table: cluster
-            # identities do not persist across re-clusterings
-            cluster_items = {c: global_items.copy() for c in range(k_clusters)}
-        selected = select_clients(assignment, budget, substream(seed, "select", round_idx))
-        # uploaded user embeddings in handle order, for one-hop expansion
-        neighbor_vecs = (
-            _noised_uploads(states, cfg, "neighbor-upload", round_idx)[by_handle]
-            if cfg.graph.neighbor_expansion
-            else None
-        )
-
-        ctx = ClientConfig(
-            split=split,
-            n_layers=cfg.model.layers,
-            eta=cfg.train.eta,
-            gamma=cfg.train.gamma,
-            batch_size=cfg.train.batch_size,
-            privacy=privacy,
-            local_base=local_base,
-            neighbors=neighbors,
-            neighbor_vecs=neighbor_vecs,
-        )
+            recluster(round_idx)
+        rng = substream(seed, "select", round_idx)
+        selected = select_clients(model.assignment, budget, rng)
+        if cfg.graph.neighbor_expansion:
+            # uploaded user embeddings in handle order, for one-hop expansion
+            uploads = _noised_uploads(states, cfg, "neighbor-upload", round_idx)
+            ctx.neighbor_vecs = uploads[by_handle]
 
         # a blow-up here is named by the checks below, not by a warning
         with np.errstate(over="ignore", invalid="ignore"):
             updates = [
                 client_update(
-                    states[user], global_items, ctx, substream(seed, "client", round_idx, user)
+                    states[user],
+                    model.global_items,
+                    ctx,
+                    substream(seed, "client", round_idx, user),
                 )
                 for user in selected
             ]
-            global_items = apply_update(global_items, aggregate(updates), cfg.train.eta)
+            model.global_items = apply_update(model.global_items, aggregate(updates), eta)
             by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
             for user, update in zip(selected, updates):
-                by_cluster[int(assignment.assignment[user])].append(update)
+                by_cluster[int(model.assignment.assignment[user])].append(update)
             for c in sorted(by_cluster):
-                cluster_items[c] = apply_update(
-                    cluster_items[c], aggregate(by_cluster[c]), cfg.train.eta
-                )
-        tables = [global_items] + [cluster_items[c] for c in by_cluster]
+                step = aggregate(by_cluster[c])
+                model.cluster_items[c] = apply_update(model.cluster_items[c], step, eta)
+        tables = [model.global_items] + [model.cluster_items[c] for c in by_cluster]
         if not all(np.isfinite(t).all() for t in tables):
             raise NumericError(f"non-finite global or cluster table after round {round_idx}")
         if not all(
@@ -513,36 +506,22 @@ def run_training(
         train_loss = float(np.mean([states[u].last_loss for u in selected]))
         val_recall = val_ndcg = None
         if round_idx % cfg.train.eval_every == 0:
-            models = personalized_models(
-                split,
-                states,
-                cluster_items,
-                assignment,
-                global_items,
-                local_base,
-                weights,
-                cfg,
-            )
-            result = evaluate_cutoffs(split, models, (es_cutoff,))["validation"][
-                es_cutoff
-            ]
+            models = personalized_models(split, model, cfg)
+            result = evaluate_cutoffs(split, models, (es_cutoff,))["validation"][es_cutoff]
             val_recall, val_ndcg = result.recall, result.ndcg
             if val_ndcg > best_ndcg:
-                best_ndcg = val_ndcg
-                best_round = round_idx
-                evals_since_best = 0
-                # arrays are never changed in place (apply_update returns a
-                # copy, client_update rebinds), so references suffice
-                best_snapshot = (
-                    global_items,
-                    dict(cluster_items),
-                    assignment,
-                    {u: replace(s) for u, s in states.items()},
+                best_ndcg, evals_since_best = val_ndcg, 0
+                # no table is written in place, so the snapshot shares them
+                best = replace(
+                    model,
+                    cluster_items=dict(model.cluster_items),
+                    states={u: replace(s) for u, s in states.items()},
+                    final_round=round_idx,
                 )
             else:
                 evals_since_best += 1
 
-        reports.append(
+        model.reports.append(
             RoundReport(
                 round=round_idx,
                 selected=tuple(selected),
@@ -559,22 +538,9 @@ def run_training(
         if evals_since_best >= cfg.train.patience:
             break
 
-    if assignment is None:
-        assignment = make_assignment(0)
-        cluster_items = {c: global_items.copy() for c in range(k_clusters)}
-    final_round = len(reports)
-    if best_snapshot is not None:
-        global_items, cluster_items, assignment, states = best_snapshot
-        final_round = best_round
-
-    user_table = np.vstack([states[u].user_vec for u in range(n_users)])
-    return TrainResult(
-        global_items=global_items,
-        user_table=user_table,
-        cluster_items=cluster_items,
-        assignment=assignment,
-        reports=reports,
-        states=states,
-        local_base=local_base,
-        final_round=final_round,
-    )
+    if model.assignment is None:
+        recluster(0)
+    if best is None:
+        model.final_round = len(model.reports)
+        return model
+    return replace(best, reports=model.reports)

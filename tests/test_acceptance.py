@@ -41,7 +41,6 @@ from fedrec.pretrain import infonce_gradients
 from fedrec.privacy import LdpConfig, PrivacyConfig, laplace_noise, privacy_budget
 from fedrec.rng import substream
 from fedrec.server import (
-    eval_weights,
     aggregate,
     item_token,
     matcher_key,
@@ -326,17 +325,7 @@ def _ablation_config(seed):
 
 
 def _final_test_ndcg(cfg, split):
-    result = run_training(cfg, split)
-    models = personalized_models(
-        split,
-        result.states,
-        result.cluster_items,
-        result.assignment,
-        result.global_items,
-        result.local_base,
-        eval_weights(cfg),
-        cfg,
-    )
+    models = personalized_models(split, run_training(cfg, split), cfg)
     return evaluate_cutoffs(split, models, (20,))["test"][20].ndcg
 
 

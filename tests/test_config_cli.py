@@ -66,7 +66,11 @@ class TestConfig:
             ("privacy.mask_ratio", "1.0"),
             ("personalization.alpha", "0.5,0.5"),
             ("personalization.alpha", "0,0,0"),
+            ("personalization.alpha", "inf,0,0"),
+            ("train.eta", "inf"),
+            ("pretrain.tau", "inf"),
             ("eval.cutoffs", "0"),
+            ("eval.cutoffs", "10,10"),
         ],
     )
     def test_validation_names_the_offending_key(self, key, value):
@@ -134,6 +138,18 @@ class TestCliPretrain:
     def test_missing_data_path_names_the_key(self, capsys):
         assert run_cli("pretrain") == 2
         assert "data.path" in capsys.readouterr().err
+
+    def test_numeric_blowup_exits_with_code_four(self, data_file, tmp_path, capsys):
+        # the named error is the only report: no overflow warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(
+                "pretrain", "--data.path", str(data_file), "--model.dim", "8",
+                "--train.eta", "1e308", "--pretrain.node_keep_prob", "1",
+                "--out", str(tmp_path / "pn"),
+            )
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestCliTrain:
@@ -371,6 +387,44 @@ class TestCliSimulate:
             "--pretrain.epochs=0", f"--out={out}",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("simulate", "--warm-start"),
+            ("pretrain", "--warm-start"),
+            ("evaluate", "--warm-start"),
+            ("pretrain", "--checkpoint"),
+            ("train", "--checkpoint"),
+            ("simulate", "--checkpoint"),
+        ],
+    )
+    def test_a_flag_of_another_command_is_a_config_error(
+        self, data_file, tmp_path, capsys, command, flag
+    ):
+        args = [
+            command, flag, str(tmp_path / "nonexistent"), "--data.path", str(data_file),
+            "--model.dim", "8", "--pretrain.epochs", "0", "--train.max_rounds", "1",
+            "--out", str(tmp_path / "o"),
+        ]
+        if command == "evaluate":
+            args += ["--checkpoint", str(tmp_path / "nonexistent")]
+        assert run_cli(*args) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_an_unusable_out_is_a_config_error_naming_it(
+        self, data_file, tmp_path, capsys, target
+    ):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / target
+        code = run_cli(
+            "simulate", "--data.path", str(data_file), "--model.dim", "8",
+            "--pretrain.epochs", "1", "--train.max_rounds", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_help_exits_cleanly(self, capsys):
         assert run_cli("--help") == 0

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -20,7 +21,6 @@ from fedrec.server import (
     apply_update,
     cluster_users,
     eval_model,
-    eval_weights,
     item_token,
     matcher_key,
     neighborhood_match,
@@ -367,16 +367,9 @@ class TestRunTraining:
     def test_global_only_weights_match_bare_global_evaluation(self, tiny_split):
         cfg = tiny_config()
         result = run_training(cfg, tiny_split)
-        models = personalized_models(
-            tiny_split,
-            result.states,
-            result.cluster_items,
-            result.assignment,
-            result.global_items,
-            result.local_base,
-            PersonalizationWeights(0.0, 0.0, 1.0),
-            cfg,
-        )
+        global_only = copy.deepcopy(cfg)
+        global_only.personalization.alpha = (0.0, 0.0, 1.0)
+        models = personalized_models(tiny_split, result, global_only)
         # bare side: the checkpoint rows, as `fedrec evaluate` ranks them
         table = result.checkpoint_table()
         bare = (
@@ -477,19 +470,10 @@ class TestPersonalizedModels:
         cfg, result = trained
         assert len(np.unique(result.assignment.assignment)) >= 2
         assert any(len(s.local_items) for s in result.states.values())
-        weights = PersonalizationWeights(0.5, 0.3, 0.2)
-        models = dict(
-            personalized_models(
-                tiny_split,
-                result.states,
-                result.cluster_items,
-                result.assignment,
-                result.global_items,
-                result.local_base,
-                weights,
-                cfg,
-            )
-        )
+        cfg = copy.deepcopy(cfg)
+        cfg.personalization.alpha = (0.5, 0.3, 0.2)
+        weights = PersonalizationWeights(*cfg.personalization.alpha)
+        models = dict(personalized_models(tiny_split, result, cfg))
         assert sorted(models) == list(range(tiny_split.n_users))
         for user, state in result.states.items():
             cluster = result.cluster_items[int(result.assignment.assignment[user])]
@@ -511,16 +495,7 @@ class TestPersonalizedModels:
     ):
         _, result = trained
         cfg = tiny_config(**{"privacy.pseudo_items_p": p})
-        models = personalized_models(
-            tiny_split,
-            result.states,
-            result.cluster_items,
-            result.assignment,
-            result.global_items,
-            result.local_base,
-            eval_weights(cfg),
-            cfg,
-        )
+        models = personalized_models(tiny_split, result, cfg)
         for user, model in models:
             train = tiny_split.train_items(user)
             if p == 0:
