@@ -198,6 +198,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
         split = leave_one_out_split(load_interactions(cfg.data.path))
+        p = cfg.privacy.pseudo_items_p
+        free = split.n_items - int((split.indptr[1:] - split.indptr[:-1]).max())
+        if command in ("train", "simulate") and 0 < p and free <= p:
+            raise ConfigError(f"privacy.pseudo_items_p must be below {free} to leave negatives")
         if command == "pretrain":
             cmd_pretrain(cfg, split, out)
         elif command == "train":

@@ -204,14 +204,6 @@ def personalize(
     )
 
 
-def local_item_table(state: ClientState, base: np.ndarray) -> np.ndarray:
-    """The client's fine-tuned item table: warm-start rows plus its own
-    accumulated raw-gradient steps on the rows it has touched."""
-    rows = base.copy()
-    rows[state.local_items] = state.local_rows
-    return rows
-
-
 def infer_user_embedding(
     user_row: np.ndarray,
     item_rows: np.ndarray,

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .data import SplitDataset, build_client_graph
 from .gnn import (
@@ -169,24 +168,50 @@ def _normalized_rows(x: np.ndarray):
     return x / safe[:, None], zero, safe
 
 
-def _entity_infonce(a: np.ndarray, b: np.ndarray, tau: float):
-    """Per-entity terms and the gradients w.r.t. ``a`` and ``b``, all from
-    one similarity matrix."""
+def _entity_infonce(a: np.ndarray, b: np.ndarray, tau: float, grads: bool):
+    """Per-entity terms and, with ``grads``, the gradients w.r.t. ``a`` and
+    ``b``, in two N×N blocks: the similarities and one exponential that gives
+    scipy's logsumexp and softmax bit for bit (``exp(0)`` is exactly 1)."""
     a_hat, zero_a, na = _normalized_rows(a)
     b_hat, zero_b, nb = _normalized_rows(b)
+    zero = bool(zero_a.any() or zero_b.any())
     sims = a_hat @ b_hat.T
-    logits = sims / tau
-    terms = logsumexp(logits, axis=1) - np.diag(sims) / tau
-    w = softmax(logits, axis=1)
-    del logits
+    w = sims / tau
+    top = w.max(axis=1, keepdims=True)
+    w -= top
+    peaks = np.nonzero(w == 0)  # every row maximum, ties included
+    count = np.bincount(peaks[0], minlength=len(w)).astype(float)[:, None]
+    np.exp(w, out=w)
+    w[peaks] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite input
+        lse = np.log1p(w.sum(axis=1, keepdims=True) / count) + np.log(count) + top
+    terms = lse[:, 0] - np.diag(sims) / tau
+    if not grads:
+        return terms, None, None, zero
+    w[peaks] = 1.0
+    w /= w.sum(axis=1, keepdims=True)
     w[np.diag_indices_from(w)] -= 1.0
     w /= tau
-    ws = w * sims
+    ws = np.multiply(w, sims, out=sims)
     grad_a = (w @ b_hat - ws.sum(axis=1)[:, None] * a_hat) / na[:, None]
     grad_b = (w.T @ a_hat - ws.sum(axis=0)[:, None] * b_hat) / nb[:, None]
     grad_a[zero_a] = 0.0
     grad_b[zero_b] = 0.0
-    return terms, grad_a, grad_b, bool(zero_a.any() or zero_b.any())
+    return terms, grad_a, grad_b, zero
+
+
+def _infonce(view1: EmbeddingTable, view2: EmbeddingTable, tau: float, grads: bool):
+    """The summed loss and the kernel's user and item outputs."""
+    if tau <= 0:
+        raise ValueError("tau must be > 0")
+    if view1.users.shape != view2.users.shape or view1.items.shape != view2.items.shape:
+        raise ValueError("views must have matching row sets")
+    users = _entity_infonce(view1.users, view2.users, tau, grads)
+    items = _entity_infonce(view1.items, view2.items, tau, grads)
+    if users[3] or items[3]:
+        msg = "zero-norm embedding row; its similarities are treated as 0"
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    return float(users[0].sum() + items[0].sum()), users, items
 
 
 def infonce_gradients(
@@ -200,20 +225,13 @@ def infonce_gradients(
     is >= 0. Zero-norm rows contribute similarity 0 to every pair, get a zero
     gradient, and trigger a warning.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    if view1.users.shape != view2.users.shape or view1.items.shape != view2.items.shape:
-        raise ValueError("views must have matching row sets")
-    user_terms, gu1, gu2, warn_u = _entity_infonce(view1.users, view2.users, tau)
-    item_terms, gi1, gi2, warn_i = _entity_infonce(view1.items, view2.items, tau)
-    if warn_u or warn_i:
-        warnings.warn(
-            "zero-norm embedding row; its similarities are treated as 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    loss = float(user_terms.sum() + item_terms.sum())
-    return loss, EmbeddingTable(gu1, gi1), EmbeddingTable(gu2, gi2)
+    loss, users, items = _infonce(view1, view2, tau, grads=True)
+    return loss, EmbeddingTable(users[1], items[1]), EmbeddingTable(users[2], items[2])
+
+
+def infonce_loss(view1: EmbeddingTable, view2: EmbeddingTable, tau: float) -> float:
+    """The loss of :func:`infonce_gradients` alone, from the same kernel."""
+    return _infonce(view1, view2, tau, grads=False)[0]
 
 
 @dataclass(eq=False)
@@ -246,10 +264,11 @@ def pretrain(
         r1, r2 = rng.spawn(2)
         p1 = compose_view(graph, current, cfg, n_layers, r1)
         p2 = compose_view(graph, current, cfg, n_layers, r2)
+        if epoch == epochs:  # the trailing pair takes no step
+            losses.append(infonce_loss(p1.final, p2.final, cfg.temperature))
+            break
         loss, g1, g2 = infonce_gradients(p1.final, p2.final, cfg.temperature)
         losses.append(loss)
-        if epoch == epochs:
-            break
         back1 = p1.backprop(g1)
         back2 = p2.backprop(g2)
         current = EmbeddingTable(

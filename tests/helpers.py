@@ -13,6 +13,14 @@ from fedrec.data import SplitDataset
 from fedrec.gnn import BipartiteGraph, EmbeddingTable
 
 
+def local_item_table(state, base: np.ndarray) -> np.ndarray:
+    """A client's fine-tuned item table: warm-start rows plus its own
+    accumulated raw-gradient steps on the rows it has touched."""
+    rows = base.copy()
+    rows[state.local_items] = state.local_rows
+    return rows
+
+
 def dense_step_matrix(n_users: int, n_items: int, edges) -> np.ndarray:
     """Symmetrically normalized adjacency on the stacked user+item space."""
     n = n_users + n_items
@@ -103,3 +111,30 @@ def random_table(rng: np.random.Generator, n_users: int, n_items: int,
         rng.normal(0.0, scale, (n_items, dim)),
     )
 
+
+
+def scipy_entity_infonce(a: np.ndarray, b: np.ndarray, tau: float):
+    """Reference InfoNCE kernel on scipy's ``logsumexp`` and ``softmax``: the
+    per-entity terms and the gradients w.r.t. ``a`` and ``b``, zero-norm rows
+    taken as similarity 0 with a zero gradient."""
+    from scipy.special import logsumexp, softmax
+
+    def normalized(x):
+        norms = np.linalg.norm(x, axis=1)
+        safe = np.where(norms == 0, 1.0, norms)
+        return x / safe[:, None], norms == 0, safe
+
+    a_hat, zero_a, na = normalized(a)
+    b_hat, zero_b, nb = normalized(b)
+    sims = a_hat @ b_hat.T
+    logits = sims / tau
+    terms = logsumexp(logits, axis=1) - np.diag(sims) / tau
+    w = softmax(logits, axis=1)
+    w[np.diag_indices_from(w)] -= 1.0
+    w /= tau
+    ws = w * sims
+    grad_a = (w @ b_hat - ws.sum(axis=1)[:, None] * a_hat) / na[:, None]
+    grad_b = (w.T @ a_hat - ws.sum(axis=0)[:, None] * b_hat) / nb[:, None]
+    grad_a[zero_a] = 0.0
+    grad_b[zero_b] = 0.0
+    return terms, grad_a, grad_b

@@ -13,7 +13,6 @@ from fedrec.client import (
     client_update,
     infer_user_embedding,
     init_client_states,
-    local_item_table,
     personalize,
     sample_bpr_triples,
 )
@@ -33,6 +32,7 @@ from fedrec.gnn import (
 )
 from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
+from helpers import local_item_table
 
 
 def graph_of(true_items, n_items, pseudo=frozenset(), masked=frozenset()):

@@ -413,6 +413,25 @@ class TestCliSimulate:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_pseudo_items_that_leave_no_negative_are_a_config_error(
+        self, data_file, tmp_path, capsys, command
+    ):
+        split = leave_one_out_split(load_interactions(data_file))
+        free = split.n_items - max(len(split.train_items(u)) for u in range(split.n_users))
+        args = (
+            command, "--data.path", str(data_file), "--model.dim", "8",
+            "--pretrain.epochs", "1", "--pretrain.edge_add_count", "0",
+            "--train.max_rounds", "1",
+        )
+        out = tmp_path / "o"
+        assert run_cli(*args, "--privacy.pseudo_items_p", str(free), "--out", str(out)) == 2
+        assert "privacy.pseudo_items_p" in capsys.readouterr().err
+        # checked right after the load: nothing is pre-trained or written
+        assert list(out.iterdir()) == []
+        ok = tmp_path / "ok"
+        assert run_cli(*args, "--privacy.pseudo_items_p", str(free - 1), "--out", str(ok)) == 0
+
     @pytest.mark.parametrize("target", ["afile", "afile/sub"])
     def test_an_unusable_out_is_a_config_error_naming_it(
         self, data_file, tmp_path, capsys, target

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from fedrec.gnn import BipartiteGraph, EmbeddingTable, init_table, propagate
 from fedrec.pretrain import (
     AugmentationConfig,
     GraphView,
+    _entity_infonce,
     assemble_pretraining_graph,
     compose_view,
     infonce_gradients,
+    infonce_loss,
     noise_injection,
     pretrain,
     view_operator,
@@ -20,7 +23,13 @@ from fedrec.pretrain import (
 from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
 from fedrec.synthetic import two_community_dataset
-from helpers import max_rel_error, random_table, table_loss_gradient, training_graph
+from helpers import (
+    max_rel_error,
+    random_table,
+    scipy_entity_infonce,
+    table_loss_gradient,
+    training_graph,
+)
 
 
 def tiny_graph():
@@ -287,6 +296,68 @@ class TestInfoNCEGradients:
         a2 = EmbeddingTable(a.users - eta * ga.users, a.items - eta * ga.items)
         b2 = EmbeddingTable(b.users - eta * gb.users, b.items - eta * gb.items)
         assert infonce_gradients(a2, b2, 0.5)[0] < loss
+
+
+def assert_matches_the_scipy_kernel(a, b, tau):
+    """Terms and both gradients of the kernel against the scipy reference,
+    at rtol 1e-12 (another scipy release may round differently)."""
+    got = _entity_infonce(a, b, tau, True)
+    for mine, ref in zip(got, scipy_entity_infonce(a, b, tau)):
+        np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(_entity_infonce(a, b, tau, False)[0], got[0])
+
+
+class TestInfoNCEKernel:
+    @pytest.mark.parametrize("tau", [0.05, 5.0])
+    @pytest.mark.parametrize("dim", [1, 64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_matches_the_scipy_reference(self, n, dim, tau):
+        rng = np.random.default_rng(n * 1000 + dim)
+        # d = 1 normalises every row to +-1, so most rows tie at their maximum
+        assert_matches_the_scipy_kernel(
+            rng.normal(size=(n, dim)), rng.normal(size=(n, dim)), tau
+        )
+
+    @pytest.mark.parametrize("tau", [0.05, 5.0])
+    def test_tied_row_maxima_from_duplicate_rows(self, tau):
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(7, 4))
+        b[[2, 5]] = b[0]
+        a = b[[0, 0, 1, 3, 2, 4, 6]] + 0.0
+        assert_matches_the_scipy_kernel(a, b, tau)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("tau", [0.05, 5.0])
+    def test_a_zero_norm_row_on_either_side(self, side, tau):
+        rng = np.random.default_rng(4)
+        pair = [rng.normal(size=(7, 3)), rng.normal(size=(7, 3))]
+        pair[side][4] = 0.0
+        assert_matches_the_scipy_kernel(*pair, tau)
+
+    def test_non_finite_input_gives_a_non_finite_loss_without_a_warning(self):
+        users = np.array([[np.inf, 1.0], [1.0, 0.0]])
+        items = np.array([[1.0, np.nan], [0.0, 1.0]])
+        v = EmbeddingTable(users, items)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(infonce_gradients(v, v, 0.2)[0])
+
+    def test_loss_alone_equals_the_loss_of_the_gradient_call(self, rng):
+        a = random_table(rng, 9, 6, 5)
+        b = random_table(rng, 9, 6, 5)
+        assert infonce_loss(a, b, 0.3) == infonce_gradients(a, b, 0.3)[0]
+
+    def test_one_call_holds_fewer_than_three_user_blocks(self):
+        rng = np.random.default_rng(5)
+        a = random_table(rng, 1000, 500, 8)
+        b = random_table(rng, 1000, 500, 8)
+        tracemalloc.start()
+        try:
+            infonce_gradients(a, b, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the similarities and the shared exponential, 8 MB each, plus change
+        assert peak < 3 * 1000**2 * 8
 
 
 class TestPretrain:

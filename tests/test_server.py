@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec import server
-from fedrec.client import PersonalizationWeights, local_item_table, personalize
+from fedrec.client import PersonalizationWeights, personalize
 from fedrec.config import default_config
 from fedrec.evaluation import evaluate_cutoffs
 from fedrec.errors import NumericError
@@ -32,6 +32,7 @@ from fedrec.server import (
 )
 from fedrec.synthetic import two_community_dataset
 from fedrec.data import build_client_graph, leave_one_out_split
+from helpers import local_item_table
 
 
 class TestClusterUsers:
