@@ -200,7 +200,7 @@ def main(argv=None) -> int:
         split = leave_one_out_split(load_interactions(cfg.data.path))
         p = cfg.privacy.pseudo_items_p
         free = split.n_items - int((split.indptr[1:] - split.indptr[:-1]).max())
-        if command in ("train", "simulate") and 0 < p and free <= p:
+        if 0 < p and free <= p:
             raise ConfigError(f"privacy.pseudo_items_p must be below {free} to leave negatives")
         if command == "pretrain":
             cmd_pretrain(cfg, split, out)

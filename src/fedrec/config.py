@@ -267,12 +267,3 @@ def validate_config(cfg: ExperimentConfig) -> None:
         "eval.cutoffs values must be distinct",
     )
 
-
-def pretrain_eta(cfg: ExperimentConfig) -> float:
-    return cfg.pretrain.eta if cfg.pretrain.eta > 0 else cfg.train.eta
-
-
-def edge_add_count(cfg: ExperimentConfig, n_users: int) -> int:
-    if cfg.pretrain.edge_add_count >= 0:
-        return cfg.pretrain.edge_add_count
-    return cfg.privacy.pseudo_items_p * n_users

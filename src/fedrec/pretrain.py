@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SplitDataset, build_client_graph
-from .gnn import (
-    BipartiteGraph,
-    EmbeddingTable,
-    PropagationOperator,
-    propagate,
-)
+from .gnn import BipartiteGraph, EmbeddingTable, PropagationOperator, propagate
 from .privacy import PrivacyConfig
 from .rng import substream
 
@@ -46,42 +41,33 @@ class AugmentationConfig:
             raise ValueError("temperature must be > 0")
 
 
-@dataclass(eq=False)
-class GraphView:
-    """An augmented graph: surviving-node masks plus the (possibly extended)
-    ``(E, 2)`` edge array. Edges touching a dropped node are inert during
-    propagation."""
-
-    user_mask: np.ndarray
-    item_mask: np.ndarray
-    edges: np.ndarray
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of non-negative ids by a stable sort, linear in a sorted
+    prefix."""
+    ids = np.sort(ids, kind="stable")
+    return ids[np.diff(ids, prepend=-1) != 0]
 
 
 def _sample_absent_edges(
     graph: BipartiteGraph, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``count`` distinct non-edges as sorted (user, item) rows. Each draw is
-    a user then an item; a draw that hits an edge or an earlier draw is
-    redrawn. Asking for all the non-edges or more returns all of them."""
-    n_items = graph.n_items
-    existing = graph.edges[:, 0] * n_items + graph.edges[:, 1]
-    seen = set(existing.tolist())
-    available = graph.n_users * n_items - len(seen)
-    if count >= available:
-        if count > available:
-            warnings.warn(
-                f"requested {count} new edges but only {available} non-edges exist",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        ids = np.setdiff1d(np.arange(graph.n_users * n_items, dtype=np.int64), existing)
+    """``count`` distinct non-edges as sorted (user, item) rows, drawn a user
+    then an item per pair, redrawing pairs that hit an edge or an earlier pair.
+    A block draws only the pairs still missing, so the draws are the one-pair
+    loop's. Exactly every non-edge draws nothing; more is a ``ValueError``."""
+    n_users, n_items = graph.n_users, graph.n_items
+    edges = _sorted_unique(graph.edges[:, 0] * n_items + graph.edges[:, 1])
+    available = n_users * n_items - len(edges)
+    if count > available:
+        raise ValueError(f"requested {count} new edges but only {available} non-edges exist")
+    if count == available:
+        taken = np.arange(n_users * n_items, dtype=np.int64)
     else:
-        added: set[int] = set()
-        while len(added) < count:
-            lid = int(rng.integers(graph.n_users)) * n_items + int(rng.integers(n_items))
-            if lid not in seen:
-                added.add(lid)
-        ids = np.array(sorted(added), dtype=np.int64)
+        taken = edges
+        while (missing := len(edges) + count - len(taken)) > 0:
+            draws = rng.integers(0, np.tile([n_users, n_items], missing))
+            taken = _sorted_unique(np.concatenate((taken, draws[0::2] * n_items + draws[1::2])))
+    ids = np.setdiff1d(taken, edges, assume_unique=True)
     return np.stack(np.divmod(ids, n_items), axis=1)
 
 
@@ -100,18 +86,12 @@ def noise_injection(
     return out
 
 
-def view_operator(view: GraphView, n_layers: int) -> PropagationOperator:
-    """Propagation over the surviving subgraph, degrees recomputed."""
-    e = view.edges
-    kept = e[view.user_mask[e[:, 0]] & view.item_mask[e[:, 1]]]
-    return PropagationOperator(len(view.user_mask), len(view.item_mask), kept, n_layers)
-
-
 @dataclass(eq=False)
 class ViewPipeline:
     """One augmented forward pass, retaining what backprop needs."""
 
-    view: GraphView
+    user_mask: np.ndarray
+    item_mask: np.ndarray
     operator: PropagationOperator
     final: EmbeddingTable
 
@@ -119,8 +99,8 @@ class ViewPipeline:
         """Gradient w.r.t. the raw input table for this view."""
         back = propagate(self.operator, grad_final)
         return EmbeddingTable(
-            back.users * self.view.user_mask[:, None],
-            back.items * self.view.item_mask[:, None],
+            back.users * self.user_mask[:, None],
+            back.items * self.item_mask[:, None],
         )
 
 
@@ -137,8 +117,8 @@ def compose_view(
     probability ``node_keep_prob`` (only when it is below 1); new edges (only
     when ``edge_add_count > 0``); noise (only when ``noise_magnitude > 0``).
     A neutral augmentation draws nothing. Dropped nodes are zeroed at layer 0
-    and their edges are inert, so a fully dropped graph propagates to
-    all-zero embeddings.
+    and the operator keeps only the edges whose two endpoints survive, degrees
+    recomputed, so a fully dropped graph propagates to all-zero embeddings.
     """
     if cfg.node_keep_prob < 1:
         user_mask = rng.random(graph.n_users) < cfg.node_keep_prob
@@ -151,13 +131,12 @@ def compose_view(
         edges = np.concatenate(
             (edges, _sample_absent_edges(graph, cfg.edge_add_count, rng))
         )
-    view = GraphView(user_mask, item_mask, edges)
-
     if cfg.noise_magnitude > 0:
         table = noise_injection(table, cfg.noise_magnitude, rng)
     x0 = EmbeddingTable(table.users * user_mask[:, None], table.items * item_mask[:, None])
-    op = view_operator(view, n_layers)
-    return ViewPipeline(view, op, propagate(op, x0))
+    kept = edges[user_mask[edges[:, 0]] & item_mask[edges[:, 1]]]
+    op = PropagationOperator(graph.n_users, graph.n_items, kept, n_layers)
+    return ViewPipeline(user_mask, item_mask, op, propagate(op, x0))
 
 
 def _normalized_rows(x: np.ndarray):
@@ -286,10 +265,9 @@ def assemble_pretraining_graph(
     items are added, each drawn from a per-user keyed stream. The server
     never sees the raw training edges.
     """
-    edges: list[tuple[int, int]] = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     for user in range(split.n_users):
-        cg = build_client_graph(
-            split, user, privacy, substream(seed, "pretrain-graph", user)
-        )
-        edges += [(user, item) for item in sorted(cg.true_items | cg.pseudo_items)]
-    return BipartiteGraph(split.n_users, split.n_items, edges)
+        cg = build_client_graph(split, user, privacy, substream(seed, "pretrain-graph", user))
+        items = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
+        blocks.append(np.column_stack((np.full(len(items), user), items)))
+    return BipartiteGraph(split.n_users, split.n_items, np.concatenate(blocks))

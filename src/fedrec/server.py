@@ -24,7 +24,7 @@ from .client import (
     init_client_states,
     personalize,
 )
-from .config import ExperimentConfig, edge_add_count, pretrain_eta
+from .config import ExperimentConfig
 from .data import SplitDataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import UserEvalModel, evaluate_cutoffs
@@ -270,31 +270,30 @@ def privacy_settings(cfg: ExperimentConfig) -> PrivacyConfig:
     )
 
 
-def augmentation_settings(cfg: ExperimentConfig, n_users: int) -> AugmentationConfig:
-    return AugmentationConfig(
-        node_keep_prob=cfg.pretrain.node_keep_prob,
-        edge_add_count=edge_add_count(cfg, n_users),
-        noise_magnitude=cfg.pretrain.noise_magnitude,
-        temperature=cfg.pretrain.tau,
-    )
-
-
 def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
-    """Seeded random init, then ``pretrain.epochs`` contrastive epochs."""
-    table = init_table(
-        split.n_users, split.n_items, cfg.model.dim, substream(cfg.train.seed, "init")
-    )
-    graph = assemble_pretraining_graph(split, privacy_settings(cfg), cfg.train.seed)
+    """The starting table of training: the seeded random init, then
+    ``pretrain.epochs`` contrastive epochs on the server's graph. Zero epochs
+    return the init and assemble no graph."""
+    seed, pre = cfg.train.seed, cfg.pretrain
+    table = init_table(split.n_users, split.n_items, cfg.model.dim, substream(seed, "init"))
+    if pre.epochs == 0:
+        return PretrainResult(table, ())
+    graph = assemble_pretraining_graph(split, privacy_settings(cfg), seed)
+    added = pre.edge_add_count
+    if added == -1:
+        added = cfg.privacy.pseudo_items_p * split.n_users
+    lacking = split.n_users * split.n_items - len(graph.edges)
+    if added > lacking:
+        raise ConfigError(
+            f"pretrain.edge_add_count asks for {added} added edges per view "
+            f"(-1 = pseudo_items_p per user) but the graph lacks only {lacking}"
+        )
+    augment = AugmentationConfig(pre.node_keep_prob, added, pre.noise_magnitude, pre.tau)
     # a blow-up here is named by the check below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         result = pretrain(
-            graph,
-            table,
-            cfg.pretrain.epochs,
-            augmentation_settings(cfg, split.n_users),
-            pretrain_eta(cfg),
-            cfg.model.layers,
-            substream(cfg.train.seed, "pretrain"),
+            graph, table, pre.epochs, augment, pre.eta or cfg.train.eta, cfg.model.layers,
+            substream(seed, "pretrain"),
         )
     if not result.table.allfinite():
         raise NumericError("non-finite embeddings after pre-training")
@@ -431,8 +430,6 @@ def run_training(
                 f"{warm_table.dim}"
             )
         table = warm_table.copy()
-    elif cfg.pretrain.epochs == 0:
-        table = init_table(n_users, split.n_items, cfg.model.dim, substream(seed, "init"))
     else:
         table = warm_up(cfg, split).table
     # the global and the warm-start item table start as one array
@@ -459,7 +456,14 @@ def run_training(
     def recluster(round_idx: int) -> None:
         X = _noised_uploads(model.states, cfg, "cluster-upload", round_idx)
         rng = substream(seed, "cluster", round_idx)
-        model.assignment = cluster_users(X, k_clusters, rng)
+        bad = NumericError(f"non-finite clustering input or distance in round {round_idx}")
+        if not np.isfinite(X).all():
+            raise bad
+        try:  # an overflowing distance is named here, not by a warning
+            with np.errstate(over="raise", invalid="raise"):
+                model.assignment = cluster_users(X, k_clusters, rng)
+        except FloatingPointError:
+            raise bad from None
         # cluster tables restart from the current global table: cluster
         # identities do not persist across re-clusterings
         model.cluster_items = dict.fromkeys(range(k_clusters), model.global_items)

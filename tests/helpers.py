@@ -112,6 +112,27 @@ def random_table(rng: np.random.Generator, n_users: int, n_items: int,
     )
 
 
+def loop_absent_edges(
+    graph: BipartiteGraph, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Reference draw of ``count`` distinct non-edges as sorted (user, item)
+    rows, one pair at a time: a user then an item, redrawn while it hits an
+    edge or an earlier draw. Asking for every non-edge returns them all."""
+    n_items = graph.n_items
+    existing = graph.edges[:, 0] * n_items + graph.edges[:, 1]
+    seen = set(existing.tolist())
+    available = graph.n_users * n_items - len(seen)
+    if count >= available:
+        ids = np.setdiff1d(np.arange(graph.n_users * n_items, dtype=np.int64), existing)
+    else:
+        added: set[int] = set()
+        while len(added) < count:
+            lid = int(rng.integers(graph.n_users)) * n_items + int(rng.integers(n_items))
+            if lid not in seen:
+                added.add(lid)
+        ids = np.array(sorted(added), dtype=np.int64)
+    return np.stack(np.divmod(ids, n_items), axis=1)
+
 
 def scipy_entity_infonce(a: np.ndarray, b: np.ndarray, tau: float):
     """Reference InfoNCE kernel on scipy's ``logsumexp`` and ``softmax``: the

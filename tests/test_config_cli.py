@@ -139,6 +139,19 @@ class TestCliPretrain:
         assert run_cli("pretrain") == 2
         assert "data.path" in capsys.readouterr().err
 
+    def test_more_added_edges_than_non_edges_exit_with_code_two(
+        self, data_file, tmp_path, capsys
+    ):
+        out = tmp_path / "pe"
+        code = run_cli(
+            "pretrain", "--data.path", str(data_file), "--model.dim", "8",
+            "--pretrain.epochs", "1", "--pretrain.edge_add_count", "600", "--out", str(out),
+        )
+        assert code == 2
+        assert "pretrain.edge_add_count" in capsys.readouterr().err
+        # checked before any epoch: nothing is written
+        assert list(out.iterdir()) == []
+
     def test_numeric_blowup_exits_with_code_four(self, data_file, tmp_path, capsys):
         # the named error is the only report: no overflow warning before it
         with warnings.catch_warnings():
@@ -210,6 +223,20 @@ class TestCliTrain:
             )
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_cluster_uploads_exit_with_code_four(self, data_file, tmp_path, capsys):
+        # LDP noise near 1e200 overflows k-means' squared distances
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(
+                "train", "--data.path", str(data_file), "--model.dim", "8",
+                "--pretrain.epochs", "0", "--train.max_rounds", "2",
+                "--privacy.enabled", "true", "--privacy.laplace_lambda", "1e200",
+                "--out", str(tmp_path / "tl"),
+            )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "clustering" in err and "round 1" in err
 
     def test_non_utf8_config_file_exits_with_code_two(self, data_file, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -413,7 +440,7 @@ class TestCliSimulate:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["train", "simulate"])
+    @pytest.mark.parametrize("command", ["pretrain", "train", "evaluate", "simulate"])
     def test_pseudo_items_that_leave_no_negative_are_a_config_error(
         self, data_file, tmp_path, capsys, command
     ):
@@ -424,6 +451,10 @@ class TestCliSimulate:
             "--pretrain.epochs", "1", "--pretrain.edge_add_count", "0",
             "--train.max_rounds", "1",
         )
+        if command == "evaluate":
+            checkpoint = tmp_path / "init.txt"
+            save_checkpoint(init_table(30, 20, 8, substream(0, "init")), checkpoint)
+            args += ("--checkpoint", str(checkpoint))
         out = tmp_path / "o"
         assert run_cli(*args, "--privacy.pseudo_items_p", str(free), "--out", str(out)) == 2
         assert "privacy.pseudo_items_p" in capsys.readouterr().err

@@ -10,21 +10,22 @@ from fedrec.data import leave_one_out_split
 from fedrec.gnn import BipartiteGraph, EmbeddingTable, init_table, propagate
 from fedrec.pretrain import (
     AugmentationConfig,
-    GraphView,
     _entity_infonce,
+    _sample_absent_edges,
     assemble_pretraining_graph,
     compose_view,
     infonce_gradients,
     infonce_loss,
     noise_injection,
     pretrain,
-    view_operator,
 )
 from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
 from fedrec.synthetic import two_community_dataset
 from helpers import (
+    loop_absent_edges,
     max_rel_error,
+    random_bipartite,
     random_table,
     scipy_entity_infonce,
     table_loss_gradient,
@@ -46,25 +47,25 @@ def view_pair(graph, table, cfg, n_layers, rng):
 
 
 def dropout_view(graph, keep_prob, rng):
-    """The view of ``compose_view`` with node dropout as its only augmentation;
-    the masks are the first draws on ``rng``."""
+    """The pipeline of ``compose_view`` with node dropout as its only
+    augmentation; the masks are the first draws on ``rng``."""
     cfg = AugmentationConfig(node_keep_prob=keep_prob, noise_magnitude=0.0)
     table = EmbeddingTable(np.zeros((graph.n_users, 1)), np.zeros((graph.n_items, 1)))
-    return compose_view(graph, table, cfg, 1, rng).view
+    return compose_view(graph, table, cfg, 1, rng)
 
 
 class TestNodeDropout:
     def test_keep_prob_one_is_identity(self, rng):
         view = dropout_view(tiny_graph(), 1.0, rng)
         assert view.user_mask.all() and view.item_mask.all()
-        np.testing.assert_array_equal(view.edges, tiny_graph().edges)
+        np.testing.assert_array_equal(view.operator.edges, tiny_graph().edges)
 
     def test_dropping_everything_propagates_to_zero(self, rng):
         graph = tiny_graph()
         cfg = AugmentationConfig(node_keep_prob=1e-12, noise_magnitude=0.0)
         table = random_table(rng, 3, 3, 4)
         pipeline = compose_view(graph, table, cfg, 2, rng)
-        assert not pipeline.view.user_mask.any()
+        assert not pipeline.user_mask.any()
         np.testing.assert_array_equal(pipeline.final.users, np.zeros((3, 4)))
         np.testing.assert_array_equal(pipeline.final.items, np.zeros((3, 4)))
 
@@ -74,36 +75,47 @@ class TestNodeDropout:
         fraction = view.user_mask.mean()
         assert 0.48 <= fraction <= 0.52
 
-    def test_dropped_node_edges_are_inert(self, rng):
+    def test_dropped_node_edges_are_inert(self):
         graph = BipartiteGraph(2, 1, ((0, 0), (1, 0)))
-        view = GraphView(np.ones(2, dtype=bool), np.ones(1, dtype=bool), graph.edges)
-        view.user_mask[0] = False
-        op = view_operator(view, 1)
+        # the documented draw order: users' masks, then items'
+        draws = substream(0, "dropout")
+        user_mask, item_mask = draws.random(2) < 0.5, draws.random(1) < 0.5
+        assert user_mask.tolist() == [False, True] and item_mask.tolist() == [True]
+        pipeline = dropout_view(graph, 0.5, substream(0, "dropout"))
+        np.testing.assert_array_equal(pipeline.user_mask, user_mask)
+        np.testing.assert_array_equal(pipeline.item_mask, item_mask)
+        np.testing.assert_array_equal(pipeline.operator.edges, [[1, 0]])
         # degree recomputed: the surviving edge gets weight 1, not 1/sqrt(2)
-        assert op.degree_i[0] == 1
+        assert pipeline.operator.degree_i[0] == 1
 
 
 def edge_view(graph, add_count, rng):
-    """The view of ``compose_view`` with edge addition as its only augmentation."""
+    """The edges of ``compose_view``'s operator with edge addition as its only
+    augmentation: the graph's, then the added ones."""
     cfg = AugmentationConfig(
         node_keep_prob=1.0, edge_add_count=add_count, noise_magnitude=0.0
     )
     table = random_table(rng, graph.n_users, graph.n_items, 2)
-    return compose_view(graph, table, cfg, 1, rng).view
+    return compose_view(graph, table, cfg, 1, rng).operator.edges
 
 
 class TestEdgePerturbation:
     def test_zero_additions(self, rng):
-        view = edge_view(tiny_graph(), 0, rng)
-        np.testing.assert_array_equal(view.edges, tiny_graph().edges)
+        np.testing.assert_array_equal(edge_view(tiny_graph(), 0, rng), tiny_graph().edges)
 
-    def test_complete_graph_warns_and_stays_complete(self, rng):
-        complete = BipartiteGraph(
-            2, 2, tuple((u, i) for u in range(2) for i in range(2))
-        )
-        with pytest.warns(RuntimeWarning, match="non-edges"):
-            view = edge_view(complete, 5, rng)
-        np.testing.assert_array_equal(view.edges, complete.edges)
+    def test_asking_for_every_non_edge_adds_them_all_without_a_draw(self):
+        draws = substream(0, "edges")
+        edges = edge_view(tiny_graph(), 7, draws)
+        complete = [[u, i] for u in range(3) for i in range(3)]
+        assert sorted(edges.tolist()) == complete
+        # the table's draws only: the added edges drew nothing
+        after_table = substream(0, "edges")
+        random_table(after_table, 3, 3, 2)
+        assert draws.bit_generator.state == after_table.bit_generator.state
+
+    def test_asking_for_one_more_is_a_value_error(self, rng):
+        with pytest.raises(ValueError, match="only 7 non-edges"):
+            edge_view(tiny_graph(), 8, rng)
 
     def test_additions_come_from_the_non_edges(self, rng):
         graph = BipartiteGraph(3, 3, ((0, 0), (1, 1)))
@@ -111,11 +123,58 @@ class TestEdgePerturbation:
             (u, i) for u in range(3) for i in range(3)
         } - set(map(tuple, graph.edges.tolist()))
         assert len(non_edges) == 7
-        view = edge_view(graph, 2, rng)
-        added = set(map(tuple, view.edges.tolist())) - set(map(tuple, graph.edges.tolist()))
-        assert len(view.edges) == 4
+        edges = edge_view(graph, 2, rng)
+        added = set(map(tuple, edges.tolist())) - set(map(tuple, graph.edges.tolist()))
+        assert len(edges) == 4
         assert len(added) == 2
         assert added <= non_edges
+
+
+def assert_draws_like_the_loop(graph, count, seed):
+    """Rows and generator state after equal those of the one-pair loop."""
+    blocks, loop = substream(seed, "absent"), substream(seed, "absent")
+    np.testing.assert_array_equal(
+        _sample_absent_edges(graph, count, blocks), loop_absent_edges(graph, count, loop)
+    )
+    assert blocks.bit_generator.state == loop.bit_generator.state
+
+
+class TestAbsentEdgeBlocks:
+    def test_random_graphs(self):
+        shapes = np.random.default_rng(11)
+        for seed in range(200):
+            n_users, n_items = shapes.integers(1, 13, size=2)
+            graph = random_bipartite(shapes, n_users, n_items, shapes.random())
+            available = n_users * n_items - len(graph.edges)
+            assert_draws_like_the_loop(graph, int(shapes.integers(available + 1)), seed)
+
+    @pytest.mark.parametrize(
+        "n_users, n_items, count", [(1, 9, 4), (9, 1, 4), (1, 1, 1), (5, 4, 0)]
+    )
+    def test_one_user_one_item_and_no_edges_asked(self, n_users, n_items, count):
+        assert_draws_like_the_loop(BipartiteGraph(n_users, n_items, ()), count, 3)
+
+    def test_every_non_edge_draws_nothing(self, rng):
+        graph = random_bipartite(rng, 6, 5, 0.4)
+        assert_draws_like_the_loop(graph, 30 - len(graph.edges), 4)
+        draws = substream(4, "absent")
+        _sample_absent_edges(graph, 30 - len(graph.edges), draws)
+        assert draws.bit_generator.state == substream(4, "absent").bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_graphs_with_many_redraws(self, seed):
+        graph = random_bipartite(np.random.default_rng(seed), 30, 30, 0.95)
+        assert_draws_like_the_loop(graph, 900 - len(graph.edges) - 1, seed)
+
+    @pytest.mark.parametrize("n_items", [2**16 + 1, 2**32 - 1, 2**32 + 1, 2**33])
+    def test_wide_item_bounds(self, n_items):
+        graph = BipartiteGraph(3, n_items, ((0, 0), (2, n_items - 1)))
+        assert_draws_like_the_loop(graph, 200, 5)
+
+    def test_more_than_every_non_edge_is_a_value_error(self, rng):
+        graph = random_bipartite(rng, 4, 4, 0.5)
+        with pytest.raises(ValueError, match="non-edges exist"):
+            _sample_absent_edges(graph, 17 - len(graph.edges), rng)
 
 
 class TestNoiseInjection:
