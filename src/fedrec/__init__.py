@@ -24,8 +24,6 @@ from .gnn import (
     propagate,
 )
 from .privacy import (
-    LdpConfig,
-    PrivacyConfig,
     ldp_randomize,
     mask_interacted_items,
     privacy_budget,
@@ -42,8 +40,6 @@ __all__ = [
     "ExperimentConfig",
     "GradientUpdate",
     "InteractionDataset",
-    "LdpConfig",
-    "PrivacyConfig",
     "PropagationOperator",
     "SplitDataset",
     "bpr_gradients",

@@ -19,9 +19,7 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluation import PHASES, evaluate_cutoffs
 from .gnn import EmbeddingTable, load_checkpoint, save_checkpoint
 from .privacy import privacy_budget
-from .server import (
-    eval_model, personalized_models, privacy_settings, run_training, warm_up
-)
+from .server import eval_model, personalized_models, run_training, warm_up
 
 COMMANDS = ("pretrain", "train", "evaluate", "simulate")
 # the paper's three reduced variants are each one setting of an existing key
@@ -139,7 +137,7 @@ def cmd_train(
     warm_table: EmbeddingTable | None,
 ) -> None:
     if cfg.privacy.enabled and cfg.privacy.laplace_lambda > 0:
-        eps = privacy_budget(privacy_settings(cfg).ldp)
+        eps = privacy_budget(cfg.privacy)
         print(f"privacy: per-upload budget bound {eps:.4f}")
     result = run_training(cfg, split, warm_table=warm_table, verbose=True)
     save_checkpoint(result.checkpoint_table(), out / "checkpoint.txt")

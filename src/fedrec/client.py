@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import ClientGraph, SplitDataset, build_client_graph
 from .errors import DataError
 from .gnn import (
@@ -22,20 +23,7 @@ from .gnn import (
     PropagationOperator,
     bpr_gradients,
 )
-from .privacy import PrivacyConfig, complement_ids, ldp_randomize, pseudo_item_gradients
-
-
-@dataclass(frozen=True)
-class PersonalizationWeights:
-    """Mixing weights for the local / cluster / global item tables."""
-
-    alpha_local: float
-    alpha_cluster: float
-    alpha_global: float
-
-    def __post_init__(self) -> None:
-        if min(self.alpha_local, self.alpha_cluster, self.alpha_global) < 0:
-            raise ValueError("personalization weights must be >= 0")
+from .privacy import complement_ids, ldp_randomize, pseudo_item_gradients
 
 
 @dataclass(eq=False)
@@ -67,14 +55,10 @@ def init_client_states(table: EmbeddingTable) -> dict[int, ClientState]:
 @dataclass(eq=False)
 class ClientConfig:
     """Inputs shared by every client update; only ``neighbor_vecs`` changes
-    from round to round."""
+    from round to round. The settings are those of ``experiment``."""
 
     split: SplitDataset
-    n_layers: int
-    eta: float
-    gamma: float
-    batch_size: int
-    privacy: PrivacyConfig
+    experiment: ExperimentConfig
     local_base: np.ndarray
     # per user, sorted (handle, item) rows; uploaded user rows by handle
     neighbors: Sequence[np.ndarray] = ()
@@ -151,20 +135,22 @@ def client_update(
     pseudo item's decoy row replaces its real one. Draw order on ``rng``:
     mask, pseudo items, positives, negatives, decoy noise, LDP noise.
     """
+    exp = cfg.experiment
+    train, privacy = exp.train, exp.privacy
     nb = cfg.neighbors[state.user] if cfg.neighbors else ()
-    cg = build_client_graph(cfg.split, state.user, cfg.privacy, rng, neighbors=nb)
+    cg = build_client_graph(cfg.split, state.user, privacy, rng, neighbors=nb)
 
-    batch = cfg.batch_size if cfg.batch_size > 0 else len(cg.true_items)
+    batch = train.batch_size if train.batch_size > 0 else len(cg.true_items)
     triples = sample_bpr_triples(cg, batch, rng)
 
     op, raw, local_triples, item_space = _local_operator(
-        cg, triples, cfg.n_layers, state.user_vec, global_items, cfg.neighbor_vecs
+        cg, triples, exp.model.layers, state.user_vec, global_items, cfg.neighbor_vecs
     )
-    state.last_loss, final, grads = bpr_gradients(op, raw, local_triples, cfg.gamma)
+    state.last_loss, final, grads = bpr_gradients(op, raw, local_triples, train.gamma)
     state.last_inferred = final.users[0].copy()
 
     # the true user-row gradient never leaves the device
-    state.user_vec = state.user_vec - cfg.eta * grads.users[0]
+    state.user_vec = state.user_vec - train.eta * grads.users[0]
 
     support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local_triples[:, 1:])
     items, rows = item_space[support], grads.items[support]
@@ -172,7 +158,7 @@ def client_update(
     merged = np.union1d(state.local_items, items)
     local = cfg.local_base[merged]
     local[np.searchsorted(merged, state.local_items)] = state.local_rows
-    local[np.searchsorted(merged, items)] -= cfg.eta * rows
+    local[np.searchsorted(merged, items)] -= train.eta * rows
     state.local_items, state.local_rows = merged, local
 
     if cg.pseudo_items:
@@ -185,23 +171,23 @@ def client_update(
         items, rows = upload, block
 
     update = GradientUpdate(items, rows, data_count=len(cg.true_items))
-    return ldp_randomize(update, cfg.privacy.ldp, rng)
+    return ldp_randomize(update, privacy, rng)
 
 
 def personalize(
     local_items: np.ndarray,
     cluster_items: np.ndarray,
     global_items: np.ndarray,
-    weights: PersonalizationWeights,
+    alpha: tuple[float, ...],
 ) -> np.ndarray:
-    """Weighted mix of the three item tables."""
+    """The three item tables mixed by ``personalization.alpha``: (local,
+    cluster, global) weights."""
     if not (local_items.shape == cluster_items.shape == global_items.shape):
         raise ValueError("item tables must have identical shapes")
-    return (
-        weights.alpha_local * local_items
-        + weights.alpha_cluster * cluster_items
-        + weights.alpha_global * global_items
-    )
+    a_local, a_cluster, a_global = alpha
+    if min(alpha) < 0:
+        raise ValueError("personalization weights must be >= 0")
+    return a_local * local_items + a_cluster * cluster_items + a_global * global_items
 
 
 def infer_user_embedding(

@@ -1,5 +1,12 @@
 """Experiment configuration: defaults, flat dotted-key files, overrides.
 
+The sections are the records the library takes: ``build_client_graph`` and
+``randomize_vector`` read a ``PrivacySection``, ``compose_view`` and
+``pretrain`` a ``PretrainSection`` (``server.warm_up`` resolves its
+``edge_add_count`` of -1 in a copy), ``personalize`` the
+``personalization.alpha`` tuple, and a client update the whole
+``ExperimentConfig``.
+
 Precedence is command-line flags > config file > defaults. The file format is
 one `key = value` assignment per line with `#` comments; every key round-trips
 through :func:`dump_flat` / :func:`build_config` unchanged.

@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PrivacySection
 from .errors import DataError, read_text
-from .privacy import PrivacyConfig, mask_interacted_items, sample_pseudo_items
+from .privacy import mask_interacted_items, sample_pseudo_items
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +157,7 @@ class ClientGraph:
 def build_client_graph(
     split: SplitDataset,
     user: int,
-    privacy: PrivacyConfig,
+    privacy: PrivacySection,
     rng: np.random.Generator,
     neighbors: np.ndarray | tuple = (),
 ) -> ClientGraph:

@@ -14,31 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PretrainSection, PrivacySection
 from .data import SplitDataset, build_client_graph
 from .gnn import BipartiteGraph, EmbeddingTable, PropagationOperator, propagate
-from .privacy import PrivacyConfig
 from .rng import substream
-
-
-@dataclass(frozen=True)
-class AugmentationConfig:
-    """Augmentation strengths; each one at its neutral value (keep
-    probability 1, no added edges, zero noise) is off."""
-
-    node_keep_prob: float = 0.9
-    edge_add_count: int = 0
-    noise_magnitude: float = 0.1
-    temperature: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.node_keep_prob <= 1.0:
-            raise ValueError("node_keep_prob must be in (0, 1]")
-        if self.edge_add_count < 0:
-            raise ValueError("edge_add_count must be >= 0")
-        if self.noise_magnitude < 0:
-            raise ValueError("noise_magnitude must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -107,19 +86,25 @@ class ViewPipeline:
 def compose_view(
     graph: BipartiteGraph,
     table: EmbeddingTable,
-    cfg: AugmentationConfig,
+    cfg: PretrainSection,
     n_layers: int,
     rng: np.random.Generator,
 ) -> ViewPipeline:
-    """Apply every augmentation whose strength is not neutral, and propagate.
+    """Apply every augmentation whose strength is not neutral (keep
+    probability 1, no added edges, zero noise), and propagate.
 
-    Draw order per view: node masks, users then items, each node kept with
+    ``edge_add_count`` is a resolved count (see ``server.warm_up``). Draw
+    order per view: node masks, users then items, each node kept with
     probability ``node_keep_prob`` (only when it is below 1); new edges (only
     when ``edge_add_count > 0``); noise (only when ``noise_magnitude > 0``).
     A neutral augmentation draws nothing. Dropped nodes are zeroed at layer 0
     and the operator keeps only the edges whose two endpoints survive, degrees
     recomputed, so a fully dropped graph propagates to all-zero embeddings.
     """
+    if not (0 < cfg.node_keep_prob <= 1 and cfg.noise_magnitude >= 0):
+        raise ValueError("need node_keep_prob in (0, 1] and noise_magnitude >= 0")
+    if cfg.edge_add_count < 0:
+        raise ValueError(f"edge_add_count must be resolved to >= 0, got {cfg.edge_add_count}")
     if cfg.node_keep_prob < 1:
         user_mask = rng.random(graph.n_users) < cfg.node_keep_prob
         item_mask = rng.random(graph.n_items) < cfg.node_keep_prob
@@ -223,12 +208,13 @@ def pretrain(
     graph: BipartiteGraph,
     table: EmbeddingTable,
     epochs: int,
-    cfg: AugmentationConfig,
+    cfg: PretrainSection,
     eta: float,
     n_layers: int,
     rng: np.random.Generator,
 ) -> PretrainResult:
-    """Run ``epochs`` contrastive steps and return the warm-start table.
+    """Run ``epochs`` contrastive steps of size ``eta`` and return the
+    warm-start table; ``cfg`` gives the augmentations and ``tau``.
 
     Each epoch draws a fresh pair of views with ``rng.spawn(2)``, records
     their loss and steps on it. One more pair is drawn after the final step,
@@ -244,9 +230,9 @@ def pretrain(
         p1 = compose_view(graph, current, cfg, n_layers, r1)
         p2 = compose_view(graph, current, cfg, n_layers, r2)
         if epoch == epochs:  # the trailing pair takes no step
-            losses.append(infonce_loss(p1.final, p2.final, cfg.temperature))
+            losses.append(infonce_loss(p1.final, p2.final, cfg.tau))
             break
-        loss, g1, g2 = infonce_gradients(p1.final, p2.final, cfg.temperature)
+        loss, g1, g2 = infonce_gradients(p1.final, p2.final, cfg.tau)
         losses.append(loss)
         back1 = p1.backprop(g1)
         back2 = p2.backprop(g2)
@@ -258,7 +244,7 @@ def pretrain(
 
 
 def assemble_pretraining_graph(
-    split: SplitDataset, privacy: PrivacyConfig, seed: int
+    split: SplitDataset, privacy: PrivacySection, seed: int
 ) -> BipartiteGraph:
     """Server-visible graph for pre-training: the privacy-distorted upload
     view. Per user, the masked training items are dropped and the pseudo

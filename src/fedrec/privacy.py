@@ -7,42 +7,12 @@ All sampling is driven by explicit generators so per-client streams keyed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Collection
 
 import numpy as np
 
+from .config import PrivacySection
 from .gnn import GradientUpdate
-
-
-@dataclass(frozen=True)
-class LdpConfig:
-    """Elementwise clip bound and Laplace noise strength for uploads."""
-
-    clip_threshold: float
-    laplace_scale: float
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.clip_threshold <= 0:
-            raise ValueError("clip_threshold must be > 0")
-        if self.laplace_scale < 0:
-            raise ValueError("laplace_scale must be >= 0")
-
-
-@dataclass(frozen=True)
-class PrivacyConfig:
-    """Knobs for the client-side obfuscation pipeline."""
-
-    mask_ratio: float = 0.0
-    pseudo_items_p: int = 0
-    ldp: LdpConfig = field(default_factory=lambda: LdpConfig(0.1, 0.2, enabled=False))
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mask_ratio < 1.0:
-            raise ValueError("mask_ratio must be in [0, 1)")
-        if self.pseudo_items_p < 0:
-            raise ValueError("pseudo_items_p must be >= 0")
 
 
 def complement_ids(blocked: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -93,23 +63,26 @@ def laplace_noise(rng: np.random.Generator, scale: float, size) -> np.ndarray:
 
 
 def randomize_vector(
-    vec: np.ndarray, cfg: LdpConfig, rng: np.random.Generator
+    vec: np.ndarray, cfg: PrivacySection, rng: np.random.Generator
 ) -> np.ndarray:
-    """Clip each entry to [-delta, delta] and add i.i.d. Laplace noise."""
-    out = np.clip(vec, -cfg.clip_threshold, cfg.clip_threshold)
-    if cfg.laplace_scale > 0:
-        out = out + laplace_noise(rng, cfg.laplace_scale, out.shape)
+    """Clip each entry to [-clip_delta, clip_delta] and add i.i.d.
+    Laplace(0, laplace_lambda) noise."""
+    if not (cfg.clip_delta > 0 and cfg.laplace_lambda >= 0):
+        raise ValueError("need clip_delta > 0 and laplace_lambda >= 0")
+    out = np.clip(vec, -cfg.clip_delta, cfg.clip_delta)
+    if cfg.laplace_lambda > 0:
+        out = out + laplace_noise(rng, cfg.laplace_lambda, out.shape)
     return out
 
 
 def ldp_randomize(
-    update: GradientUpdate, cfg: LdpConfig, rng: np.random.Generator
+    update: GradientUpdate, cfg: PrivacySection, rng: np.random.Generator
 ) -> GradientUpdate:
     """Randomize every gradient entry; the data count passes through.
 
     The row block is randomized in one call, which draws the same noise as
-    row-by-row calls in ascending id order. A disabled config returns the
-    update as-is.
+    row-by-row calls in ascending id order. With ``enabled`` off the update
+    is returned as-is.
     """
     if not cfg.enabled:
         return update
@@ -118,11 +91,11 @@ def ldp_randomize(
     )
 
 
-def privacy_budget(cfg: LdpConfig) -> float:
+def privacy_budget(cfg: PrivacySection) -> float:
     """Per-upload budget bound 2*delta/lambda."""
-    if cfg.laplace_scale == 0:
+    if cfg.laplace_lambda == 0:
         raise ValueError("no noise, unbounded budget")
-    return 2.0 * cfg.clip_threshold / cfg.laplace_scale
+    return 2.0 * cfg.clip_delta / cfg.laplace_lambda
 
 
 def pseudo_item_gradients(

@@ -18,7 +18,6 @@ import numpy as np
 from .client import (
     ClientConfig,
     ClientState,
-    PersonalizationWeights,
     client_update,
     infer_user_embedding,
     init_client_states,
@@ -29,18 +28,8 @@ from .data import SplitDataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import UserEvalModel, evaluate_cutoffs
 from .gnn import EmbeddingTable, GradientUpdate, init_table
-from .pretrain import (
-    AugmentationConfig,
-    PretrainResult,
-    assemble_pretraining_graph,
-    pretrain,
-)
-from .privacy import (
-    LdpConfig,
-    PrivacyConfig,
-    randomize_vector,
-    sample_pseudo_items,
-)
+from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
+from .privacy import randomize_vector, sample_pseudo_items
 from .rng import substream
 
 
@@ -258,27 +247,16 @@ class TrainResult:
         return EmbeddingTable(self.user_table, self.global_items)
 
 
-def privacy_settings(cfg: ExperimentConfig) -> PrivacyConfig:
-    return PrivacyConfig(
-        mask_ratio=cfg.privacy.mask_ratio,
-        pseudo_items_p=cfg.privacy.pseudo_items_p,
-        ldp=LdpConfig(
-            cfg.privacy.clip_delta,
-            cfg.privacy.laplace_lambda,
-            enabled=cfg.privacy.enabled,
-        ),
-    )
-
-
 def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
     """The starting table of training: the seeded random init, then
-    ``pretrain.epochs`` contrastive epochs on the server's graph. Zero epochs
-    return the init and assemble no graph."""
+    ``pretrain.epochs`` contrastive epochs on the server's graph, with
+    ``pretrain.edge_add_count`` -1 resolved to ``pseudo_items_p`` per user.
+    Zero epochs return the init and assemble no graph."""
     seed, pre = cfg.train.seed, cfg.pretrain
     table = init_table(split.n_users, split.n_items, cfg.model.dim, substream(seed, "init"))
     if pre.epochs == 0:
         return PretrainResult(table, ())
-    graph = assemble_pretraining_graph(split, privacy_settings(cfg), seed)
+    graph = assemble_pretraining_graph(split, cfg.privacy, seed)
     added = pre.edge_add_count
     if added == -1:
         added = cfg.privacy.pseudo_items_p * split.n_users
@@ -288,12 +266,11 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
             f"pretrain.edge_add_count asks for {added} added edges per view "
             f"(-1 = pseudo_items_p per user) but the graph lacks only {lacking}"
         )
-    augment = AugmentationConfig(pre.node_keep_prob, added, pre.noise_magnitude, pre.tau)
     # a blow-up here is named by the check below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         result = pretrain(
-            graph, table, pre.epochs, augment, pre.eta or cfg.train.eta, cfg.model.layers,
-            substream(seed, "pretrain"),
+            graph, table, pre.epochs, replace(pre, edge_add_count=added),
+            pre.eta or cfg.train.eta, cfg.model.layers, substream(seed, "pretrain"),
         )
     if not result.table.allfinite():
         raise NumericError("non-finite embeddings after pre-training")
@@ -308,10 +285,9 @@ def _noised_uploads(
     enabled."""
     block = np.vstack([states[u].last_inferred for u in range(len(states))])
     if cfg.privacy.enabled:
-        ldp = privacy_settings(cfg).ldp
         for user, vec in enumerate(block):
             stream = substream(cfg.train.seed, label, round_idx, user)
-            block[user] = randomize_vector(vec, ldp, stream)
+            block[user] = randomize_vector(vec, cfg.privacy, stream)
     return block
 
 
@@ -369,20 +345,20 @@ def build_eval_models(
     base: np.ndarray,
     cluster_items: np.ndarray,
     global_items: np.ndarray,
-    weights: PersonalizationWeights,
     cfg: ExperimentConfig,
     users: Sequence[int],
 ) -> dict[int, UserEvalModel]:
-    """The models of ``users``, members of one cluster, on their alpha-mixed
-    item tables: a copy of ``base``, the cluster's mix over the warm-start
-    table, with the user's overlay rows mixed the same way. Each model holds
-    an M x d table, so callers ask for a few users at a time."""
-    models = {}
+    """The models of ``users``, members of one cluster, on their item tables
+    mixed by ``personalization.alpha``: a copy of ``base``, the cluster's mix
+    over the warm-start table, with the user's overlay rows mixed the same
+    way. Each model holds an M x d table, so callers ask for a few users at a
+    time."""
+    models, alpha = {}, cfg.personalization.alpha
     for user in users:
         state = states[user]
         ids = state.local_items
         rows = base.copy()
-        rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], weights)
+        rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], alpha)
         models[user] = eval_model(cfg, split, user, state.user_vec, rows)
     return models
 
@@ -393,14 +369,14 @@ def personalized_models(
     """``(user, model)`` for every user on the item table mixed by
     ``personalization.alpha``, cluster by cluster: only one cluster's base mix
     and one user's copy of it exist at once."""
-    weights = PersonalizationWeights(*cfg.personalization.alpha)
     states, assignment, global_items = model.states, model.assignment, model.global_items
+    alpha = cfg.personalization.alpha
     for c in range(assignment.k):  # k-means leaves no cluster empty
         cluster_items = model.cluster_items[c]
-        base = personalize(model.local_base, cluster_items, global_items, weights)
+        base = personalize(model.local_base, cluster_items, global_items, alpha)
         for user in np.flatnonzero(assignment.assignment == c).tolist():
             yield from build_eval_models(
-                split, states, base, cluster_items, global_items, weights, cfg, (user,)
+                split, states, base, cluster_items, global_items, cfg, (user,)
             ).items()
 
 
@@ -441,16 +417,7 @@ def run_training(
     neighbors, by_handle = (
         _neighbor_setup(cfg, split) if cfg.graph.neighbor_expansion else ((), None)
     )
-    ctx = ClientConfig(
-        split=split,
-        n_layers=cfg.model.layers,
-        eta=cfg.train.eta,
-        gamma=cfg.train.gamma,
-        batch_size=cfg.train.batch_size,
-        privacy=privacy_settings(cfg),
-        local_base=model.local_base,
-        neighbors=neighbors,
-    )
+    ctx = ClientConfig(split, cfg, model.local_base, neighbors)
     best, best_ndcg, evals_since_best = None, -np.inf, 0
 
     def recluster(round_idx: int) -> None:

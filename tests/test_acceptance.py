@@ -15,7 +15,7 @@ import pytest
 
 from fedrec.cli import main as cli_main
 from fedrec.client import ClientConfig, ClientState, client_update, sample_bpr_triples
-from fedrec.config import default_config
+from fedrec.config import PrivacySection, default_config
 from fedrec.data import (
     InteractionDataset,
     build_client_graph,
@@ -38,7 +38,7 @@ from fedrec.gnn import (
     propagate,
 )
 from fedrec.pretrain import infonce_gradients
-from fedrec.privacy import LdpConfig, PrivacyConfig, laplace_noise, privacy_budget
+from fedrec.privacy import laplace_noise, privacy_budget
 from fedrec.rng import substream
 from fedrec.server import (
     aggregate,
@@ -175,7 +175,7 @@ def test_03_one_federated_round_equals_a_centralized_step():
     expected_users = init.users.copy()
     for user in range(30):
         stream = substream(0, "client", 1, user)
-        cg = build_client_graph(split, user, PrivacyConfig(), stream)
+        cg = build_client_graph(split, user, PrivacySection(), stream)
         triples = sample_bpr_triples(cg, len(cg.true_items), stream)
         op = PropagationOperator(
             1, 20, tuple((0, i) for i in sorted(cg.true_items)), 2
@@ -204,7 +204,7 @@ def test_03_one_federated_round_equals_a_centralized_step():
 
 
 def test_04_ldp_budget_and_noise_statistics():
-    budget = privacy_budget(LdpConfig(0.1, 0.2))
+    budget = privacy_budget(PrivacySection(clip_delta=0.1, laplace_lambda=0.2))
     draws = laplace_noise(substream(2024, "acceptance-ldp"), 0.2, 100_000)
     mean = float(draws.mean())
     mad = float(np.abs(draws).mean())
@@ -399,18 +399,13 @@ def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():
         two_community_dataset(n_users=12, n_items=30, seed=9, per_user=6)
     )
     items = substream(0, "acc-items").normal(0.0, 0.1, size=(30, 6))
-    privacy = PrivacyConfig(
-        mask_ratio=0.2, pseudo_items_p=2, ldp=LdpConfig(0.1, 0.2, enabled=True)
+    experiment = default_config()
+    experiment.model.layers, experiment.train.eta = 2, 0.1
+    # LDP at the default clip_delta 0.1 and laplace_lambda 0.2
+    privacy = experiment.privacy = PrivacySection(
+        pseudo_items_p=2, mask_ratio=0.2, enabled=True
     )
-    cfg = ClientConfig(
-        split=split,
-        n_layers=2,
-        eta=0.1,
-        gamma=1e-4,
-        batch_size=0,
-        privacy=privacy,
-        local_base=items,
-    )
+    cfg = ClientConfig(split, experiment, local_base=items)
     supports_ok = True
     for round_idx in (1, 2):
         for user in range(12):

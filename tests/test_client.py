@@ -8,7 +8,6 @@ from fedrec import gnn
 from fedrec.client import (
     ClientConfig,
     ClientState,
-    PersonalizationWeights,
     _local_operator,
     client_update,
     infer_user_embedding,
@@ -16,6 +15,7 @@ from fedrec.client import (
     personalize,
     sample_bpr_triples,
 )
+from fedrec.config import ExperimentConfig, ModelSection, PrivacySection, TrainSection
 from fedrec.data import (
     ClientGraph,
     InteractionDataset,
@@ -30,7 +30,6 @@ from fedrec.gnn import (
     bpr_loss,
     propagate,
 )
-from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
 from helpers import local_item_table
 
@@ -84,18 +83,13 @@ def make_split(n_items=8):
     return leave_one_out_split(InteractionDataset(1, n_items, rows))
 
 
-def make_cfg(split, items, **kwargs):
-    defaults = dict(
-        split=split,
-        n_layers=0,
-        eta=0.1,
-        gamma=0.0,
-        batch_size=1,
-        privacy=PrivacyConfig(),
-        local_base=items,
+def make_cfg(split, items, n_layers=0, gamma=0.0, batch_size=1, privacy=None):
+    experiment = ExperimentConfig(
+        model=ModelSection(layers=n_layers),
+        train=TrainSection(eta=0.1, gamma=gamma, batch_size=batch_size),
+        privacy=privacy or PrivacySection(),
     )
-    defaults.update(kwargs)
-    return ClientConfig(**defaults)
+    return ClientConfig(split, experiment, local_base=items)
 
 
 class TestClientUpdate:
@@ -110,7 +104,7 @@ class TestClientUpdate:
 
         # replay the draws: no mask/pseudo draws when privacy is off
         replay = substream(1, "client", 1, 0)
-        cg = build_client_graph(split, 0, cfg.privacy, replay)
+        cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
         ((_, pos, neg),) = sample_bpr_triples(cg, 1, replay)
         margin = float(user_before @ (items[pos] - items[neg]))
         coef = 1.0 / (1.0 + math.exp(-margin)) - 1.0
@@ -120,7 +114,8 @@ class TestClientUpdate:
         np.testing.assert_allclose(rows[neg], -coef * user_before, atol=1e-12)
         assert update.data_count == 3
         # the user step was applied locally
-        expected_user = user_before - cfg.eta * coef * (items[pos] - items[neg])
+        eta = cfg.experiment.train.eta
+        expected_user = user_before - eta * coef * (items[pos] - items[neg])
         np.testing.assert_allclose(state.user_vec, expected_user, atol=1e-12)
 
     def test_pseudo_items_extend_the_gradient_support(self):
@@ -130,14 +125,14 @@ class TestClientUpdate:
         cfg = make_cfg(
             split,
             items,
-            privacy=PrivacyConfig(pseudo_items_p=2),
+            privacy=PrivacySection(pseudo_items_p=2),
             n_layers=1,
             batch_size=4,
         )
         update = client_update(state, items, cfg, substream(9, "c", 1, 0))
         # the graph the update built, rebuilt from the same stream
         replay = substream(9, "c", 1, 0)
-        cg = build_client_graph(split, 0, cfg.privacy, replay)
+        cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
         triples = sample_bpr_triples(cg, 4, replay)
         pseudo = cg.pseudo_items
         assert len(pseudo) == 2
@@ -155,13 +150,13 @@ class TestClientUpdate:
         cfg = make_cfg(
             split,
             items,
-            privacy=PrivacyConfig(pseudo_items_p=2),
+            privacy=PrivacySection(pseudo_items_p=2),
             n_layers=1,
             batch_size=4,
         )
         update = client_update(state, items, cfg, substream(9, "c", 1, 0))
         replay = substream(9, "c", 1, 0)
-        cg = build_client_graph(split, 0, cfg.privacy, replay)
+        cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
         sample_bpr_triples(cg, 4, replay)
         pseudo = sorted(cg.pseudo_items)
         rows = dict(zip(update.items.tolist(), update.item_grads))
@@ -173,13 +168,13 @@ class TestClientUpdate:
         local = dict(zip(state.local_items.tolist(), state.local_rows))
         for item in pseudo:
             assert not np.array_equal(
-                local[item], items[item] - cfg.eta * rows[item]
+                local[item], items[item] - cfg.experiment.train.eta * rows[item]
             )
 
     def test_fixed_seed_reproduces_the_update(self):
         split = make_split(n_items=10)
         items = substream(4, "items").normal(size=(10, 3))
-        privacy = PrivacyConfig(mask_ratio=0.3, pseudo_items_p=2)
+        privacy = PrivacySection(mask_ratio=0.3, pseudo_items_p=2)
         results = []
         for _ in range(2):
             state = ClientState(0, np.array([0.5, 0.1, -0.4]))
@@ -213,7 +208,7 @@ class TestClientUpdate:
         items = substream(2, "items").normal(size=(9, 4))
         user_vec = np.array([0.2, -0.1, 0.4, 0.05])
         state = ClientState(0, user_vec.copy())
-        privacy = PrivacyConfig(pseudo_items_p=2)
+        privacy = PrivacySection(pseudo_items_p=2)
         cfg = make_cfg(
             split, items, n_layers=n_layers, gamma=0.02, batch_size=4, privacy=privacy
         )
@@ -241,7 +236,7 @@ class TestClientUpdate:
         update = client_update(state, items, cfg, substream(6, "c", 1, 0))
 
         replay = substream(6, "c", 1, 0)
-        cg = build_client_graph(split, 0, cfg.privacy, replay)
+        cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
         triples = sample_bpr_triples(cg, 5, replay)
         full_op = PropagationOperator(
             1, 9, tuple((0, i) for i in sorted(cg.true_items)), n_layers
@@ -302,18 +297,18 @@ class TestPersonalize:
         local = rng.normal(size=(4, 2))
         cluster = rng.normal(size=(4, 2))
         global_ = rng.normal(size=(4, 2))
-        w = PersonalizationWeights(1.0, 0.0, 0.0)
+        w = (1.0, 0.0, 0.0)
         mixed = personalize(local, cluster, global_, w)
         np.testing.assert_array_equal(mixed, local)
 
     def test_identical_models_mix_to_themselves(self, rng):
         rows = rng.normal(size=(3, 2))
-        w = PersonalizationWeights(1 / 3, 1 / 3, 1 / 3)
+        w = (1 / 3, 1 / 3, 1 / 3)
         mixed = personalize(rows, rows.copy(), rows.copy(), w)
         np.testing.assert_allclose(mixed, rows, atol=1e-15)
 
     def test_scalar_example(self):
-        w = PersonalizationWeights(1 / 3, 1 / 3, 1 / 3)
+        w = (1 / 3, 1 / 3, 1 / 3)
         mixed = personalize(
             np.full((1, 1), 2.0),
             np.full((1, 1), 4.0),
@@ -326,13 +321,13 @@ class TestPersonalize:
         local = rng.normal(size=(5, 3))
         cluster = rng.normal(size=(5, 3))
         global_ = rng.normal(size=(5, 3))
-        w = PersonalizationWeights(0.0, 0.0, 1.0)
+        w = (0.0, 0.0, 1.0)
         mixed = personalize(local, cluster, global_, w)
         assert np.array_equal(mixed, global_)
 
     def test_linearity_in_each_argument(self, rng):
         tables = [rng.normal(size=(3, 2)) for _ in range(3)]
-        w = PersonalizationWeights(0.5, 0.25, 2.0)
+        w = (0.5, 0.25, 2.0)
         doubled = personalize(2 * tables[0], tables[1], tables[2], w)
         base = personalize(*tables, w)
         np.testing.assert_allclose(doubled - base, 0.5 * tables[0], atol=1e-12)
@@ -343,12 +338,13 @@ class TestPersonalize:
                 rng.normal(size=(2, 2)),
                 rng.normal(size=(3, 2)),
                 rng.normal(size=(2, 2)),
-                PersonalizationWeights(1, 1, 1),
+                (1, 1, 1),
             )
 
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            PersonalizationWeights(-0.1, 0.5, 0.5)
+    def test_negative_weights_rejected(self, rng):
+        tables = [rng.normal(size=(3, 2)) for _ in range(3)]
+        with pytest.raises(ValueError, match=">= 0"):
+            personalize(*tables, (-0.1, 0.5, 0.5))
 
 
 class TestLocalState:

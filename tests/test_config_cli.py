@@ -71,6 +71,12 @@ class TestConfig:
             ("pretrain.tau", "inf"),
             ("eval.cutoffs", "0"),
             ("eval.cutoffs", "10,10"),
+            ("privacy.clip_delta", "0"),
+            ("privacy.laplace_lambda", "-0.1"),
+            ("privacy.pseudo_items_p", "-1"),
+            ("pretrain.noise_magnitude", "-1"),
+            ("personalization.alpha", "-0.1,0.5,0.5"),
+            ("train.batch_size", "-1"),
         ],
     )
     def test_validation_names_the_offending_key(self, key, value):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedrec.config import PrivacySection
 from fedrec.data import (
     InteractionDataset,
     build_client_graph,
@@ -10,7 +11,6 @@ from fedrec.data import (
     write_interactions,
 )
 from fedrec.errors import DataError
-from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
 
 
@@ -191,7 +191,7 @@ class TestLeaveOneOutSplit:
 
 class TestBuildClientGraph:
     def test_identity_config(self, small_split):
-        privacy = PrivacyConfig(mask_ratio=0.0, pseudo_items_p=0)
+        privacy = PrivacySection(mask_ratio=0.0, pseudo_items_p=0)
         cg = build_client_graph(small_split, 3, privacy, substream(0, "x"))
         assert cg.true_items == set(small_split.train_items(3).tolist())
         assert cg.pseudo_items == frozenset()
@@ -201,7 +201,7 @@ class TestBuildClientGraph:
     def test_mask_half_of_four(self, small_split):
         user = 0
         assert len(small_split.train_items(user)) == 4
-        privacy = PrivacyConfig(mask_ratio=0.5, pseudo_items_p=0)
+        privacy = PrivacySection(mask_ratio=0.5, pseudo_items_p=0)
         cg = build_client_graph(small_split, user, privacy, substream(0, "m"))
         assert len(cg.masked_items) == 2
         assert len(cg.true_items) == 2
@@ -213,7 +213,7 @@ class TestBuildClientGraph:
     def test_pseudo_items_land_outside_the_train_set(self):
         ds = InteractionDataset(1, 10, [(0, i, i) for i in range(4)])
         split = leave_one_out_split(ds)
-        privacy = PrivacyConfig(mask_ratio=0.0, pseudo_items_p=3)
+        privacy = PrivacySection(mask_ratio=0.0, pseudo_items_p=3)
         cg = build_client_graph(split, 0, privacy, substream(0, "p"))
         non_interacted = set(range(10)) - set(range(4))
         assert len(cg.pseudo_items) == 3
@@ -222,7 +222,7 @@ class TestBuildClientGraph:
         assert not cg.pseudo_items & set(split.train_items(0).tolist())
 
     def test_fixed_seed_reproduces_the_graph(self, small_split):
-        privacy = PrivacyConfig(mask_ratio=0.25, pseudo_items_p=2)
+        privacy = PrivacySection(mask_ratio=0.25, pseudo_items_p=2)
         a = build_client_graph(small_split, 5, privacy, substream(9, "c", 5))
         b = build_client_graph(small_split, 5, privacy, substream(9, "c", 5))
         assert (a.true_items, a.pseudo_items, a.masked_items) == (
@@ -233,6 +233,6 @@ class TestBuildClientGraph:
         np.testing.assert_array_equal(a.neighbor_users, b.neighbor_users)
 
     def test_unknown_user_rejected(self, small_split):
-        privacy = PrivacyConfig()
+        privacy = PrivacySection()
         with pytest.raises(DataError, match="999"):
             build_client_graph(small_split, 999, privacy, substream(0, "u"))

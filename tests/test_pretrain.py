@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrec.config import PretrainSection, PrivacySection
 from fedrec.data import leave_one_out_split
 from fedrec.gnn import BipartiteGraph, EmbeddingTable, init_table, propagate
 from fedrec.pretrain import (
-    AugmentationConfig,
     _entity_infonce,
     _sample_absent_edges,
     assemble_pretraining_graph,
@@ -19,7 +19,6 @@ from fedrec.pretrain import (
     noise_injection,
     pretrain,
 )
-from fedrec.privacy import PrivacyConfig
 from fedrec.rng import substream
 from fedrec.synthetic import two_community_dataset
 from helpers import (
@@ -37,6 +36,12 @@ def tiny_graph():
     return BipartiteGraph(3, 3, ((0, 0), (1, 1)))
 
 
+def augmentation(**strengths):
+    """A pre-training section with ``edge_add_count`` resolved, to 0 unless
+    given."""
+    return PretrainSection(**{"edge_add_count": 0, **strengths})
+
+
 def view_pair(graph, table, cfg, n_layers, rng):
     """Final embeddings of two views drawn as ``pretrain`` draws each pair."""
     r1, r2 = rng.spawn(2)
@@ -49,7 +54,7 @@ def view_pair(graph, table, cfg, n_layers, rng):
 def dropout_view(graph, keep_prob, rng):
     """The pipeline of ``compose_view`` with node dropout as its only
     augmentation; the masks are the first draws on ``rng``."""
-    cfg = AugmentationConfig(node_keep_prob=keep_prob, noise_magnitude=0.0)
+    cfg = augmentation(node_keep_prob=keep_prob, noise_magnitude=0.0)
     table = EmbeddingTable(np.zeros((graph.n_users, 1)), np.zeros((graph.n_items, 1)))
     return compose_view(graph, table, cfg, 1, rng)
 
@@ -62,7 +67,7 @@ class TestNodeDropout:
 
     def test_dropping_everything_propagates_to_zero(self, rng):
         graph = tiny_graph()
-        cfg = AugmentationConfig(node_keep_prob=1e-12, noise_magnitude=0.0)
+        cfg = augmentation(node_keep_prob=1e-12, noise_magnitude=0.0)
         table = random_table(rng, 3, 3, 4)
         pipeline = compose_view(graph, table, cfg, 2, rng)
         assert not pipeline.user_mask.any()
@@ -92,11 +97,28 @@ class TestNodeDropout:
 def edge_view(graph, add_count, rng):
     """The edges of ``compose_view``'s operator with edge addition as its only
     augmentation: the graph's, then the added ones."""
-    cfg = AugmentationConfig(
+    cfg = augmentation(
         node_keep_prob=1.0, edge_add_count=add_count, noise_magnitude=0.0
     )
     table = random_table(rng, graph.n_users, graph.n_items, 2)
     return compose_view(graph, table, cfg, 1, rng).operator.edges
+
+
+class TestComposeViewChecks:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            PretrainSection(),  # edge_add_count -1 is unresolved
+            augmentation(edge_add_count=-2),
+            augmentation(node_keep_prob=0.0),
+            augmentation(node_keep_prob=1.5),
+            augmentation(noise_magnitude=-0.1),
+        ],
+    )
+    def test_rejects_bad_settings(self, cfg, rng):
+        table = random_table(rng, 3, 3, 2)
+        with pytest.raises(ValueError):
+            compose_view(tiny_graph(), table, cfg, 1, rng)
 
 
 class TestEdgePerturbation:
@@ -206,7 +228,7 @@ class TestMakeViews:
 
     def test_disabled_ops_reproduce_plain_propagation(self, rng):
         graph = tiny_graph()
-        cfg = AugmentationConfig(node_keep_prob=1.0, noise_magnitude=0.0)
+        cfg = augmentation(node_keep_prob=1.0, noise_magnitude=0.0)
         t = random_table(rng, 3, 3, 4)
         v1, v2 = view_pair(graph, t, cfg, 2, rng)
         from fedrec.gnn import PropagationOperator
@@ -222,7 +244,7 @@ class TestMakeViews:
 
     def test_noise_only_zero_layers_is_raw_plus_noise(self, rng):
         graph = tiny_graph()
-        cfg = AugmentationConfig(node_keep_prob=1.0, noise_magnitude=0.3)
+        cfg = augmentation(node_keep_prob=1.0, noise_magnitude=0.3)
         t = random_table(rng, 3, 3, 4)
         v1, v2 = view_pair(graph, t, cfg, 0, rng)
         for view in (v1, v2):
@@ -234,7 +256,7 @@ class TestMakeViews:
     def test_fixed_seed_reproduces_views_bit_for_bit(self, rng):
         ds = two_community_dataset(10, 10, seed=2, per_user=4)
         graph = training_graph(leave_one_out_split(ds))
-        cfg = AugmentationConfig(edge_add_count=2)
+        cfg = augmentation(edge_add_count=2)
         t = random_table(rng, 10, 10, 4)
         a1, a2 = view_pair(graph, t, cfg, 2, substream(7, "views"))
         b1, b2 = view_pair(graph, t, cfg, 2, substream(7, "views"))
@@ -423,7 +445,7 @@ class TestPretrain:
     def test_zero_epochs_leave_the_table_alone(self, rng):
         graph = tiny_graph()
         t = random_table(rng, 3, 3, 4)
-        res = pretrain(graph, t, 0, AugmentationConfig(), 0.05, 2, rng)
+        res = pretrain(graph, t, 0, augmentation(), 0.05, 2, rng)
         np.testing.assert_array_equal(res.table.users, t.users)
         np.testing.assert_array_equal(res.table.items, t.items)
         assert res.losses == ()
@@ -431,7 +453,7 @@ class TestPretrain:
     def test_loss_drops_over_five_epochs_on_two_block_graph(self):
         ds = two_community_dataset(20, 12, seed=3, per_user=5)
         graph = training_graph(leave_one_out_split(ds))
-        cfg = AugmentationConfig(edge_add_count=3)
+        cfg = augmentation(edge_add_count=3)
         deltas = []
         for seed in range(5):
             table = init_table(20, 12, 8, substream(seed, "init"))
@@ -443,8 +465,8 @@ class TestPretrain:
     def test_fixed_seed_is_deterministic(self, rng):
         graph = tiny_graph()
         t = random_table(rng, 3, 3, 4)
-        a = pretrain(graph, t, 3, AugmentationConfig(), 0.05, 1, substream(5, "p"))
-        b = pretrain(graph, t, 3, AugmentationConfig(), 0.05, 1, substream(5, "p"))
+        a = pretrain(graph, t, 3, augmentation(), 0.05, 1, substream(5, "p"))
+        b = pretrain(graph, t, 3, augmentation(), 0.05, 1, substream(5, "p"))
         np.testing.assert_array_equal(a.table.users, b.table.users)
         assert a.losses == b.losses
 
@@ -453,7 +475,7 @@ class TestPretrain:
         # the trailing loss of a k-epoch run is the loss of epoch k+1's views
         ds = two_community_dataset(12, 10, seed=4, per_user=4)
         graph = training_graph(leave_one_out_split(ds))
-        cfg = AugmentationConfig(edge_add_count=2)
+        cfg = augmentation(edge_add_count=2)
         table = init_table(12, 10, 6, substream(1, "init"))
         short = pretrain(graph, table, epochs, cfg, 0.05, 2, substream(1, "pre"))
         longer = pretrain(graph, table, epochs + 1, cfg, 0.05, 2, substream(1, "pre"))
@@ -463,7 +485,7 @@ class TestPretrain:
 
 class TestAssemblePretrainingGraph:
     def test_distorted_mode_adds_pseudo_and_drops_masked(self, small_split):
-        privacy = PrivacyConfig(mask_ratio=0.4, pseudo_items_p=3)
+        privacy = PrivacySection(mask_ratio=0.4, pseudo_items_p=3)
         graph = assemble_pretraining_graph(small_split, privacy, seed=3)
         true_edges = set(map(tuple, training_graph(small_split).edges.tolist()))
         edges = set(map(tuple, graph.edges.tolist()))

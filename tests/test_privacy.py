@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrec.config import PrivacySection
+from fedrec.data import build_client_graph
 from fedrec.gnn import GradientUpdate
 from fedrec.privacy import (
-    LdpConfig,
-    PrivacyConfig,
     complement_ids,
     laplace_noise,
     ldp_randomize,
@@ -21,6 +21,12 @@ from fedrec.rng import substream
 
 def ids(*items):
     return np.array(items, dtype=np.int64)
+
+
+def ldp(clip_delta, laplace_lambda, enabled=True):
+    return PrivacySection(
+        clip_delta=clip_delta, laplace_lambda=laplace_lambda, enabled=enabled
+    )
 
 
 class TestSamplePseudoItems:
@@ -101,35 +107,35 @@ def update_of(entries):
 
 class TestLdpRandomize:
     def test_pure_clip(self, rng):
-        cfg = LdpConfig(1.0, 0.0)
+        cfg = ldp(1.0, 0.0)
         out = ldp_randomize(update_of([0.5, -2.0]), cfg, rng)
         np.testing.assert_array_equal(out.item_grads[0], [0.5, -1.0])
         assert out.data_count == 3
 
     def test_identity_inside_the_clip_range(self, rng):
-        cfg = LdpConfig(1.0, 0.0)
+        cfg = ldp(1.0, 0.0)
         out = ldp_randomize(update_of([0.4, -0.9]), cfg, rng)
         np.testing.assert_array_equal(out.item_grads[0], [0.4, -0.9])
 
     def test_disabled_config_passes_through(self, rng):
-        cfg = LdpConfig(1.0, 5.0, enabled=False)
+        cfg = ldp(1.0, 5.0, enabled=False)
         upd = update_of([3.0, -3.0])
         assert ldp_randomize(upd, cfg, rng) is upd
 
     def test_clipping_is_idempotent(self, rng):
-        cfg = LdpConfig(0.7, 0.0)
+        cfg = ldp(0.7, 0.0)
         once = ldp_randomize(update_of([2.0, -0.1, 0.9]), cfg, rng)
         twice = ldp_randomize(once, cfg, rng)
         np.testing.assert_array_equal(once.item_grads[0], twice.item_grads[0])
 
     def test_post_clip_bound(self, rng):
-        cfg = LdpConfig(0.25, 0.0)
+        cfg = ldp(0.25, 0.0)
         out = ldp_randomize(update_of(np.linspace(-3, 3, 101)), cfg, rng)
         assert np.all(np.abs(out.item_grads[0]) <= 0.25)
 
     def test_noise_moments(self):
         # 1e5 zero entries, delta=1, lambda=0.5: mean near 0, E|x| near lambda
-        cfg = LdpConfig(1.0, 0.5)
+        cfg = ldp(1.0, 0.5)
         upd = GradientUpdate([0], np.zeros((1, 100_000)), 1)
         out = ldp_randomize(upd, cfg, substream(2024, "ldp"))
         noise = out.item_grads[0]
@@ -137,7 +143,7 @@ class TestLdpRandomize:
         assert abs(np.abs(noise).mean() - 0.5) <= 0.05 * 0.5
 
     def test_noise_is_unbiased_around_the_clipped_value(self):
-        cfg = LdpConfig(1.0, 0.3)
+        cfg = ldp(1.0, 0.3)
         n = 200_000
         upd = GradientUpdate([0], np.full((1, n), 0.8), 1)
         out = ldp_randomize(upd, cfg, substream(5, "unbiased"))
@@ -145,7 +151,7 @@ class TestLdpRandomize:
         assert abs(out.item_grads[0].mean() - 0.8) <= tolerance
 
     def test_block_equals_row_by_row_in_id_order(self):
-        cfg = LdpConfig(0.5, 0.3)
+        cfg = ldp(0.5, 0.3)
         rows = substream(1, "ldp-rows").normal(0.0, 1.0, (5, 4))
         update = GradientUpdate([2, 3, 7, 8, 11], rows, 4)
         out = ldp_randomize(update, cfg, substream(7, "ldp"))
@@ -158,15 +164,15 @@ class TestLdpRandomize:
 
 class TestPrivacyBudget:
     def test_example_values(self):
-        assert privacy_budget(LdpConfig(0.1, 0.2)) == 1.0
-        assert privacy_budget(LdpConfig(0.1, 0.4)) == 0.5
+        assert privacy_budget(ldp(0.1, 0.2)) == 1.0
+        assert privacy_budget(ldp(0.1, 0.4)) == 0.5
 
     def test_stronger_noise_means_smaller_budget(self):
-        assert privacy_budget(LdpConfig(0.1, 0.4)) < privacy_budget(LdpConfig(0.1, 0.2))
+        assert privacy_budget(ldp(0.1, 0.4)) < privacy_budget(ldp(0.1, 0.2))
 
     def test_zero_noise_is_rejected(self):
         with pytest.raises(ValueError, match="unbounded"):
-            privacy_budget(LdpConfig(0.1, 0.0))
+            privacy_budget(ldp(0.1, 0.0))
 
 
 class TestPseudoItemGradients:
@@ -202,17 +208,15 @@ class TestPseudoItemGradients:
 
 
 class TestConfigValidation:
-    def test_ldp_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LdpConfig(0.0, 0.1)
-        with pytest.raises(ValueError):
-            LdpConfig(0.1, -0.1)
+    def test_randomize_vector_rejects_bad_ldp_settings(self, rng):
+        for bad in (ldp(0.0, 0.1), ldp(-0.1, 0.1), ldp(0.1, -0.1)):
+            with pytest.raises(ValueError):
+                randomize_vector(np.zeros(3), bad, rng)
 
-    def test_privacy_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            PrivacyConfig(mask_ratio=1.0)
-        with pytest.raises(ValueError):
-            PrivacyConfig(pseudo_items_p=-1)
+    def test_client_graph_rejects_bad_mask_or_pseudo_settings(self, rng, small_split):
+        for bad in (PrivacySection(mask_ratio=1.0), PrivacySection(pseudo_items_p=-1)):
+            with pytest.raises(ValueError):
+                build_client_graph(small_split, 0, bad, rng)
 
 
 def test_laplace_inverse_cdf_is_seed_stable():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec import server
-from fedrec.client import PersonalizationWeights, personalize
-from fedrec.config import default_config
+from fedrec.client import personalize
+from fedrec.config import default_config, set_key
 from fedrec.evaluation import evaluate_cutoffs
 from fedrec.errors import NumericError
 from fedrec.gnn import GradientUpdate, init_table
@@ -25,10 +25,10 @@ from fedrec.server import (
     matcher_key,
     neighborhood_match,
     personalized_models,
-    privacy_settings,
     run_training,
     select_clients,
     user_token,
+    warm_up,
 )
 from fedrec.synthetic import two_community_dataset
 from fedrec.data import build_client_graph, leave_one_out_split
@@ -396,7 +396,7 @@ class TestRunTraining:
             build_client_graph(
                 tiny_split,
                 user,
-                privacy_settings(cfg),
+                cfg.privacy,
                 substream(cfg.train.seed, "client", report.round, user),
                 neighbors=neighbors[user],
             )
@@ -461,6 +461,59 @@ class TestRunTraining:
             run_training(tiny_config(), tiny_split)
 
 
+class TestEverySettingReachesItsCode:
+    """Moving one key off the base run changes what the key feeds: the
+    warm-start table, the global items trained from the base's warm-start
+    table, or the validation scores. So no setting is dropped or left
+    unresolved on its way to the code that reads it."""
+
+    @staticmethod
+    def config(key=None, value=None):
+        cfg = tiny_config(**{"pretrain.epochs": 1, "train.max_rounds": 2, "train.eval_every": 1})
+        cfg.privacy.enabled = True
+        if key is not None:
+            set_key(cfg, key, value)
+        return cfg
+
+    @staticmethod
+    def outputs(cfg, split, warm):
+        result = run_training(cfg, split, warm_table=warm)
+        return {
+            "warm_up": warm_up(cfg, split).table.items.tobytes(),
+            "train": result.global_items.tobytes(),
+            "scores": [(r.val_recall, r.val_ndcg) for r in result.reports],
+        }
+
+    @pytest.fixture(scope="class")
+    def base(self, tiny_split):
+        warm = warm_up(self.config(), tiny_split).table
+        return warm, self.outputs(self.config(), tiny_split, warm)
+
+    @pytest.mark.parametrize(
+        "key,value,reaches",
+        [
+            ("privacy.enabled", "false", "train"),
+            ("privacy.clip_delta", "0.05", "train"),
+            ("privacy.laplace_lambda", "0.5", "train"),
+            ("privacy.pseudo_items_p", "2", "warm_up+train"),
+            ("privacy.mask_ratio", "0.5", "warm_up+train"),
+            ("pretrain.tau", "0.5", "warm_up"),
+            ("pretrain.node_keep_prob", "1.0", "warm_up"),
+            ("pretrain.edge_add_count", "5", "warm_up"),
+            ("pretrain.noise_magnitude", "0.3", "warm_up"),
+            ("pretrain.eta", "0.1", "warm_up"),
+            ("train.gamma", "0.1", "train"),
+            ("train.batch_size", "2", "train"),
+            ("model.layers", "1", "warm_up+train"),
+            ("personalization.alpha", "0.6,0.2,0.2", "scores"),
+        ],
+    )
+    def test_moving_the_key_changes_what_it_feeds(self, tiny_split, base, key, value, reaches):
+        warm, before = base
+        after = self.outputs(self.config(key, value), tiny_split, warm)
+        assert [part for part in reaches.split("+") if after[part] == before[part]] == []
+
+
 class TestPersonalizedModels:
     @pytest.fixture(scope="class")
     def trained(self, tiny_split):
@@ -473,7 +526,6 @@ class TestPersonalizedModels:
         assert any(len(s.local_items) for s in result.states.values())
         cfg = copy.deepcopy(cfg)
         cfg.personalization.alpha = (0.5, 0.3, 0.2)
-        weights = PersonalizationWeights(*cfg.personalization.alpha)
         models = dict(personalized_models(tiny_split, result, cfg))
         assert sorted(models) == list(range(tiny_split.n_users))
         for user, state in result.states.items():
@@ -482,7 +534,7 @@ class TestPersonalizedModels:
                 local_item_table(state, result.local_base),
                 cluster,
                 result.global_items,
-                weights,
+                cfg.personalization.alpha,
             )
             ref = eval_model(cfg, tiny_split, user, state.user_vec, mixed)
             ours = models[user]
