@@ -1,10 +1,12 @@
 """Command-line entry points: pretrain, train, evaluate, simulate.
 
 Flags use the same dotted names as the config file (`--train.eta 0.02`) and
-take precedence over it; `--seed` is shorthand for `train.seed`. `pretrain`
-and `train` share the server's warm start, and `train` and `evaluate` share
-its per-user evaluation models, ranked one user at a time. Exit codes: 0 ok,
-2 config error, 3 data error, 4 numeric failure.
+take precedence over it; `--seed` is shorthand for `train.seed`. `main`
+picks the table each command uses: the server's warm-up table (written by
+`pretrain` and `simulate`), or a loaded `--warm-start` or `--checkpoint`
+file. `train` and `evaluate` share the server's per-user evaluation models,
+ranked one user at a time. Exit codes: 0 ok, 2 config error, 3 data error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -114,6 +116,15 @@ def _results_records(cfg, split, models, final_round) -> list[dict]:
     ]
 
 
+def _load_table(path: str, split: SplitDataset) -> EmbeddingTable:
+    """A checkpoint's table; its N users and M items must be the split's."""
+    table, _flags = load_checkpoint(path)
+    shape, data = (table.n_users, table.n_items), (split.n_users, split.n_items)
+    if shape != data:
+        raise DataError(f"{path}: (users, items) shape {shape} does not match the data's {data}")
+    return table
+
+
 def cmd_pretrain(cfg: ExperimentConfig, split: SplitDataset, out: Path) -> EmbeddingTable:
     """Warm up, write ``pretrained.txt`` and its summary, return the table."""
     result = warm_up(cfg, split)
@@ -131,15 +142,12 @@ def cmd_pretrain(cfg: ExperimentConfig, split: SplitDataset, out: Path) -> Embed
 
 
 def cmd_train(
-    cfg: ExperimentConfig,
-    split: SplitDataset,
-    out: Path,
-    warm_table: EmbeddingTable | None,
+    cfg: ExperimentConfig, split: SplitDataset, out: Path, table: EmbeddingTable
 ) -> None:
     if cfg.privacy.enabled and cfg.privacy.laplace_lambda > 0:
         eps = privacy_budget(cfg.privacy)
         print(f"privacy: per-upload budget bound {eps:.4f}")
-    result = run_training(cfg, split, warm_table=warm_table, verbose=True)
+    result = run_training(cfg, split, table, verbose=True)
     save_checkpoint(result.checkpoint_table(), out / "checkpoint.txt")
     with open(out / "rounds.jsonl", "w", encoding="utf-8") as fh:
         for report in result.reports:
@@ -156,11 +164,8 @@ def cmd_train(
 
 
 def cmd_evaluate(
-    cfg: ExperimentConfig, split: SplitDataset, out: Path, checkpoint: str
+    cfg: ExperimentConfig, split: SplitDataset, out: Path, table: EmbeddingTable
 ) -> None:
-    table, _flags = load_checkpoint(checkpoint)
-    if table.n_users != split.n_users or table.n_items != split.n_items:
-        raise DataError("checkpoint does not match the dataset shape")
     # bare-model protocol: the checkpoint's own rows, no personalization mix
     models = (
         (user, eval_model(cfg, split, user, table.users[user], table.items))
@@ -200,18 +205,21 @@ def main(argv=None) -> int:
         free = split.n_items - int((split.indptr[1:] - split.indptr[:-1]).max())
         if 0 < p and free <= p:
             raise ConfigError(f"privacy.pseudo_items_p must be below {free} to leave negatives")
-        if command == "pretrain":
-            cmd_pretrain(cfg, split, out)
-        elif command == "train":
-            warm_start = options["warm-start"]
-            warm_table = load_checkpoint(warm_start)[0] if warm_start else None
-            cmd_train(cfg, split, out, warm_table)
-        elif command == "evaluate":
-            cmd_evaluate(cfg, split, out, options["checkpoint"])
+        if command == "evaluate":
+            cmd_evaluate(cfg, split, out, _load_table(options["checkpoint"], split))
+            return 0
+        if command in ("pretrain", "simulate"):  # simulate trains it in memory
+            table = cmd_pretrain(cfg, split, out)
+        elif options["warm-start"]:
+            table = _load_table(options["warm-start"], split)
+            if table.dim != cfg.model.dim:
+                raise ConfigError(
+                    f"model.dim is {cfg.model.dim} but the warm-start table has dim {table.dim}"
+                )
         else:
-            # simulate: the warm-up table goes to training in memory
-            warm_table = cmd_pretrain(cfg, split, out) if cfg.pretrain.epochs else None
-            cmd_train(cfg, split, out, warm_table)
+            table = warm_up(cfg, split).table
+        if command != "pretrain":
+            cmd_train(cfg, split, out, table)
         return 0
     except (ConfigError, DataError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 The sections are the records the library takes: ``build_client_graph`` and
 ``randomize_vector`` read a ``PrivacySection``, ``compose_view`` and
 ``pretrain`` a ``PretrainSection`` (``server.warm_up`` resolves its
-``edge_add_count`` of -1 in a copy), ``personalize`` the
+``edge_add_count`` of -1 and its ``eta`` of 0 in a copy), ``personalize`` the
 ``personalization.alpha`` tuple, and a client update the whole
 ``ExperimentConfig``.
 

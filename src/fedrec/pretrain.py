@@ -209,18 +209,19 @@ def pretrain(
     table: EmbeddingTable,
     epochs: int,
     cfg: PretrainSection,
-    eta: float,
     n_layers: int,
     rng: np.random.Generator,
 ) -> PretrainResult:
-    """Run ``epochs`` contrastive steps of size ``eta`` and return the
-    warm-start table; ``cfg`` gives the augmentations and ``tau``.
+    """Run ``epochs`` contrastive steps of size ``cfg.eta`` and return the
+    warm-start table; ``cfg`` also gives the augmentations and ``tau``.
 
     Each epoch draws a fresh pair of views with ``rng.spawn(2)``, records
     their loss and steps on it. One more pair is drawn after the final step,
     so k epochs yield k+1 losses, and the first k+1 losses of a longer run
     are the same. Zero epochs leave the table untouched and draw nothing.
     """
+    if cfg.eta <= 0:
+        raise ValueError(f"eta must be resolved to > 0, got {cfg.eta}")
     current = table.copy()
     if epochs == 0:
         return PretrainResult(current, ())
@@ -237,8 +238,8 @@ def pretrain(
         back1 = p1.backprop(g1)
         back2 = p2.backprop(g2)
         current = EmbeddingTable(
-            current.users - eta * (back1.users + back2.users),
-            current.items - eta * (back1.items + back2.items),
+            current.users - cfg.eta * (back1.users + back2.users),
+            current.items - cfg.eta * (back1.items + back2.items),
         )
     return PretrainResult(current, tuple(losses))
 

@@ -25,7 +25,7 @@ from .client import (
 )
 from .config import ExperimentConfig
 from .data import SplitDataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .evaluation import UserEvalModel, evaluate_cutoffs
 from .gnn import EmbeddingTable, GradientUpdate, init_table
 from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
@@ -250,8 +250,9 @@ class TrainResult:
 def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
     """The starting table of training: the seeded random init, then
     ``pretrain.epochs`` contrastive epochs on the server's graph, with
-    ``pretrain.edge_add_count`` -1 resolved to ``pseudo_items_p`` per user.
-    Zero epochs return the init and assemble no graph."""
+    ``pretrain.edge_add_count`` -1 resolved to ``pseudo_items_p`` per user
+    and ``pretrain.eta`` 0 to ``train.eta``. Zero epochs return the init and
+    assemble no graph."""
     seed, pre = cfg.train.seed, cfg.pretrain
     table = init_table(split.n_users, split.n_items, cfg.model.dim, substream(seed, "init"))
     if pre.epochs == 0:
@@ -266,11 +267,11 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
             f"pretrain.edge_add_count asks for {added} added edges per view "
             f"(-1 = pseudo_items_p per user) but the graph lacks only {lacking}"
         )
+    pre = replace(pre, edge_add_count=added, eta=pre.eta or cfg.train.eta)
     # a blow-up here is named by the check below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         result = pretrain(
-            graph, table, pre.epochs, replace(pre, edge_add_count=added),
-            pre.eta or cfg.train.eta, cfg.model.layers, substream(seed, "pretrain"),
+            graph, table, pre.epochs, pre, cfg.model.layers, substream(seed, "pretrain")
         )
     if not result.table.allfinite():
         raise NumericError("non-finite embeddings after pre-training")
@@ -383,10 +384,10 @@ def personalized_models(
 def run_training(
     cfg: ExperimentConfig,
     split: SplitDataset,
-    warm_table: EmbeddingTable | None = None,
+    table: EmbeddingTable,
     verbose: bool = False,
 ) -> TrainResult:
-    """Full federated loop.
+    """Full federated loop from ``table``, which it reads and never writes.
 
     Per round: (re)cluster on uploaded embeddings, select clients in
     proportion to cluster sizes, collect privacy-protected client updates,
@@ -397,17 +398,6 @@ def run_training(
     """
     seed = cfg.train.seed
     n_users = split.n_users
-    if warm_table is not None:
-        if warm_table.n_users != n_users or warm_table.n_items != split.n_items:
-            raise DataError("warm-start table shape does not match the dataset")
-        if warm_table.dim != cfg.model.dim:
-            raise ConfigError(
-                f"model.dim is {cfg.model.dim} but the warm-start table has dim "
-                f"{warm_table.dim}"
-            )
-        table = warm_table.copy()
-    else:
-        table = warm_up(cfg, split).table
     # the global and the warm-start item table start as one array
     model = TrainResult(table.items, {}, None, init_client_states(table), table.items, [])
 

@@ -47,6 +47,7 @@ from fedrec.server import (
     neighborhood_match,
     personalized_models,
     run_training,
+    warm_up,
 )
 from fedrec.synthetic import two_community_dataset
 from helpers import (
@@ -166,7 +167,7 @@ def test_03_one_federated_round_equals_a_centralized_step():
     cfg.train.clients_per_round = 30
     cfg.cluster.k = 1
     cfg.pretrain.epochs = 0
-    result = run_training(cfg, split)
+    result = run_training(cfg, split, warm_up(cfg, split).table)
 
     # centralized oracle: replay every client's draws, take exact gradients on
     # the full local operator, and combine them by data-count weights
@@ -292,8 +293,9 @@ def test_07_pretraining_reaches_the_validation_threshold_sooner(benchmark_split)
     threshold = 0.10
     warm, cold = [], []
     for seed in range(5):
-        cold_run = run_training(_speedup_config(seed, 0), benchmark_split)
-        warm_run = run_training(_speedup_config(seed, 5), benchmark_split)
+        cold_cfg, warm_cfg = _speedup_config(seed, 0), _speedup_config(seed, 5)
+        cold_run = run_training(cold_cfg, benchmark_split, warm_up(cold_cfg, benchmark_split).table)
+        warm_run = run_training(warm_cfg, benchmark_split, warm_up(warm_cfg, benchmark_split).table)
         cold.append(_rounds_to_threshold(cold_run.reports, threshold))
         warm.append(_rounds_to_threshold(warm_run.reports, threshold))
     elapsed = time.perf_counter() - started
@@ -325,7 +327,7 @@ def _ablation_config(seed):
 
 
 def _final_test_ndcg(cfg, split):
-    models = personalized_models(split, run_training(cfg, split), cfg)
+    models = personalized_models(split, run_training(cfg, split, warm_up(cfg, split).table), cfg)
     return evaluate_cutoffs(split, models, (20,))["test"][20].ndcg
 
 

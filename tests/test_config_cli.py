@@ -291,7 +291,8 @@ class TestCliTrain:
         save_checkpoint(small, path)
         out = tmp_path / "ws"
         assert run_cli(*self.train_args(data_file, out, "--warm-start", str(path))) == 3
-        assert "shape" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "shape" in err and str(path) in err
         assert not (out / "checkpoint.txt").exists()
 
     def test_warm_start_dim_mismatch_exits_with_code_two(
@@ -332,7 +333,7 @@ class TestCliEvaluate:
         assert run_cli("evaluate", "--data.path", str(data_file)) == 2
         assert "checkpoint" in capsys.readouterr().err
 
-    def test_shape_mismatch_is_a_data_error(self, data_file, tmp_path, rng):
+    def test_shape_mismatch_is_a_data_error(self, data_file, tmp_path, rng, capsys):
         path = tmp_path / "tiny.txt"
         save_checkpoint(EmbeddingTable(rng.normal(size=(2, 4)), rng.normal(size=(3, 4))), path)
         code = run_cli(
@@ -340,6 +341,8 @@ class TestCliEvaluate:
             "--out", str(tmp_path),
         )
         assert code == 3
+        err = capsys.readouterr().err
+        assert "shape" in err and str(path) in err
 
     def test_non_finite_checkpoint_is_a_data_error(self, data_file, tmp_path, rng, capsys):
         users, items = rng.normal(size=(30, 8)), rng.normal(size=(20, 8))
@@ -377,12 +380,14 @@ class TestCliSimulate:
         ):
             assert (out / name).exists(), name
 
-    def test_train_without_warm_start_matches_simulate(self, data_file, tmp_path):
+    @pytest.mark.parametrize(
+        "warm_up", [("--pretrain.epochs", "2"), ("--no_pretrain",)], ids=["epochs2", "no_pretrain"]
+    )
+    def test_train_without_warm_start_matches_simulate(self, data_file, tmp_path, warm_up):
         common = (
             "--data.path", str(data_file), "--model.dim", "8", "--model.layers", "1",
             "--train.max_rounds", "4", "--train.eval_every", "2", "--train.eta", "0.5",
-            "--train.clients_per_round", "30", "--cluster.k", "2",
-            "--pretrain.epochs", "2", "--seed", "11",
+            "--train.clients_per_round", "30", "--cluster.k", "2", *warm_up, "--seed", "11",
         )
         sim, train = tmp_path / "sim", tmp_path / "train"
         pre, warm = tmp_path / "pre", tmp_path / "warm"
@@ -393,7 +398,8 @@ class TestCliSimulate:
         assert run_cli("pretrain", *common, "--out", str(pre)) == 0
         warm_start = ("--warm-start", str(pre / "pretrained.txt"))
         assert run_cli("train", *common, *warm_start, "--out", str(warm)) == 0
-        assert (sim / "pretrained.txt").read_bytes() == (pre / "pretrained.txt").read_bytes()
+        for name in ("pretrained.txt", "pretrain_summary.json"):
+            assert (sim / name).read_bytes() == (pre / name).read_bytes(), name
         for name in ("checkpoint.txt", "rounds.jsonl", "clusters.csv", "results.json"):
             assert (sim / name).read_bytes() == (train / name).read_bytes(), name
             assert (sim / name).read_bytes() == (warm / name).read_bytes(), name

@@ -445,7 +445,7 @@ class TestPretrain:
     def test_zero_epochs_leave_the_table_alone(self, rng):
         graph = tiny_graph()
         t = random_table(rng, 3, 3, 4)
-        res = pretrain(graph, t, 0, augmentation(), 0.05, 2, rng)
+        res = pretrain(graph, t, 0, augmentation(eta=0.05), 2, rng)
         np.testing.assert_array_equal(res.table.users, t.users)
         np.testing.assert_array_equal(res.table.items, t.items)
         assert res.losses == ()
@@ -453,11 +453,11 @@ class TestPretrain:
     def test_loss_drops_over_five_epochs_on_two_block_graph(self):
         ds = two_community_dataset(20, 12, seed=3, per_user=5)
         graph = training_graph(leave_one_out_split(ds))
-        cfg = augmentation(edge_add_count=3)
+        cfg = augmentation(edge_add_count=3, eta=0.05)
         deltas = []
         for seed in range(5):
             table = init_table(20, 12, 8, substream(seed, "init"))
-            res = pretrain(graph, table, 5, cfg, 0.05, 2, substream(seed, "pre"))
+            res = pretrain(graph, table, 5, cfg, 2, substream(seed, "pre"))
             assert len(res.losses) == 6
             deltas.append(res.losses[-1] - res.losses[0])
         assert np.median(deltas) < 0
@@ -465,8 +465,8 @@ class TestPretrain:
     def test_fixed_seed_is_deterministic(self, rng):
         graph = tiny_graph()
         t = random_table(rng, 3, 3, 4)
-        a = pretrain(graph, t, 3, augmentation(), 0.05, 1, substream(5, "p"))
-        b = pretrain(graph, t, 3, augmentation(), 0.05, 1, substream(5, "p"))
+        a = pretrain(graph, t, 3, augmentation(eta=0.05), 1, substream(5, "p"))
+        b = pretrain(graph, t, 3, augmentation(eta=0.05), 1, substream(5, "p"))
         np.testing.assert_array_equal(a.table.users, b.table.users)
         assert a.losses == b.losses
 
@@ -475,12 +475,19 @@ class TestPretrain:
         # the trailing loss of a k-epoch run is the loss of epoch k+1's views
         ds = two_community_dataset(12, 10, seed=4, per_user=4)
         graph = training_graph(leave_one_out_split(ds))
-        cfg = augmentation(edge_add_count=2)
+        cfg = augmentation(edge_add_count=2, eta=0.05)
         table = init_table(12, 10, 6, substream(1, "init"))
-        short = pretrain(graph, table, epochs, cfg, 0.05, 2, substream(1, "pre"))
-        longer = pretrain(graph, table, epochs + 1, cfg, 0.05, 2, substream(1, "pre"))
+        short = pretrain(graph, table, epochs, cfg, 2, substream(1, "pre"))
+        longer = pretrain(graph, table, epochs + 1, cfg, 2, substream(1, "pre"))
         assert len(short.losses) == epochs + 1
         assert short.losses == longer.losses[: epochs + 1]
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize("eta", [0.0, -0.05])  # 0.0 is the unresolved default
+    def test_a_step_that_is_not_resolved_to_positive_is_rejected(self, rng, epochs, eta):
+        t = random_table(rng, 3, 3, 4)
+        with pytest.raises(ValueError, match="eta must be resolved"):
+            pretrain(tiny_graph(), t, epochs, augmentation(eta=eta), 2, rng)
 
 
 class TestAssemblePretrainingGraph:

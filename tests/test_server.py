@@ -343,7 +343,7 @@ def tiny_split():
 class TestRunTraining:
     def test_zero_rounds_leave_the_tables_at_the_warm_start(self, tiny_split):
         cfg = tiny_config(**{"train.max_rounds": 0})
-        result = run_training(cfg, tiny_split)
+        result = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         init = init_table(
             tiny_split.n_users, tiny_split.n_items, 6, substream(0, "init")
         )
@@ -352,22 +352,37 @@ class TestRunTraining:
         assert result.reports == []
         assert len(result.assignment.assignment) == tiny_split.n_users
 
+    def test_the_callers_table_is_left_as_it_was(self, tiny_split):
+        # run_training trains the table it is given without a copy, so every
+        # step must leave the caller's arrays alone
+        cfg = tiny_config(**{"pretrain.epochs": 1, "train.eval_every": 1})
+        cfg.privacy.enabled = True
+        cfg.privacy.pseudo_items_p = 2
+        cfg.graph.neighbor_expansion = True
+        table = warm_up(cfg, tiny_split).table
+        before = table.copy()
+        result = run_training(cfg, tiny_split, table)
+        assert result.global_items.tobytes() != before.items.tobytes()
+        assert table.users.tobytes() == before.users.tobytes()
+        assert table.items.tobytes() == before.items.tobytes()
+
     def test_same_seed_reproduces_reports_and_tables(self, tiny_split):
-        a = run_training(tiny_config(), tiny_split)
-        b = run_training(tiny_config(), tiny_split)
+        cfg = tiny_config()
+        a = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
+        b = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         assert [r.record() for r in a.reports] == [r.record() for r in b.reports]
         np.testing.assert_array_equal(a.global_items, b.global_items)
         np.testing.assert_array_equal(a.user_table, b.user_table)
 
     def test_no_clustering_reports_a_single_cluster(self, tiny_split):
         cfg = tiny_config(**{"cluster.k": 1})
-        result = run_training(cfg, tiny_split)
+        result = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         assert all(r.n_clusters == 1 for r in result.reports)
         assert set(result.assignment.assignment.tolist()) == {0}
 
     def test_global_only_weights_match_bare_global_evaluation(self, tiny_split):
         cfg = tiny_config()
-        result = run_training(cfg, tiny_split)
+        result = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         global_only = copy.deepcopy(cfg)
         global_only.personalization.alpha = (0.0, 0.0, 1.0)
         models = personalized_models(tiny_split, result, global_only)
@@ -387,8 +402,8 @@ class TestRunTraining:
         cfg = tiny_config()
         cfg.graph.neighbor_expansion = True
         cfg.train.max_rounds = 2
-        a = run_training(cfg, tiny_split)
-        b = run_training(cfg, tiny_split)
+        a = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
+        b = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         np.testing.assert_array_equal(a.global_items, b.global_items)
         # the local graphs of the run's client updates, rebuilt from their streams
         neighbors, _ = _neighbor_setup(cfg, tiny_split)
@@ -407,7 +422,7 @@ class TestRunTraining:
 
     def test_early_stopping_restores_the_best_round(self, tiny_split):
         cfg = tiny_config(**{"train.max_rounds": 30, "train.patience": 2})
-        result = run_training(cfg, tiny_split)
+        result = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         evaluated = [r for r in result.reports if r.val_ndcg is not None]
         best = max(evaluated, key=lambda r: r.val_ndcg)
         assert result.final_round == best.round
@@ -418,11 +433,10 @@ class TestRunTraining:
         # the best-round snapshot keeps references, not copies; rounds run
         # after it must not reach into it
         cfg = tiny_config(**{"train.max_rounds": 30, "train.patience": 2})
-        result = run_training(cfg, tiny_split)
+        result = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         assert result.final_round < len(result.reports)
-        stopped = run_training(
-            tiny_config(**{"train.max_rounds": result.final_round}), tiny_split
-        )
+        cfg = tiny_config(**{"train.max_rounds": result.final_round})
+        stopped = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         ours, theirs = result.checkpoint_table(), stopped.checkpoint_table()
         np.testing.assert_array_equal(ours.users, theirs.users)
         np.testing.assert_array_equal(ours.items, theirs.items)
@@ -443,8 +457,9 @@ class TestRunTraining:
             return update
 
         monkeypatch.setattr(server, "client_update", overflowing)
+        cfg = tiny_config()
         with pytest.raises(NumericError, match="client state after round 1"):
-            run_training(tiny_config(), tiny_split)
+            run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
 
     def test_a_non_finite_cluster_table_is_named(self, tiny_split, monkeypatch):
         real, calls = server.apply_update, []
@@ -457,8 +472,9 @@ class TestRunTraining:
             return out
 
         monkeypatch.setattr(server, "apply_update", overflowing)
+        cfg = tiny_config()
         with pytest.raises(NumericError, match="cluster table after round 1"):
-            run_training(tiny_config(), tiny_split)
+            run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
 
 
 class TestEverySettingReachesItsCode:
@@ -477,7 +493,7 @@ class TestEverySettingReachesItsCode:
 
     @staticmethod
     def outputs(cfg, split, warm):
-        result = run_training(cfg, split, warm_table=warm)
+        result = run_training(cfg, split, warm)
         return {
             "warm_up": warm_up(cfg, split).table.items.tobytes(),
             "train": result.global_items.tobytes(),
@@ -518,7 +534,7 @@ class TestPersonalizedModels:
     @pytest.fixture(scope="class")
     def trained(self, tiny_split):
         cfg = tiny_config(**{"cluster.k": 3, "privacy.pseudo_items_p": 2})
-        return cfg, run_training(cfg, tiny_split)
+        return cfg, run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
 
     def test_equal_the_full_three_table_mix(self, tiny_split, trained):
         cfg, result = trained
