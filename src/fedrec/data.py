@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,24 @@ def load_interactions(path) -> InteractionDataset:
     first line's position. ``#`` lines and blank lines are skipped. Fields
     are integers in [0, 2**63).
     """
+    lines = (text := read_text(path)).removesuffix("\n").split("\n")
+    if all(map(re.compile(r"[0-9]{1,18}\t[0-9]{1,18}\t[0-9]{1,18}").fullmatch, lines)):
+        raw = np.loadtxt(lines, np.int64, comments=None, ndmin=2)
+    else:
+        raw = _read_lines(path, text)
+    users, n_users = _first_appearance_ids(raw[:, 0])
+    items, n_items = _first_appearance_ids(raw[:, 1])
+    pair, n_pairs = _first_appearance_ids(users * n_items + items)
+    dedup = np.full((n_pairs, 3), np.iinfo(np.int64).max)
+    dedup[pair, 0], dedup[pair, 1] = users, items
+    np.minimum.at(dedup[:, 2], pair, raw[:, 2])
+    return InteractionDataset(n_users, n_items, dedup)
+
+
+def _read_lines(path, text: str) -> np.ndarray:
+    """The per-line reader: every accepted form, and every named error."""
     rows: list[tuple[int, ...]] = []
-    for lineno, rawline in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, rawline in enumerate(text.split("\n"), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
             continue
@@ -58,14 +75,7 @@ def load_interactions(path) -> InteractionDataset:
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty dataset")
-    raw = np.array(rows, dtype=np.int64)
-    users, n_users = _first_appearance_ids(raw[:, 0])
-    items, n_items = _first_appearance_ids(raw[:, 1])
-    pair, n_pairs = _first_appearance_ids(users * n_items + items)
-    dedup = np.full((n_pairs, 3), np.iinfo(np.int64).max)
-    dedup[pair, 0], dedup[pair, 1] = users, items
-    np.minimum.at(dedup[:, 2], pair, raw[:, 2])
-    return InteractionDataset(n_users, n_items, dedup)
+    return np.array(rows, dtype=np.int64)
 
 
 def write_interactions(ds: InteractionDataset, path) -> None:

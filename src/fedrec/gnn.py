@@ -11,6 +11,7 @@ propagating the gradient of the final tables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -288,21 +289,25 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
         raise DataError(f"{path}: bad header {lines[0]!r}") from exc
     if dim < 1 or n_users < 0 or n_items < 0:
         raise DataError(f"{path}: header needs dim >= 1 and N, M >= 0, got {lines[0]!r}")
-    flags = {}
-    for token in head[3:]:
-        key, _, value = token.partition("=")
-        flags[key] = value
+    flags = dict(token.partition("=")[::2] for token in head[3:])
     rows = lines[1:]
     if len(rows) != n_users + n_items:
-        raise DataError(
-            f"{path}: expected {n_users + n_items} rows, found {len(rows)}"
-        )
-    try:
-        data = np.array([[float(v) for v in row.split()] for row in rows])
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed float row") from exc
+        raise DataError(f"{path}: expected {n_users + n_items} rows, found {len(rows)}")
+    plain = rows and all(map(re.compile(r" *[-+.0-9eE][-+.0-9eE ]*").fullmatch, rows))
+    try:  # rows of plain floats parse in one call, any other text row by row
+        data = np.loadtxt(rows, comments=None, ndmin=2) if plain else _read_rows(path, rows)
+    except ValueError:
+        data = _read_rows(path, rows)
     if data.shape != (n_users + n_items, dim):
         raise DataError(f"{path}: row width does not match dim {dim}")
     if not np.isfinite(data).all():
         raise DataError(f"{path}: non-finite embedding value")
     return EmbeddingTable(data[:n_users], data[n_users:]), flags
+
+
+def _read_rows(path, rows: list[str]) -> np.ndarray:
+    """The per-row reader: every accepted form, and every named error."""
+    try:
+        return np.array([[float(v) for v in row.split()] for row in rows])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed float row") from exc

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from fedrec.data import SplitDataset
+from fedrec.data import InteractionDataset, SplitDataset, _first_appearance_ids
+from fedrec.errors import DataError, read_text
 from fedrec.gnn import BipartiteGraph, EmbeddingTable
 
 
@@ -159,3 +160,68 @@ def scipy_entity_infonce(a: np.ndarray, b: np.ndarray, tau: float):
     grad_a[zero_a] = 0.0
     grad_b[zero_b] = 0.0
     return terms, grad_a, grad_b
+
+
+def loop_load_interactions(path) -> InteractionDataset:
+    """Reference interaction loader: every line parsed on its own with
+    ``int``, then densified and deduplicated like the library."""
+    rows: list[tuple[int, ...]] = []
+    for lineno, rawline in enumerate(read_text(path).split("\n"), start=1):
+        line = rawline.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected `user<TAB>item<TAB>timestamp`")
+        try:
+            row = tuple(map(int, parts))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-integer field") from exc
+        if min(row) < 0 or max(row) >= 2**63:
+            raise DataError(f"{path}:{lineno}: value out of range [0, 2**63)")
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: empty dataset")
+    raw = np.array(rows, dtype=np.int64)
+    users, n_users = _first_appearance_ids(raw[:, 0])
+    items, n_items = _first_appearance_ids(raw[:, 1])
+    pair, n_pairs = _first_appearance_ids(users * n_items + items)
+    dedup = np.full((n_pairs, 3), np.iinfo(np.int64).max)
+    dedup[pair, 0], dedup[pair, 1] = users, items
+    np.minimum.at(dedup[:, 2], pair, raw[:, 2])
+    return InteractionDataset(n_users, n_items, dedup)
+
+
+def loop_load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
+    """Reference checkpoint loader: every row parsed on its own with
+    ``float``, behind the same header and row-count checks."""
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty checkpoint")
+    head = lines[0].split()
+    if len(head) < 3:
+        raise DataError(f"{path}: header must be `dim N M [flags]`")
+    try:
+        dim, n_users, n_items = (int(x) for x in head[:3])
+    except ValueError as exc:
+        raise DataError(f"{path}: bad header {lines[0]!r}") from exc
+    if dim < 1 or n_users < 0 or n_items < 0:
+        raise DataError(f"{path}: header needs dim >= 1 and N, M >= 0, got {lines[0]!r}")
+    flags = {}
+    for token in head[3:]:
+        key, _, value = token.partition("=")
+        flags[key] = value
+    rows = lines[1:]
+    if len(rows) != n_users + n_items:
+        raise DataError(
+            f"{path}: expected {n_users + n_items} rows, found {len(rows)}"
+        )
+    try:
+        data = np.array([[float(v) for v in row.split()] for row in rows])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed float row") from exc
+    if data.shape != (n_users + n_items, dim):
+        raise DataError(f"{path}: row width does not match dim {dim}")
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: non-finite embedding value")
+    return EmbeddingTable(data[:n_users], data[n_users:]), flags

@@ -323,5 +323,5 @@ class TestCheckpoint:
     def test_row_count_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1 1\n0.0 0.0\n")
-        with pytest.raises(Exception, match="rows"):
+        with pytest.raises(DataError, match="bad.txt: expected 2 rows, found 1"):
             load_checkpoint(path)
