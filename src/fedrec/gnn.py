@@ -271,8 +271,7 @@ def save_checkpoint(table: EmbeddingTable, path, pretrained: bool = False) -> No
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for block in (table.users, table.items):
-            for row in block:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(" ".join(map(repr, row.tolist())) + "\n" for row in block)
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
@@ -293,7 +292,9 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
     rows = lines[1:]
     if len(rows) != n_users + n_items:
         raise DataError(f"{path}: expected {n_users + n_items} rows, found {len(rows)}")
-    plain = rows and all(map(re.compile(r" *[-+.0-9eE][-+.0-9eE ]*").fullmatch, rows))
+    if not rows:
+        return EmbeddingTable(np.empty((0, dim)), np.empty((0, dim))), flags
+    plain = all(map(re.compile(r" *[-+.0-9eE][-+.0-9eE ]*").fullmatch, rows))
     try:  # rows of plain floats parse in one call, any other text row by row
         data = np.loadtxt(rows, comments=None, ndmin=2) if plain else _read_rows(path, rows)
     except ValueError:

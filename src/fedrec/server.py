@@ -61,6 +61,32 @@ def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
+def _nearest_centres(X: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each row's first nearest centre by the exact ``((x - c) ** 2).sum()``.
+
+    One product estimates all distances as ``|x|^2 - 2 x.c + |c|^2``. The
+    slack exceeds twice the rounding and underflow error of that estimate and
+    of the exact sum, so a centre estimated beyond a row's least estimate plus
+    the slack is exactly farther; exact sums are taken only within it."""
+    fp = np.finfo(np.float64)
+    with np.errstate(all="ignore"):  # a blow-up takes the per-centre sums
+        cc = np.einsum("ij,ij->i", centers, centers)
+        scale = (np.sqrt(xx) + np.sqrt(cc.max())) ** 2
+        est = xx[:, None] - 2.0 * (X @ centers.T) + cc
+    if not scale.max() <= fp.max / 4:  # NaN too; below it no exact sum overflows
+        # one centre at a time: no N x k x d temporary; an overflow raises here
+        return np.column_stack([((X - m) ** 2).sum(axis=1) for m in centers]).argmin(axis=1)
+    slack = 8 * (X.shape[1] + 2) * (fp.eps * scale + fp.tiny)
+    assign = est.argmin(axis=1)
+    near = est <= (est[np.arange(len(est)), assign] + slack)[:, None]
+    rows = np.flatnonzero(near.sum(axis=1) > 1)
+    r, c = np.nonzero(near[rows])
+    exact = np.full((rows.size, len(centers)), np.inf)
+    exact[r, c] = ((X[rows[r]] - centers[c]) ** 2).sum(axis=1)
+    assign[rows] = exact.argmin(axis=1)
+    return assign
+
+
 def cluster_users(
     user_embeddings: np.ndarray, k: int, rng: np.random.Generator
 ) -> ClusterAssignment:
@@ -74,17 +100,17 @@ def cluster_users(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     centers = _kmeans_pp(X, k, rng)
+    with np.errstate(all="ignore"):
+        xx = np.einsum("ij,ij->i", X, X)
     assign = np.full(n, -1, dtype=np.int64)
     inertia_path: list[float] = []
     for _ in range(100):
-        # one centre at a time: no N x k x d temporary
-        d2 = np.column_stack([((X - m) ** 2).sum(axis=1) for m in centers])
-        new_assign = d2.argmin(axis=1)
+        new_assign = _nearest_centres(X, xx, centers)
         counts = np.bincount(new_assign, minlength=k)
         for c in range(k):
             if counts[c] > 0:
                 continue
-            own_dist = d2[np.arange(n), new_assign].copy()
+            own_dist = ((X - centers[new_assign]) ** 2).sum(axis=1)
             own_dist[counts[new_assign] < 2] = -np.inf
             donor = int(own_dist.argmax())
             counts[new_assign[donor]] -= 1
@@ -95,7 +121,8 @@ def cluster_users(
         assign = new_assign
         for c in range(k):
             centers[c] = X[assign == c].mean(axis=0)
-        inertia_path.append(float(((X - centers[assign]) ** 2).sum()))
+        diff = centers[assign]  # a copy, worked in place: one N x d buffer
+        inertia_path.append(float(np.square(np.subtract(X, diff, out=diff), out=diff).sum()))
     return ClusterAssignment(k, assign, centers, tuple(inertia_path))
 
 

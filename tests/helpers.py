@@ -12,6 +12,7 @@ import numpy as np
 from fedrec.data import InteractionDataset, SplitDataset, _first_appearance_ids
 from fedrec.errors import DataError, read_text
 from fedrec.gnn import BipartiteGraph, EmbeddingTable
+from fedrec.server import _kmeans_pp
 
 
 def local_item_table(state, base: np.ndarray) -> np.ndarray:
@@ -216,6 +217,8 @@ def loop_load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
         raise DataError(
             f"{path}: expected {n_users + n_items} rows, found {len(rows)}"
         )
+    if not rows:
+        return EmbeddingTable(np.empty((0, dim)), np.empty((0, dim))), flags
     try:
         data = np.array([[float(v) for v in row.split()] for row in rows])
     except ValueError as exc:
@@ -225,3 +228,33 @@ def loop_load_checkpoint(path) -> tuple[EmbeddingTable, dict[str, str]]:
     if not np.isfinite(data).all():
         raise DataError(f"{path}: non-finite embedding value")
     return EmbeddingTable(data[:n_users], data[n_users:]), flags
+
+
+def loop_cluster_users(X: np.ndarray, k: int, rng: np.random.Generator):
+    """Reference k-means: the same seeding, revival and stopping rule as
+    ``cluster_users``, with every distance summed exactly, one centre at a
+    time. Returns ``(assignment, centroids, inertia_path)``."""
+    n = X.shape[0]
+    centers = _kmeans_pp(X, k, rng)
+    assign = np.full(n, -1, dtype=np.int64)
+    inertia_path: list[float] = []
+    for _ in range(100):
+        d2 = np.column_stack([((X - m) ** 2).sum(axis=1) for m in centers])
+        new_assign = d2.argmin(axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        for c in range(k):
+            if counts[c] > 0:
+                continue
+            own_dist = d2[np.arange(n), new_assign].copy()
+            own_dist[counts[new_assign] < 2] = -np.inf
+            donor = int(own_dist.argmax())
+            counts[new_assign[donor]] -= 1
+            new_assign[donor] = c
+            counts[c] = 1
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            centers[c] = X[assign == c].mean(axis=0)
+        inertia_path.append(float(((X - centers[assign]) ** 2).sum()))
+    return assign, centers, tuple(inertia_path)

@@ -325,3 +325,22 @@ class TestCheckpoint:
         path.write_text("2 1 1\n0.0 0.0\n")
         with pytest.raises(DataError, match="bad.txt: expected 2 rows, found 1"):
             load_checkpoint(path)
+
+    def test_text_equals_a_repr_per_value(self, tmp_path, rng):
+        t = random_table(rng, 4, 6, 5, scale=1e3)
+        t.users[0, :4] = [-0.0, 5e-324, 1e308, 1.0]
+        t.items[2, 1:3] = [-1e308, -5e-324]
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(t, path, pretrained=True)
+        lines = ["5 4 6 pretrained=true"] + [
+            " ".join(repr(float(v)) for v in row) for row in np.vstack([t.users, t.items])
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    def test_empty_table_round_trips(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        save_checkpoint(EmbeddingTable(np.empty((0, 3)), np.empty((0, 3))), path)
+        assert path.read_text() == "3 0 0\n"
+        loaded, flags = load_checkpoint(path)
+        assert loaded.users.shape == loaded.items.shape == (0, 3)
+        assert flags == {}

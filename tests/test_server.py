@@ -15,6 +15,7 @@ from fedrec.gnn import GradientUpdate, init_table
 from fedrec.rng import substream
 from fedrec.server import (
     _kmeans_pp,
+    _nearest_centres,
     _neighbor_setup,
     ClusterAssignment,
     aggregate,
@@ -32,7 +33,7 @@ from fedrec.server import (
 )
 from fedrec.synthetic import two_community_dataset
 from fedrec.data import build_client_graph, leave_one_out_split
-from helpers import local_item_table
+from helpers import local_item_table, loop_cluster_users
 
 
 class TestClusterUsers:
@@ -109,6 +110,93 @@ class TestClusterUsers:
         np.testing.assert_array_equal(ours.assignment, assign)
         assert ours.centroids.tobytes() == centers.tobytes()
         assert ours.inertia_path == tuple(path)
+
+
+def kmeans_case(family: str, seed: int) -> tuple[np.ndarray, int]:
+    """Inputs on which a distance estimate is hardest to trust: exact ties,
+    repeated points, one or many dimensions, extreme scales, overflow."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 50))
+    d = int(gen.choice([1, 2, 3, 8, 16]))
+    k = min(n, int(gen.integers(1, 8)))
+    if family == "lattice":
+        X = gen.integers(-2, 3, size=(n, d)).astype(float)
+    elif family == "duplicates":  # few distinct points: empty clusters revive
+        distinct = gen.normal(size=(int(gen.integers(1, 4)), int(gen.choice([d, 129]))))
+        X = distinct[gen.integers(len(distinct), size=n)] * 0.1
+        k = int(gen.integers(1, n + 1))
+    elif family == "k-equals-n":
+        X = gen.integers(-2, 3, size=(n, d)).astype(float)
+        k = n
+    elif family == "d1":
+        X = gen.normal(size=(n, 1)) * 10.0 ** float(gen.integers(-160, 151))
+    elif family == "d129":
+        X = gen.normal(size=(n, 129))
+    elif family == "scales":
+        X = gen.normal(size=(n, d)) * 10.0 ** float(gen.integers(-160, 151))
+    elif family == "scaled-lattice":
+        X = gen.integers(-3, 4, size=(n, d)) * 10.0 ** float(gen.integers(-160, 151))
+    elif family == "subnormal":  # squared differences underflow
+        X = gen.integers(-3, 4, size=(n, d)) * 10.0 ** float(gen.integers(-165, -150))
+    elif family == "overflow":
+        X = gen.normal(size=(n, d)) * 10.0 ** float(gen.choice([152, 153, 154, 155]))
+    else:  # "non-finite"
+        X = gen.normal(size=(n, d)) * 10.0 ** float(gen.choice([0, 154, 200]))
+        X[gen.integers(n), gen.integers(d)] = gen.choice([np.inf, -np.inf, np.nan])
+    return X, k
+
+
+def kmeans_outcome(cluster, X, k, seed, **errstate):
+    """Bytes of assignment, centroids and inertia path, or the error text."""
+    try:
+        with np.errstate(**errstate):
+            got = cluster(X, k, np.random.default_rng(seed))
+    except (FloatingPointError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, ClusterAssignment):
+        got = got.assignment, got.centroids, got.inertia_path
+    assignment, centroids, path = got
+    return assignment.tobytes(), centroids.tobytes(), np.array(path).tobytes()
+
+
+class TestClusterUsersIsExact:
+    """``cluster_users`` assigns from a distance estimate and sums exactly
+    only where it cannot separate the nearest centres; the outcome must be
+    that of the per-centre loop in ``helpers``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "family",
+        ["lattice", "duplicates", "k-equals-n", "d1", "d129", "scales",
+         "scaled-lattice", "subnormal", "overflow"],
+    )
+    def test_equals_the_per_centre_loop(self, family):
+        raised = 0
+        for seed in range(40):
+            X, k = kmeans_case(family, seed)
+            want = kmeans_outcome(loop_cluster_users, X, k, seed, over="raise", invalid="raise")
+            got = kmeans_outcome(cluster_users, X, k, seed, over="raise", invalid="raise")
+            assert got == want, (family, seed)
+            raised += want[0] == "FloatingPointError"
+        assert (raised > 0) == (family == "overflow")
+
+    def test_equals_the_per_centre_loop_on_non_finite_input(self):
+        # nothing raises: non-finite distances must still pick what the
+        # per-centre sums pick
+        for seed in range(40):
+            X, k = kmeans_case("non-finite", seed)
+            want = kmeans_outcome(loop_cluster_users, X, k, seed, all="ignore")
+            assert kmeans_outcome(cluster_users, X, k, seed, all="ignore") == want, seed
+
+    def test_equidistant_point_takes_the_lower_id(self):
+        # exactly 0.25 from both centres; the estimate |x|^2 - 2x.c + |c|^2
+        # rounds at this offset and need not see the tie
+        off = 91275557.0
+        X = np.array([[off, 0.5]])
+        xx = (X**2).sum(axis=1)
+        for centers in ([[off, 0.0], [off, 1.0]], [[off, 1.0], [off, 0.0]]):
+            centers = np.array(centers)
+            assert ((X - centers) ** 2).sum(axis=1).tolist() == [0.25, 0.25]
+            assert _nearest_centres(X, xx, centers).tolist() == [0]
 
 
 def assignment_of(cluster_sizes):
