@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluation import PHASES, evaluate_cutoffs
 from .gnn import EmbeddingTable, load_checkpoint, save_checkpoint
 from .privacy import privacy_budget
-from .server import eval_model, personalized_models, run_training, warm_up
+from .server import eval_graphs, eval_model, personalized_models, run_training, warm_up
 
 COMMANDS = ("pretrain", "train", "evaluate", "simulate")
 # the paper's three reduced variants are each one setting of an existing key
@@ -168,8 +168,8 @@ def cmd_evaluate(
 ) -> None:
     # bare-model protocol: the checkpoint's own rows, no personalization mix
     models = (
-        (user, eval_model(cfg, split, user, table.users[user], table.items))
-        for user in range(split.n_users)
+        (user, eval_model(cfg, table.users[user], table.items, graph_items))
+        for user, graph_items in enumerate(eval_graphs(cfg, split, range(split.n_users)))
     )
     records = _results_records(cfg, split, models, 0)
     _write_json(out / "results.json", records)

@@ -7,7 +7,7 @@ All sampling is driven by explicit generators so per-client streams keyed by
 from __future__ import annotations
 
 import math
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -57,21 +57,31 @@ def mask_interacted_items(
 
 def laplace_noise(rng: np.random.Generator, scale: float, size) -> np.ndarray:
     """Laplace(0, scale) samples via the inverse CDF of a uniform draw."""
-    u = rng.random(size) - 0.5
+    return laplace_from_uniform(rng.random(size), scale)
+
+
+def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    u = u - 0.5
     inner = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(np.float64).tiny)
     return -scale * np.sign(u) * np.log(inner)
 
 
 def randomize_vector(
-    vec: np.ndarray, cfg: PrivacySection, rng: np.random.Generator
+    vec: np.ndarray, cfg: PrivacySection, rng: np.random.Generator | Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Clip each entry to [-clip_delta, clip_delta] and add i.i.d.
-    Laplace(0, laplace_lambda) noise."""
+    Laplace(0, laplace_lambda) noise: one draw of ``rng``, or, from one
+    generator per row, each row's own draw, turned into noise at once."""
     if not (cfg.clip_delta > 0 and cfg.laplace_lambda >= 0):
         raise ValueError("need clip_delta > 0 and laplace_lambda >= 0")
     out = np.clip(vec, -cfg.clip_delta, cfg.clip_delta)
+    if cfg.laplace_lambda > 0 and isinstance(rng, np.random.Generator):
+        return out + laplace_noise(rng, cfg.laplace_lambda, out.shape)
     if cfg.laplace_lambda > 0:
-        out = out + laplace_noise(rng, cfg.laplace_lambda, out.shape)
+        u = np.empty_like(out)
+        for stream, row in zip(rng, u, strict=True):
+            stream.random(out=row)
+        out += laplace_from_uniform(u, cfg.laplace_lambda)
     return out
 
 

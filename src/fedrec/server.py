@@ -30,7 +30,7 @@ from .evaluation import UserEvalModel, evaluate_cutoffs
 from .gnn import EmbeddingTable, GradientUpdate, init_table
 from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
 from .privacy import randomize_vector, sample_pseudo_items
-from .rng import substream
+from .rng import substream, substreams
 
 
 @dataclass(eq=False)
@@ -312,11 +312,11 @@ def _noised_uploads(
     LDP-noised on ``substream(seed, label, round, user)`` when privacy is
     enabled."""
     block = np.vstack([states[u].last_inferred for u in range(len(states))])
-    if cfg.privacy.enabled:
-        for user, vec in enumerate(block):
-            stream = substream(cfg.train.seed, label, round_idx, user)
-            block[user] = randomize_vector(vec, cfg.privacy, stream)
-    return block
+    if not cfg.privacy.enabled:
+        return block
+    users = range(len(block) if cfg.privacy.laplace_lambda > 0 else 0)
+    streams = substreams(cfg.train.seed, label, round_idx, ids=users)
+    return randomize_vector(block, cfg.privacy, streams)
 
 
 def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
@@ -342,27 +342,25 @@ def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
     return [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs], by_handle
 
 
-def eval_model(
-    cfg: ExperimentConfig,
-    split: SplitDataset,
-    user: int,
-    user_row: np.ndarray,
-    item_rows: np.ndarray,
-) -> UserEvalModel:
-    """One user's model for the ranking protocol.
+def eval_graphs(
+    cfg: ExperimentConfig, split: SplitDataset, users: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """Each user's evaluation-time local graph items: the training items
+    plus pseudo items on ``substream(seed, "eval-graph", user)``, a
+    round-independent stream made only when ``pseudo_items_p`` > 0."""
+    p = cfg.privacy.pseudo_items_p
+    streams = substreams(cfg.train.seed, "eval-graph", ids=users) if p else [None] * len(users)
+    for user, stream in zip(users, streams):
+        own = split.train_items(user)
+        yield np.union1d(own, sample_pseudo_items(split.n_items, own, p, stream)) if p else own
 
-    The evaluation-time local graph draws pseudo items from a fixed per-user
-    stream (round-independent); candidates exclude the full training set plus
-    those pseudo items. Item scores use the raw rows: every candidate is
-    isolated in the local graph, so propagation would only rescale them
-    uniformly.
-    """
-    graph_items, p = split.train_items(user), cfg.privacy.pseudo_items_p
-    if p > 0:
-        pseudo = sample_pseudo_items(
-            split.n_items, graph_items, p, substream(cfg.train.seed, "eval-graph", user)
-        )
-        graph_items = np.union1d(graph_items, pseudo)
+
+def eval_model(
+    cfg: ExperimentConfig, user_row: np.ndarray, item_rows: np.ndarray, graph_items: np.ndarray
+) -> UserEvalModel:
+    """One user's model for the ranking protocol; candidates exclude its
+    local graph's items (``eval_graphs``). Item scores use the raw rows: every
+    candidate is isolated there, so propagation would only rescale them."""
     user_emb = infer_user_embedding(user_row, item_rows, graph_items, cfg.model.layers)
     return UserEvalModel(user_emb, item_rows, graph_items)
 
@@ -374,20 +372,20 @@ def build_eval_models(
     cluster_items: np.ndarray,
     global_items: np.ndarray,
     cfg: ExperimentConfig,
-    users: Sequence[int],
+    graphs: Mapping[int, np.ndarray],
 ) -> dict[int, UserEvalModel]:
-    """The models of ``users``, members of one cluster, on their item tables
-    mixed by ``personalization.alpha``: a copy of ``base``, the cluster's mix
-    over the warm-start table, with the user's overlay rows mixed the same
-    way. Each model holds an M x d table, so callers ask for a few users at a
-    time."""
+    """The models of the users in ``graphs``, members of one cluster, on
+    their local graph items (``eval_graphs``) and item tables mixed by
+    ``personalization.alpha``: a copy of ``base``, the cluster's mix over the
+    warm-start table, with the user's overlay rows mixed the same way. Each
+    model holds an M x d table, so callers ask for a few users at a time."""
     models, alpha = {}, cfg.personalization.alpha
-    for user in users:
+    for user, graph_items in graphs.items():
         state = states[user]
         ids = state.local_items
         rows = base.copy()
         rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], alpha)
-        models[user] = eval_model(cfg, split, user, state.user_vec, rows)
+        models[user] = eval_model(cfg, state.user_vec, rows, graph_items)
     return models
 
 
@@ -402,9 +400,10 @@ def personalized_models(
     for c in range(assignment.k):  # k-means leaves no cluster empty
         cluster_items = model.cluster_items[c]
         base = personalize(model.local_base, cluster_items, global_items, alpha)
-        for user in np.flatnonzero(assignment.assignment == c).tolist():
+        members = np.flatnonzero(assignment.assignment == c).tolist()
+        for user, graph_items in zip(members, eval_graphs(cfg, split, members)):
             yield from build_eval_models(
-                split, states, base, cluster_items, global_items, cfg, (user,)
+                split, states, base, cluster_items, global_items, cfg, {user: graph_items}
             ).items()
 
 
@@ -466,15 +465,8 @@ def run_training(
 
         # a blow-up here is named by the checks below, not by a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            updates = [
-                client_update(
-                    states[user],
-                    model.global_items,
-                    ctx,
-                    substream(seed, "client", round_idx, user),
-                )
-                for user in selected
-            ]
+            keyed = zip(selected, substreams(seed, "client", round_idx, ids=selected))
+            updates = [client_update(states[u], model.global_items, ctx, s) for u, s in keyed]
             model.global_items = apply_update(model.global_items, aggregate(updates), eta)
             by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
             for user, update in zip(selected, updates):

@@ -12,6 +12,8 @@ import numpy as np
 from fedrec.data import InteractionDataset, SplitDataset, _first_appearance_ids
 from fedrec.errors import DataError, read_text
 from fedrec.gnn import BipartiteGraph, EmbeddingTable
+from fedrec.privacy import randomize_vector, sample_pseudo_items
+from fedrec.rng import substream
 from fedrec.server import _kmeans_pp
 
 
@@ -258,3 +260,29 @@ def loop_cluster_users(X: np.ndarray, k: int, rng: np.random.Generator):
             centers[c] = X[assign == c].mean(axis=0)
         inertia_path.append(float(((X - centers[assign]) ** 2).sum()))
     return assign, centers, tuple(inertia_path)
+
+
+def loop_noised_uploads(
+    block: np.ndarray, cfg, label: str, round_idx: int
+) -> np.ndarray:
+    """Reference upload noise: ``randomize_vector`` row by row, each user
+    on its own ``substream(seed, label, round, user)``, one key at a time.
+    ``cfg`` is the whole ``ExperimentConfig``."""
+    block = block.copy()
+    if cfg.privacy.enabled:
+        for user, vec in enumerate(block):
+            stream = substream(cfg.train.seed, label, round_idx, user)
+            block[user] = randomize_vector(vec, cfg.privacy, stream)
+    return block
+
+
+def loop_eval_graph(cfg, split: SplitDataset, user: int) -> np.ndarray:
+    """Reference evaluation graph items of one user: the training items plus
+    pseudo items on ``substream(seed, "eval-graph", user)``."""
+    items, p = split.train_items(user), cfg.privacy.pseudo_items_p
+    if p == 0:
+        return items
+    pseudo = sample_pseudo_items(
+        split.n_items, items, p, substream(cfg.train.seed, "eval-graph", user)
+    )
+    return np.union1d(items, pseudo)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec import server
-from fedrec.client import personalize
+from fedrec.client import ClientState, personalize
 from fedrec.config import default_config, set_key
 from fedrec.evaluation import evaluate_cutoffs
 from fedrec.errors import NumericError
 from fedrec.gnn import GradientUpdate, init_table
-from fedrec.rng import substream
+from fedrec.privacy import randomize_vector
+from fedrec.rng import substream, substreams
 from fedrec.server import (
     _kmeans_pp,
     _nearest_centres,
@@ -21,6 +22,7 @@ from fedrec.server import (
     aggregate,
     apply_update,
     cluster_users,
+    eval_graphs,
     eval_model,
     item_token,
     matcher_key,
@@ -33,7 +35,7 @@ from fedrec.server import (
 )
 from fedrec.synthetic import two_community_dataset
 from fedrec.data import build_client_graph, leave_one_out_split
-from helpers import local_item_table, loop_cluster_users
+from helpers import local_item_table, loop_cluster_users, loop_eval_graph, loop_noised_uploads
 
 
 class TestClusterUsers:
@@ -407,6 +409,53 @@ class TestNeighborhoodMatch:
             assert neighbors[user].tolist() == [list(p) for p in expected]
 
 
+def upload_states(n_users: int, dim: int, seed: int) -> dict[int, ClientState]:
+    # rows at about clip_delta's scale, so some entries are clipped
+    rows = substream(seed, "uploads").normal(0.0, 0.15, (n_users, dim))
+    return {u: ClientState(u, rows[u], last_inferred=rows[u]) for u in range(n_users)}
+
+
+class TestNoisedUploads:
+    # every width up to 70 and 128, 129: each SIMD tail length of the block
+    # transform against the per-row transform
+    @pytest.mark.parametrize("dim", [*range(1, 71), 128, 129])
+    def test_block_noise_equals_the_per_row_oracle(self, dim):
+        cfg = tiny_config(**{"privacy.enabled": True, "train.seed": 2**40 + dim})
+        states = upload_states(9, dim, dim)
+        block = np.vstack([s.last_inferred for s in states.values()])
+        ours = server._noised_uploads(states, cfg, "cluster-upload", dim % 5)
+        ref = loop_noised_uploads(block, cfg, "cluster-upload", dim % 5)
+        assert ours.tobytes() == ref.tobytes()
+        assert not np.array_equal(ours, np.clip(block, -0.1, 0.1))
+
+    def test_zero_lambda_clips_and_draws_nothing(self, monkeypatch):
+        cfg = tiny_config(**{"privacy.enabled": True, "privacy.laplace_lambda": 0.0})
+        states = upload_states(5, 4, 1)
+        block = np.vstack([s.last_inferred for s in states.values()])
+        keys, real = [], server.substreams
+
+        def recorded(*key, ids):
+            keys.extend(ids)
+            return real(*key, ids=ids)
+
+        monkeypatch.setattr(server, "substreams", recorded)
+        out = server._noised_uploads(states, cfg, "cluster-upload", 1)
+        assert out.tobytes() == np.clip(block, -0.1, 0.1).tobytes()
+        assert keys == []
+        assert out.tobytes() == loop_noised_uploads(block, cfg, "cluster-upload", 1).tobytes()
+
+    def test_privacy_off_returns_the_plain_stack(self):
+        cfg = tiny_config()
+        states = upload_states(5, 4, 2)
+        out = server._noised_uploads(states, cfg, "cluster-upload", 1)
+        assert out.tobytes() == np.vstack([s.last_inferred for s in states.values()]).tobytes()
+
+    def test_rows_and_streams_must_pair_up(self):
+        cfg = tiny_config(**{"privacy.enabled": True})
+        with pytest.raises(ValueError):
+            randomize_vector(np.zeros((3, 2)), cfg.privacy, substreams(0, "x", ids=[0, 1]))
+
+
 def tiny_config(**overrides):
     cfg = default_config()
     cfg.model.dim = 6
@@ -476,9 +525,10 @@ class TestRunTraining:
         models = personalized_models(tiny_split, result, global_only)
         # bare side: the checkpoint rows, as `fedrec evaluate` ranks them
         table = result.checkpoint_table()
+        users = range(tiny_split.n_users)
         bare = (
-            (u, eval_model(cfg, tiny_split, u, table.users[u], table.items))
-            for u in range(tiny_split.n_users)
+            (u, eval_model(cfg, table.users[u], table.items, graph_items))
+            for u, graph_items in zip(users, eval_graphs(cfg, tiny_split, users))
         )
         ours = evaluate_cutoffs(tiny_split, models, (10,))
         theirs = evaluate_cutoffs(tiny_split, bare, (10,))
@@ -640,7 +690,8 @@ class TestPersonalizedModels:
                 result.global_items,
                 cfg.personalization.alpha,
             )
-            ref = eval_model(cfg, tiny_split, user, state.user_vec, mixed)
+            graph_items = loop_eval_graph(cfg, tiny_split, user)
+            ref = eval_model(cfg, state.user_vec, mixed, graph_items)
             ours = models[user]
             assert ours.item_rows.tobytes() == ref.item_rows.tobytes()
             assert ours.user_embedding.tobytes() == ref.user_embedding.tobytes()
