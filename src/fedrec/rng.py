@@ -29,7 +29,8 @@ def _as_entropy(part) -> int:
 def substream(seed: int, *parts) -> np.random.Generator:
     """Independent generator for the key (seed, *parts).
 
-    Parts may be ints or strings; strings are hashed to stable integers.
+    Parts are ints or strings (any other type raises ``TypeError``);
+    strings and negative ints are hashed to stable integers.
     """
     entropy = [_as_entropy(seed)] + [_as_entropy(p) for p in parts]
     return np.random.default_rng(np.random.SeedSequence(entropy))
