@@ -56,6 +56,23 @@ class EvalResult:
     ndcg: float
 
 
+def _rank_among(keep: np.ndarray, scores: np.ndarray, target: int) -> int | None:
+    """1-based rank of ``target`` among the items where ``keep`` is set, by
+    descending score with ties to the smaller item id; None if not kept."""
+    if not keep[target]:
+        return None
+    target_score = scores[target]
+    ahead = np.count_nonzero(keep & (scores > target_score))
+    tied = np.count_nonzero(keep[:target] & (scores[:target] == target_score))
+    return int(ahead + tied) + 1
+
+
+def _candidates(model: UserEvalModel) -> np.ndarray:
+    keep = np.ones(len(model.scores), dtype=bool)
+    keep[model.excluded] = False
+    return keep
+
+
 def target_rank(
     model: UserEvalModel, target: int, extra_excluded: Sequence[int] = ()
 ) -> int | None:
@@ -64,18 +81,9 @@ def target_rank(
     Candidates are all items outside ``model.excluded`` and ``extra_excluded``;
     ordering is by descending score with ties to the smaller item id.
     """
-    keep = np.ones(len(model.item_rows), dtype=bool)
-    keep[model.excluded] = False
+    keep = _candidates(model)
     keep[np.asarray(extra_excluded, dtype=np.int64)] = False
-    if not keep[target]:
-        return None
-    scores = model.scores
-    target_score = scores[target]
-    ahead = keep & (
-        (scores > target_score)
-        | ((scores == target_score) & (np.arange(len(scores)) < target))
-    )
-    return int(np.count_nonzero(ahead)) + 1
+    return _rank_among(keep, model.scores, target)
 
 
 def user_ranks(
@@ -84,18 +92,18 @@ def user_ranks(
     """(validation rank, test rank) of each user's held-out items.
 
     One pass over ``(user, model)`` pairs, so a caller can build each model,
-    rank it and drop it before building the next. For the test phase the
-    validation item is excluded from candidacy as well.
+    rank it and drop it before building the next. Both ranks are counted from
+    one candidate mask; for the test phase the validation item is excluded
+    from candidacy as well.
     """
     ranks: dict[int, tuple[int | None, int | None]] = {}
     for user, model in models:
         if not 0 <= user < split.n_users:
             raise ValueError(f"user {user} has no held-out items")
-        val = int(split.validation[user])
-        ranks[user] = (
-            target_rank(model, val),
-            target_rank(model, int(split.test[user]), (val,)),
-        )
+        val, keep = int(split.validation[user]), _candidates(model)
+        val_rank = _rank_among(keep, model.scores, val)
+        keep[val] = False
+        ranks[user] = (val_rank, _rank_among(keep, model.scores, int(split.test[user])))
     return ranks
 
 

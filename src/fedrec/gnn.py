@@ -197,6 +197,26 @@ class GradientUpdate:
         return self.item_grads[:0]
 
 
+def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``(n, d)`` block whose row ``i`` sums the ``rows`` at ``index == i``,
+    each cell added in input order starting from 0.0, by one ``np.bincount``
+    over the flat cell ids ``index * d + column``."""
+    d = rows.shape[1]
+    cells = (np.asarray(index, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(cells, rows.ravel(), minlength=n * d).reshape(n, d)
+
+
+def _margin_loss(m: np.ndarray, t: np.ndarray, gamma: float, raw: EmbeddingTable) -> float:
+    """:func:`bpr_loss` from the batch's margins ``m``."""
+    loss = float(np.mean(np.logaddexp(0.0, -m)))
+    if gamma:
+        users, items = np.unique(t[:, 0]), np.unique(t[:, 1:])
+        loss += gamma * float(
+            np.sum(raw.users[users] ** 2) + np.sum(raw.items[items] ** 2)
+        )
+    return loss
+
+
 def bpr_loss(
     final: EmbeddingTable,
     triples: np.ndarray | Sequence[tuple[int, int, int]],
@@ -214,13 +234,7 @@ def bpr_loss(
         raise ValueError("empty triple batch")
     u, p, j = t.T
     m = np.einsum("nd,nd->n", final.users[u], final.items[p] - final.items[j])
-    loss = float(np.mean(np.logaddexp(0.0, -m)))
-    if gamma:
-        users, items = np.unique(u), np.unique(t[:, 1:])
-        loss += gamma * float(
-            np.sum(raw.users[users] ** 2) + np.sum(raw.items[items] ** 2)
-        )
-    return loss
+    return _margin_loss(m, t, gamma, raw)
 
 
 def bpr_gradients(
@@ -236,23 +250,22 @@ def bpr_gradients(
 
     One forward and one backward propagation: the batch gradient on the final
     tables is pushed back by reapplying the (self-adjoint) readout map to it;
-    the L2 term acts on the raw rows the batch touches directly.
+    the L2 term acts on the raw rows the batch touches directly. The margins
+    are computed once, for the loss and the gradient.
     """
     t = _triple_array(triples)
     if not len(t):
         raise ValueError("empty triple batch")
     final = propagate(op, raw)
-    loss = bpr_loss(final, t, gamma, raw)
     u, p, j = t.T
     diff = final.items[p] - final.items[j]
     m = np.einsum("nd,nd->n", final.users[u], diff)
-    coef = -expit(-m) / len(t)
+    loss = _margin_loss(m, t, gamma, raw)
+    coef = -expit(-m)[:, None] / len(t)
 
-    g_users = np.zeros_like(final.users)
-    g_items = np.zeros_like(final.items)
-    np.add.at(g_users, u, coef[:, None] * diff)
-    np.add.at(g_items, p, coef[:, None] * final.users[u])
-    np.add.at(g_items, j, -coef[:, None] * final.users[u])
+    g_users = scatter_rows(u, coef * diff, op.n_users)
+    pulled = coef * final.users[u]  # the positive rows, then the negated ones
+    g_items = scatter_rows(np.concatenate((p, j)), np.concatenate((pulled, -pulled)), op.n_items)
 
     back = propagate(op, EmbeddingTable(g_users, g_items))
     if gamma:

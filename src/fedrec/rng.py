@@ -9,6 +9,7 @@ cannot perturb each other's results no matter how they are scheduled.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -88,3 +89,13 @@ def substreams(seed: int, *parts, ids) -> list[np.random.Generator]:
     state = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool + pool))
     seeds = np.column_stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)])
     return [np.random.Generator(np.random.PCG64(_Words(row))) for row in seeds]
+
+
+_CHUNK = 4096  # ids per substreams call: at most this many generators alive
+
+
+def iter_substreams(seed: int, *parts, ids: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The generators of ``substreams(seed, *parts, ids=ids)``, made in chunks
+    of ``_CHUNK`` ids, so an N-user pass holds at most one chunk of them."""
+    for start in range(0, len(ids), _CHUNK):
+        yield from substreams(seed, *parts, ids=ids[start : start + _CHUNK])

@@ -11,6 +11,7 @@ import hashlib
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -27,10 +28,10 @@ from .config import ExperimentConfig
 from .data import SplitDataset
 from .errors import ConfigError, NumericError
 from .evaluation import UserEvalModel, evaluate_cutoffs
-from .gnn import EmbeddingTable, GradientUpdate, init_table
+from .gnn import EmbeddingTable, GradientUpdate, init_table, scatter_rows
 from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
 from .privacy import randomize_vector, sample_pseudo_items
-from .rng import substream, substreams
+from .rng import iter_substreams, substream, substreams
 
 
 @dataclass(eq=False)
@@ -179,8 +180,7 @@ def aggregate(updates: Sequence[GradientUpdate]) -> GradientUpdate:
     ids = np.concatenate([u.items for u in updates])
     rows = np.concatenate([u.data_count / total * u.item_grads for u in updates])
     items = np.unique(ids)
-    summed = np.zeros((len(items), rows.shape[1]))
-    np.add.at(summed, np.searchsorted(items, ids), rows)
+    summed = scatter_rows(np.searchsorted(items, ids), rows, len(items))
     return GradientUpdate(items, summed, total)
 
 
@@ -349,7 +349,7 @@ def eval_graphs(
     plus pseudo items on ``substream(seed, "eval-graph", user)``, a
     round-independent stream made only when ``pseudo_items_p`` > 0."""
     p = cfg.privacy.pseudo_items_p
-    streams = substreams(cfg.train.seed, "eval-graph", ids=users) if p else [None] * len(users)
+    streams = iter_substreams(cfg.train.seed, "eval-graph", ids=users) if p else repeat(None)
     for user, stream in zip(users, streams):
         own = split.train_items(user)
         yield np.union1d(own, sample_pseudo_items(split.n_items, own, p, stream)) if p else own
@@ -365,46 +365,30 @@ def eval_model(
     return UserEvalModel(user_emb, item_rows, graph_items)
 
 
-def build_eval_models(
-    split: SplitDataset,
-    states: dict[int, ClientState],
-    base: np.ndarray,
-    cluster_items: np.ndarray,
-    global_items: np.ndarray,
-    cfg: ExperimentConfig,
-    graphs: Mapping[int, np.ndarray],
-) -> dict[int, UserEvalModel]:
-    """The models of the users in ``graphs``, members of one cluster, on
-    their local graph items (``eval_graphs``) and item tables mixed by
-    ``personalization.alpha``: a copy of ``base``, the cluster's mix over the
-    warm-start table, with the user's overlay rows mixed the same way. Each
-    model holds an M x d table, so callers ask for a few users at a time."""
-    models, alpha = {}, cfg.personalization.alpha
-    for user, graph_items in graphs.items():
-        state = states[user]
-        ids = state.local_items
-        rows = base.copy()
-        rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], alpha)
-        models[user] = eval_model(cfg, state.user_vec, rows, graph_items)
-    return models
-
-
 def personalized_models(
     split: SplitDataset, model: TrainResult, cfg: ExperimentConfig
 ) -> Iterator[tuple[int, UserEvalModel]]:
     """``(user, model)`` for every user on the item table mixed by
-    ``personalization.alpha``, cluster by cluster: only one cluster's base mix
-    and one user's copy of it exist at once."""
+    ``personalization.alpha``, cluster by cluster: the cluster's mix over the
+    warm-start table, with the user's overlay rows mixed the same way and
+    written in place while the model is scored, then restored. A model's
+    ``scores`` are taken before it is yielded; its ``item_rows`` is the
+    shared table, which holds this user's mix only until the next model is
+    requested."""
     states, assignment, global_items = model.states, model.assignment, model.global_items
     alpha = cfg.personalization.alpha
     for c in range(assignment.k):  # k-means leaves no cluster empty
         cluster_items = model.cluster_items[c]
-        base = personalize(model.local_base, cluster_items, global_items, alpha)
+        rows = personalize(model.local_base, cluster_items, global_items, alpha)
         members = np.flatnonzero(assignment.assignment == c).tolist()
         for user, graph_items in zip(members, eval_graphs(cfg, split, members)):
-            yield from build_eval_models(
-                split, states, base, cluster_items, global_items, cfg, {user: graph_items}
-            ).items()
+            state = states[user]
+            ids, saved = state.local_items, rows[state.local_items]
+            rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], alpha)
+            user_model = eval_model(cfg, state.user_vec, rows, graph_items)
+            user_model.scores  # cached while the overlay rows are in place
+            yield user, user_model
+            rows[ids] = saved
 
 
 def run_training(

@@ -11,7 +11,9 @@ import numpy as np
 
 from fedrec.data import InteractionDataset, SplitDataset, _first_appearance_ids
 from fedrec.errors import DataError, read_text
-from fedrec.gnn import BipartiteGraph, EmbeddingTable
+from scipy.special import expit
+
+from fedrec.gnn import BipartiteGraph, EmbeddingTable, bpr_loss, propagate
 from fedrec.privacy import randomize_vector, sample_pseudo_items
 from fedrec.rng import substream
 from fedrec.server import _kmeans_pp
@@ -286,3 +288,31 @@ def loop_eval_graph(cfg, split: SplitDataset, user: int) -> np.ndarray:
         split.n_items, items, p, substream(cfg.train.seed, "eval-graph", user)
     )
     return np.union1d(items, pseudo)
+
+
+def add_at_rows(index, rows: np.ndarray, n: int) -> np.ndarray:
+    """``np.add.at`` into zeros: the reference for ``gnn.scatter_rows``."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, np.asarray(index, dtype=np.int64), rows)
+    return out
+
+
+def add_at_bpr_gradients(op, raw: EmbeddingTable, triples: np.ndarray, gamma: float):
+    """``gnn.bpr_gradients`` as three ``np.add.at`` calls and a separate
+    ``bpr_loss`` pass: the reference for the one-scatter version."""
+    final = propagate(op, raw)
+    loss = bpr_loss(final, triples, gamma, raw)
+    u, p, j = triples.T
+    diff = final.items[p] - final.items[j]
+    coef = -expit(-np.einsum("nd,nd->n", final.users[u], diff)) / len(triples)
+    g_users = np.zeros_like(final.users)
+    g_items = np.zeros_like(final.items)
+    np.add.at(g_users, u, coef[:, None] * diff)
+    np.add.at(g_items, p, coef[:, None] * final.users[u])
+    np.add.at(g_items, j, -coef[:, None] * final.users[u])
+    back = propagate(op, EmbeddingTable(g_users, g_items))
+    if gamma:
+        users, items = np.unique(u), np.unique(triples[:, 1:])
+        back.users[users] += 2.0 * gamma * raw.users[users]
+        back.items[items] += 2.0 * gamma * raw.items[items]
+    return loss, final, back

@@ -16,8 +16,11 @@ from fedrec.gnn import (
     load_checkpoint,
     propagate,
     save_checkpoint,
+    scatter_rows,
 )
 from helpers import (
+    add_at_bpr_gradients,
+    add_at_rows,
     dense_readout,
     max_rel_error,
     random_bipartite,
@@ -254,6 +257,64 @@ class TestBprGradients:
         op = PropagationOperator(1, 2, ((0, 0),), 1)
         with pytest.raises(ValueError, match=match):
             bpr_gradients(op, raw, bad, 0.0)
+
+
+class TestScatterRows:
+    """``scatter_rows`` against ``np.add.at`` into zeros, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "index, n, d",
+        [
+            ([3, 0, 3, 1, 0, 3, 3], 4, 5),  # repeated, unsorted ids
+            ([], 3, 4),  # no rows: zeros
+            ([2, 2, 0, 2], 3, 1),  # d = 1
+            ([1, 4, 1], 9, 3),  # n beyond every id
+            ([], 0, 2),
+        ],
+    )
+    def test_equals_add_at(self, rng, index, n, d):
+        rows = rng.normal(size=(len(index), d)) * 10.0 ** rng.integers(-8, 8, (len(index), 1))
+        ours = scatter_rows(np.array(index, dtype=np.int64), rows, n)
+        ref = add_at_rows(index, rows, n)
+        assert ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        rows = np.array([[-0.0, -0.0], [-0.0, 1.0], [-0.0, -0.0]])
+        ours = scatter_rows(np.array([0, 1, 1]), rows, 2)
+        assert ours.tobytes() == add_at_rows([0, 1, 1], rows, 2).tobytes()
+        assert not np.signbit(ours).any()  # 0.0 + -0.0 is +0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.lists(st.integers(0, 5), max_size=40),
+        extra=st.integers(0, 3),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_equals_add_at(self, index, extra, d, seed):
+        draw = np.random.default_rng(seed)
+        rows = draw.normal(size=(len(index), d)) * 10.0 ** draw.integers(-12, 12, (len(index), d))
+        rows[draw.random(rows.shape) < 0.1] = -0.0
+        n = (max(index) + 1 if index else 0) + extra
+        ours = scatter_rows(np.array(index, dtype=np.int64), rows, n)
+        assert ours.tobytes() == add_at_rows(index, rows, n).tobytes()
+
+    @pytest.mark.parametrize("n_layers, gamma", [(0, 0.0), (2, 0.0), (3, 0.05)])
+    def test_bpr_gradients_scatter_positives_then_negatives(self, n_layers, gamma):
+        rng = np.random.default_rng(70 + n_layers)
+        graph = random_bipartite(rng, 6, 5, edge_prob=0.5)
+        op = PropagationOperator(6, 5, graph.edges, n_layers)
+        raw = random_table(rng, 6, 5, 4)
+        # every item is a positive in some triples and a negative in others
+        triples = rng.integers(0, 5, size=(200, 3))
+        triples[:, 0] = rng.integers(0, 6, size=200)
+        loss, final, grads = bpr_gradients(op, raw, triples, gamma)
+        ref_loss, ref_final, ref_grads = add_at_bpr_gradients(op, raw, triples, gamma)
+        assert loss == ref_loss == bpr_loss(final, triples, gamma, raw)
+        assert final.users.tobytes() == ref_final.users.tobytes()
+        assert grads.users.tobytes() == ref_grads.users.tobytes()
+        assert grads.items.tobytes() == ref_grads.items.tobytes()
 
 
 class TestGradientUpdate:

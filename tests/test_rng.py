@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec.rng import substream, substreams
+from fedrec.rng import _CHUNK, iter_substreams, substream, substreams
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5]
 # prefixes of 1 to 9 words: the id enters the first pool pass or the last
@@ -75,3 +76,24 @@ def test_parts_that_are_neither_int_nor_str_raise(part):
 def test_string_and_int_parts_stay_distinct():
     draws = {substream(0, part).random() for part in ("1.0", "1", 1, np.int64(1))}
     assert len(draws) == 3  # 1 and np.int64(1) are one key
+
+
+def test_chunked_streams_across_a_chunk_boundary_are_the_single_key_streams():
+    ids = range(5, _CHUNK + 8)  # the chunk boundary falls between ids 4100 and 4101
+    streams = list(iter_substreams(9, "eval-graph", ids=ids))
+    assert_same_streams(streams, 9, ("eval-graph",), list(ids))
+    assert list(iter_substreams(9, "eval-graph", ids=[])) == []
+
+
+def test_chunked_streams_hold_one_chunk_of_generators_at_a_time():
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            for stream in iter_substreams(3, "pretrain-graph", ids=np.arange(n)):
+                stream.random()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(_CHUNK), peak(4 * _CHUNK)
+    assert four < 1.25 * one

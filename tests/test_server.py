@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fedrec import server
 from fedrec.client import ClientState, personalize
 from fedrec.config import default_config, set_key
-from fedrec.evaluation import evaluate_cutoffs
+from fedrec.evaluation import evaluate_cutoffs, user_ranks
 from fedrec.errors import NumericError
 from fedrec.gnn import GradientUpdate, init_table
 from fedrec.privacy import randomize_vector
@@ -674,14 +675,10 @@ class TestPersonalizedModels:
         cfg = tiny_config(**{"cluster.k": 3, "privacy.pseudo_items_p": 2})
         return cfg, run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
 
-    def test_equal_the_full_three_table_mix(self, tiny_split, trained):
-        cfg, result = trained
-        assert len(np.unique(result.assignment.assignment)) >= 2
-        assert any(len(s.local_items) for s in result.states.values())
-        cfg = copy.deepcopy(cfg)
-        cfg.personalization.alpha = (0.5, 0.3, 0.2)
-        models = dict(personalized_models(tiny_split, result, cfg))
-        assert sorted(models) == list(range(tiny_split.n_users))
+    @staticmethod
+    def reference_models(split, result, cfg):
+        """Every user's model on its own copy of the full three-table mix."""
+        models = {}
         for user, state in result.states.items():
             cluster = result.cluster_items[int(result.assignment.assignment[user])]
             mixed = personalize(
@@ -690,12 +687,63 @@ class TestPersonalizedModels:
                 result.global_items,
                 cfg.personalization.alpha,
             )
-            graph_items = loop_eval_graph(cfg, tiny_split, user)
-            ref = eval_model(cfg, state.user_vec, mixed, graph_items)
+            graph_items = loop_eval_graph(cfg, split, user)
+            models[user] = eval_model(cfg, state.user_vec, mixed, graph_items)
+        return models
+
+    def test_equal_the_full_three_table_mix(self, tiny_split, trained):
+        cfg, result = trained
+        assert len(np.unique(result.assignment.assignment)) >= 2
+        assert any(len(s.local_items) for s in result.states.values())
+        cfg = copy.deepcopy(cfg)
+        cfg.personalization.alpha = (0.5, 0.3, 0.2)
+        refs = self.reference_models(tiny_split, result, cfg)
+        models = {}
+        for user, ours in personalized_models(tiny_split, result, cfg):
+            # the table is shared: it holds this user's mix only until the next
+            assert ours.item_rows.tobytes() == refs[user].item_rows.tobytes()
+            models[user] = ours
+        assert sorted(models) == list(range(tiny_split.n_users))
+        for user, ref in refs.items():
             ours = models[user]
-            assert ours.item_rows.tobytes() == ref.item_rows.tobytes()
+            assert ours.scores.tobytes() == ref.scores.tobytes()
             assert ours.user_embedding.tobytes() == ref.user_embedding.tobytes()
             np.testing.assert_array_equal(ours.excluded, ref.excluded)
+
+    def test_no_overlay_row_leaks_to_the_next_member(self, tiny_split, trained):
+        cfg, result = trained
+        cfg = copy.deepcopy(cfg)
+        cfg.personalization.alpha = (0.5, 0.3, 0.2)
+        # cluster 0 holds users 0 and 1: the first with overlay rows, the second without
+        with_rows = next(s for s in result.states.values() if len(s.local_items))
+        states = dict(result.states)
+        states[0] = replace(with_rows, user=0)
+        states[1] = ClientState(1, result.states[1].user_vec)
+        in_second = (np.arange(tiny_split.n_users) >= 2).astype(np.int64)
+        model = replace(
+            result,
+            assignment=ClusterAssignment(2, in_second, np.zeros((2, cfg.model.dim))),
+            cluster_items={c: result.cluster_items[c] for c in (0, 1)},
+            states=states,
+        )
+        base = personalize(
+            model.local_base, model.cluster_items[0], model.global_items, cfg.personalization.alpha
+        )
+        seen = {
+            user: m.item_rows.copy()
+            for user, m in personalized_models(tiny_split, model, cfg)
+            if user < 2
+        }
+        assert seen[0].tobytes() != base.tobytes()
+        assert seen[1].tobytes() == base.tobytes()
+
+    def test_collected_models_keep_their_ranks(self, tiny_split, trained):
+        cfg, result = trained
+        refs = self.reference_models(tiny_split, result, cfg)
+        collected = dict(personalized_models(tiny_split, result, cfg))
+        ranks = user_ranks(tiny_split, collected.items())
+        assert ranks == user_ranks(tiny_split, refs.items())
+        assert ranks == user_ranks(tiny_split, personalized_models(tiny_split, result, cfg))
 
     @pytest.mark.parametrize("p", [0, 2])
     def test_exclusions_are_the_training_items_plus_pseudo_items(
