@@ -48,29 +48,19 @@ class UserEvalModel:
         """Score of every item, computed once however many targets are ranked."""
         return self.item_rows @ self.user_embedding
 
+    @cached_property
+    def candidates(self) -> np.ndarray:
+        """Mask of the items outside ``excluded``, built once per model."""
+        keep = np.ones(len(self.item_rows), dtype=bool)
+        keep[self.excluded] = False
+        return keep
+
 
 @dataclass(eq=False)
 class EvalResult:
     k: int
     recall: float
     ndcg: float
-
-
-def _rank_among(keep: np.ndarray, scores: np.ndarray, target: int) -> int | None:
-    """1-based rank of ``target`` among the items where ``keep`` is set, by
-    descending score with ties to the smaller item id; None if not kept."""
-    if not keep[target]:
-        return None
-    target_score = scores[target]
-    ahead = np.count_nonzero(keep & (scores > target_score))
-    tied = np.count_nonzero(keep[:target] & (scores[:target] == target_score))
-    return int(ahead + tied) + 1
-
-
-def _candidates(model: UserEvalModel) -> np.ndarray:
-    keep = np.ones(len(model.scores), dtype=bool)
-    keep[model.excluded] = False
-    return keep
 
 
 def target_rank(
@@ -81,9 +71,17 @@ def target_rank(
     Candidates are all items outside ``model.excluded`` and ``extra_excluded``;
     ordering is by descending score with ties to the smaller item id.
     """
-    keep = _candidates(model)
-    keep[np.asarray(extra_excluded, dtype=np.int64)] = False
-    return _rank_among(keep, model.scores, target)
+    keep = model.candidates
+    if len(extra_excluded):
+        keep = keep.copy()
+        keep[np.asarray(extra_excluded, dtype=np.int64)] = False
+    if not keep[target]:
+        return None
+    scores = model.scores
+    target_score = scores[target]
+    ahead = np.count_nonzero(keep & (scores > target_score))
+    tied = np.count_nonzero(keep[:target] & (scores[:target] == target_score))
+    return int(ahead + tied) + 1
 
 
 def user_ranks(
@@ -93,17 +91,18 @@ def user_ranks(
 
     One pass over ``(user, model)`` pairs, so a caller can build each model,
     rank it and drop it before building the next. Both ranks are counted from
-    one candidate mask; for the test phase the validation item is excluded
-    from candidacy as well.
+    the model's one candidate mask; for the test phase the validation item is
+    excluded from candidacy as well.
     """
     ranks: dict[int, tuple[int | None, int | None]] = {}
     for user, model in models:
         if not 0 <= user < split.n_users:
             raise ValueError(f"user {user} has no held-out items")
-        val, keep = int(split.validation[user]), _candidates(model)
-        val_rank = _rank_among(keep, model.scores, val)
-        keep[val] = False
-        ranks[user] = (val_rank, _rank_among(keep, model.scores, int(split.test[user])))
+        val = int(split.validation[user])
+        ranks[user] = (
+            target_rank(model, val),
+            target_rank(model, int(split.test[user]), (val,)),
+        )
     return ranks
 
 

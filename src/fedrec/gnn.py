@@ -211,9 +211,7 @@ def _margin_loss(m: np.ndarray, t: np.ndarray, gamma: float, raw: EmbeddingTable
     loss = float(np.mean(np.logaddexp(0.0, -m)))
     if gamma:
         users, items = np.unique(t[:, 0]), np.unique(t[:, 1:])
-        loss += gamma * float(
-            np.sum(raw.users[users] ** 2) + np.sum(raw.items[items] ** 2)
-        )
+        loss += gamma * float(np.sum(raw.users[users] ** 2) + np.sum(raw.items[items] ** 2))
     return loss
 
 

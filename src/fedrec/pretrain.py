@@ -17,7 +17,7 @@ import numpy as np
 from .config import PretrainSection, PrivacySection
 from .data import SplitDataset, build_client_graph
 from .gnn import BipartiteGraph, EmbeddingTable, PropagationOperator, propagate
-from .rng import iter_substreams
+from .rng import substreams
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -253,8 +253,7 @@ def assemble_pretraining_graph(
     never sees the raw training edges.
     """
     blocks = [np.empty((0, 2), dtype=np.int64)]
-    streams = iter_substreams(seed, "pretrain-graph", ids=range(split.n_users))
-    for user, stream in enumerate(streams):
+    for user, stream in enumerate(substreams(seed, "pretrain-graph", ids=range(split.n_users))):
         cg = build_client_graph(split, user, privacy, stream)
         items = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
         blocks.append(np.column_stack((np.full(len(items), user), items)))

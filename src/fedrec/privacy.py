@@ -7,7 +7,7 @@ All sampling is driven by explicit generators so per-client streams keyed by
 from __future__ import annotations
 
 import math
-from typing import Collection, Sequence
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
 
 
 def randomize_vector(
-    vec: np.ndarray, cfg: PrivacySection, rng: np.random.Generator | Sequence[np.random.Generator]
+    vec: np.ndarray, cfg: PrivacySection, rng: np.random.Generator | Iterable[np.random.Generator]
 ) -> np.ndarray:
     """Clip each entry to [-clip_delta, clip_delta] and add i.i.d.
     Laplace(0, laplace_lambda) noise: one draw of ``rng``, or, from one

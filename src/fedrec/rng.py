@@ -9,7 +9,7 @@ cannot perturb each other's results no matter how they are scheduled.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -65,13 +65,14 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def substreams(seed: int, *parts, ids) -> list[np.random.Generator]:
-    """``[substream(seed, *parts, i) for i in ids]``, bit for bit, with
+def substreams(seed: int, *parts, ids) -> Iterator[np.random.Generator]:
+    """``substream(seed, *parts, i) for i in ids``, bit for bit, with
     SeedSequence's pool mixing run once on arrays of all the keys. Each id
-    is an int in [0, 2**32), one 32-bit word of entropy."""
+    is an int in [0, 2**32), one 32-bit word of entropy. Each generator is
+    made when reached, so a pass that drops each one holds only one."""
     ids = np.asarray(ids)
     if ids.size == 0:
-        return []
+        return iter(())
     if ids.dtype.kind not in "iu" or ids.ndim != 1 or not 0 <= ids.min() <= ids.max() < 2**32:
         raise ValueError("ids must be a list of ints in [0, 2**32)")
     words = [  # as SeedSequence coerces the key: each part's words, low first
@@ -88,14 +89,4 @@ def substreams(seed: int, *parts, ids) -> list[np.random.Generator]:
     # generate_state(4, np.uint64): eight 32-bit words, paired little-endian
     state = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool + pool))
     seeds = np.column_stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)])
-    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in seeds]
-
-
-_CHUNK = 4096  # ids per substreams call: at most this many generators alive
-
-
-def iter_substreams(seed: int, *parts, ids: Sequence[int]) -> Iterator[np.random.Generator]:
-    """The generators of ``substreams(seed, *parts, ids=ids)``, made in chunks
-    of ``_CHUNK`` ids, so an N-user pass holds at most one chunk of them."""
-    for start in range(0, len(ids), _CHUNK):
-        yield from substreams(seed, *parts, ids=ids[start : start + _CHUNK])
+    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in seeds)

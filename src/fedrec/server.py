@@ -31,7 +31,7 @@ from .evaluation import UserEvalModel, evaluate_cutoffs
 from .gnn import EmbeddingTable, GradientUpdate, init_table, scatter_rows
 from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
 from .privacy import randomize_vector, sample_pseudo_items
-from .rng import iter_substreams, substream, substreams
+from .rng import substream, substreams
 
 
 @dataclass(eq=False)
@@ -349,7 +349,7 @@ def eval_graphs(
     plus pseudo items on ``substream(seed, "eval-graph", user)``, a
     round-independent stream made only when ``pseudo_items_p`` > 0."""
     p = cfg.privacy.pseudo_items_p
-    streams = iter_substreams(cfg.train.seed, "eval-graph", ids=users) if p else repeat(None)
+    streams = substreams(cfg.train.seed, "eval-graph", ids=users) if p else repeat(None)
     for user, stream in zip(users, streams):
         own = split.train_items(user)
         yield np.union1d(own, sample_pseudo_items(split.n_items, own, p, stream)) if p else own
@@ -365,16 +365,37 @@ def eval_model(
     return UserEvalModel(user_emb, item_rows, graph_items)
 
 
+def build_eval_models(
+    split: SplitDataset,
+    states: dict[int, ClientState],
+    rows: np.ndarray,
+    cluster_items: np.ndarray,
+    global_items: np.ndarray,
+    cfg: ExperimentConfig,
+    user: int,
+    graph_items: np.ndarray,
+) -> dict[int, UserEvalModel]:
+    """``{user: model}`` for one cluster member on its ``eval_graphs`` items:
+    its overlay rows, mixed by ``personalization.alpha``, are written into
+    ``rows`` (the cluster's mix over the warm-start table) in place, and the
+    model's ``scores`` are taken; the caller restores the rows. ``split`` is
+    unread: ``bench/tracer.py`` hooks this and reads ``states`` as argument 1."""
+    state, alpha = states[user], cfg.personalization.alpha
+    ids = state.local_items
+    rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], alpha)
+    user_model = eval_model(cfg, state.user_vec, rows, graph_items)
+    user_model.scores  # cached while the overlay rows are in place
+    return {user: user_model}
+
+
 def personalized_models(
     split: SplitDataset, model: TrainResult, cfg: ExperimentConfig
 ) -> Iterator[tuple[int, UserEvalModel]]:
     """``(user, model)`` for every user on the item table mixed by
-    ``personalization.alpha``, cluster by cluster: the cluster's mix over the
-    warm-start table, with the user's overlay rows mixed the same way and
-    written in place while the model is scored, then restored. A model's
-    ``scores`` are taken before it is yielded; its ``item_rows`` is the
-    shared table, which holds this user's mix only until the next model is
-    requested."""
+    ``personalization.alpha``, cluster by cluster, from ``build_eval_models``
+    on the cluster's one mix, restored before the next member. A model's
+    ``scores`` are taken before it is yielded; its ``item_rows`` is the shared
+    table, which holds this user's mix only until the next model is asked for."""
     states, assignment, global_items = model.states, model.assignment, model.global_items
     alpha = cfg.personalization.alpha
     for c in range(assignment.k):  # k-means leaves no cluster empty
@@ -382,12 +403,11 @@ def personalized_models(
         rows = personalize(model.local_base, cluster_items, global_items, alpha)
         members = np.flatnonzero(assignment.assignment == c).tolist()
         for user, graph_items in zip(members, eval_graphs(cfg, split, members)):
-            state = states[user]
-            ids, saved = state.local_items, rows[state.local_items]
-            rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], alpha)
-            user_model = eval_model(cfg, state.user_vec, rows, graph_items)
-            user_model.scores  # cached while the overlay rows are in place
-            yield user, user_model
+            ids = states[user].local_items
+            saved = rows[ids]
+            yield from build_eval_models(
+                split, states, rows, cluster_items, global_items, cfg, user, graph_items
+            ).items()
             rows[ids] = saved
 
 

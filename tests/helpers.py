@@ -8,11 +8,10 @@ and the gradient oracle uses central finite differences on the loss alone.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from fedrec.data import InteractionDataset, SplitDataset, _first_appearance_ids
 from fedrec.errors import DataError, read_text
-from scipy.special import expit
-
 from fedrec.gnn import BipartiteGraph, EmbeddingTable, bpr_loss, propagate
 from fedrec.privacy import randomize_vector, sample_pseudo_items
 from fedrec.rng import substream
@@ -299,7 +298,9 @@ def add_at_rows(index, rows: np.ndarray, n: int) -> np.ndarray:
 
 def add_at_bpr_gradients(op, raw: EmbeddingTable, triples: np.ndarray, gamma: float):
     """``gnn.bpr_gradients`` as three ``np.add.at`` calls and a separate
-    ``bpr_loss`` pass: the reference for the one-scatter version."""
+    ``bpr_loss`` pass: the reference for the one-scatter version. Unlike the
+    oracles above, it reuses the library's ``propagate`` and ``bpr_loss``; it
+    checks the scatter order, not the propagation."""
     final = propagate(op, raw)
     loss = bpr_loss(final, triples, gamma, raw)
     u, p, j = triples.T

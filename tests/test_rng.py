@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec.rng import _CHUNK, iter_substreams, substream, substreams
+from fedrec.rng import substream, substreams
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5]
 # prefixes of 1 to 9 words: the id enters the first pool pass or the last
@@ -15,6 +15,7 @@ IDS = [0, 1, 2**32 - 1, 9, 3, 3, 0]
 
 
 def assert_same_streams(bulk, seed, parts, ids) -> None:
+    bulk = list(bulk)
     assert len(bulk) == len(ids)
     for stream, i in zip(bulk, ids):
         one = substream(seed, *parts, i)
@@ -53,8 +54,8 @@ def test_ids_may_be_an_array_or_a_range():
 
 
 def test_no_ids_give_no_streams():
-    assert substreams(0, "x", ids=[]) == []
-    assert substreams(0, ids=np.empty(0, dtype=np.int64)) == []
+    assert list(substreams(0, "x", ids=[])) == []
+    assert list(substreams(0, ids=np.empty(0, dtype=np.int64))) == []
 
 
 @pytest.mark.parametrize(
@@ -78,22 +79,22 @@ def test_string_and_int_parts_stay_distinct():
     assert len(draws) == 3  # 1 and np.int64(1) are one key
 
 
-def test_chunked_streams_across_a_chunk_boundary_are_the_single_key_streams():
-    ids = range(5, _CHUNK + 8)  # the chunk boundary falls between ids 4100 and 4101
-    streams = list(iter_substreams(9, "eval-graph", ids=ids))
-    assert_same_streams(streams, 9, ("eval-graph",), list(ids))
-    assert list(iter_substreams(9, "eval-graph", ids=[])) == []
+def test_streams_are_made_as_they_are_reached():
+    streams = substreams(9, "eval-graph", ids=range(5, 5000))
+    assert not isinstance(streams, list)
+    assert_same_streams(streams, 9, ("eval-graph",), list(range(5, 5000)))
 
 
-def test_chunked_streams_hold_one_chunk_of_generators_at_a_time():
-    def peak(n: int) -> int:
+def test_a_pass_that_drops_each_stream_holds_one_generator_at_a_time():
+    def peak(pass_over, n: int) -> int:
         tracemalloc.start()
         try:
-            for stream in iter_substreams(3, "pretrain-graph", ids=np.arange(n)):
+            for stream in pass_over(substreams(3, "pretrain-graph", ids=np.arange(n))):
                 stream.random()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one, four = peak(_CHUNK), peak(4 * _CHUNK)
-    assert four < 1.25 * one
+    # a generator holds about 780 B; mixing the seed words peaks near 200 B per id
+    for n in (4096, 16384):
+        assert peak(iter, n) < peak(list, n) / 3
