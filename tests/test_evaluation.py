@@ -115,6 +115,8 @@ class TestEvaluate:
         assert ranks_val is not None
         # in the test phase the validation item is not a candidate
         assert target_rank(model, split.validation[0], (split.validation[0],)) is None
+        # the extra exclusion does not stick to the model's candidate mask
+        assert target_rank(model, split.validation[0]) == ranks_val
 
     def test_rescaling_a_user_embedding_changes_nothing(self):
         split = fixture_split()
