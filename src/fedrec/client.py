@@ -9,8 +9,8 @@ anonymous co-interacting neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,30 +26,38 @@ from .gnn import (
 from .privacy import complement_ids, ldp_randomize, pseudo_item_gradients
 
 
+class Overlay(NamedTuple):
+    """A client's private item rows: row ``local_rows[k]`` for item
+    ``local_items[k]`` (sorted ids)."""
+
+    local_items: np.ndarray
+    local_rows: np.ndarray
+
+
 @dataclass(eq=False)
-class ClientState:
-    """Mutable per-client state kept on the (simulated) device. Its private
-    overlay is row ``local_rows[k]`` for item ``local_items[k]`` (sorted ids);
-    updates rebind these arrays and never write into them."""
+class ClientStates:
+    """Every client's on-device state, in user order: the user rows, the
+    last inferred (uploaded) rows and the last losses as blocks, and each
+    client's overlay over the warm-start item table ``local_base``. Updates
+    write the blocks by row and rebind an overlay, never writing into one."""
 
-    user: int
-    user_vec: np.ndarray
-    local_items: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    local_rows: np.ndarray | None = None
-    last_inferred: np.ndarray | None = None
-    last_loss: float = float("nan")
+    user_rows: np.ndarray
+    inferred: np.ndarray
+    losses: np.ndarray
+    overlays: list[Overlay]
+    local_base: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.local_rows is None:
-            self.local_rows = np.empty((0, len(self.user_vec)))
+    @classmethod
+    def start(cls, table: EmbeddingTable) -> ClientStates:
+        """Every client from the warm-start table, with no overlay rows and no loss."""
+        users, n = table.users, table.n_users
+        empty = Overlay(np.empty(0, np.int64), np.empty((0, table.dim)))
+        return cls(users.copy(), users.copy(), np.full(n, np.nan), [empty] * n, table.items)
 
-
-def init_client_states(table: EmbeddingTable) -> dict[int, ClientState]:
-    """One state per user, seeded from the warm-start table."""
-    return {
-        u: ClientState(u, table.users[u].copy(), last_inferred=table.users[u].copy())
-        for u in range(table.n_users)
-    }
+    def copy(self) -> ClientStates:
+        """A snapshot: the blocks copied, the overlays shared."""
+        blocks = self.user_rows.copy(), self.inferred.copy(), self.losses.copy()
+        return ClientStates(*blocks, list(self.overlays), self.local_base)
 
 
 @dataclass(eq=False)
@@ -59,7 +67,6 @@ class ClientConfig:
 
     split: SplitDataset
     experiment: ExperimentConfig
-    local_base: np.ndarray
     # per user, sorted (handle, item) rows; uploaded user rows by handle
     neighbors: Sequence[np.ndarray] = ()
     neighbor_vecs: np.ndarray | None = None
@@ -120,46 +127,49 @@ def _local_operator(
 
 
 def client_update(
-    state: ClientState,
+    states: ClientStates,
+    user: int,
     global_items: np.ndarray,
     cfg: ClientConfig,
     rng: np.random.Generator,
 ) -> GradientUpdate:
-    """One federated round on a single client.
+    """One federated round on client ``user``.
 
     Builds the obfuscated local graph and propagates once forward (the loss
     and the inferred user embedding) and once back (exact BPR gradients).
-    Applies the user-row and private item-row steps on-device, then returns
-    the item gradients with decoy pseudo rows attached and LDP applied. The
+    Applies the user-row and private item-row steps on-device, writing the
+    user's rows of ``states`` and rebinding its overlay, then returns the
+    item gradients with decoy pseudo rows attached and LDP applied. The
     uploaded rows are those with a nonzero gradient plus the batch's items; a
     pseudo item's decoy row replaces its real one. Draw order on ``rng``:
     mask, pseudo items, positives, negatives, decoy noise, LDP noise.
     """
     exp = cfg.experiment
     train, privacy = exp.train, exp.privacy
-    nb = cfg.neighbors[state.user] if cfg.neighbors else ()
-    cg = build_client_graph(cfg.split, state.user, privacy, rng, neighbors=nb)
+    nb = cfg.neighbors[user] if cfg.neighbors else ()
+    cg = build_client_graph(cfg.split, user, privacy, rng, neighbors=nb)
 
     batch = train.batch_size if train.batch_size > 0 else len(cg.true_items)
     triples = sample_bpr_triples(cg, batch, rng)
 
     op, raw, local_triples, item_space = _local_operator(
-        cg, triples, exp.model.layers, state.user_vec, global_items, cfg.neighbor_vecs
+        cg, triples, exp.model.layers, states.user_rows[user], global_items, cfg.neighbor_vecs
     )
-    state.last_loss, final, grads = bpr_gradients(op, raw, local_triples, train.gamma)
-    state.last_inferred = final.users[0].copy()
+    states.losses[user], final, grads = bpr_gradients(op, raw, local_triples, train.gamma)
+    states.inferred[user] = final.users[0]
 
-    # the true user-row gradient never leaves the device
-    state.user_vec = state.user_vec - train.eta * grads.users[0]
+    # the true gradient stays on the device; ``raw``, which may view the row, is spent
+    states.user_rows[user] -= train.eta * grads.users[0]
 
     support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local_triples[:, 1:])
     items, rows = item_space[support], grads.items[support]
     # private step: untouched rows start from the warm-start table
-    merged = np.union1d(state.local_items, items)
-    local = cfg.local_base[merged]
-    local[np.searchsorted(merged, state.local_items)] = state.local_rows
+    own = states.overlays[user]
+    merged = np.union1d(own.local_items, items)
+    local = states.local_base[merged]
+    local[np.searchsorted(merged, own.local_items)] = own.local_rows
     local[np.searchsorted(merged, items)] -= train.eta * rows
-    state.local_items, state.local_rows = merged, local
+    states.overlays[user] = Overlay(merged, local)
 
     if cg.pseudo_items:
         pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)

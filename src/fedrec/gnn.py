@@ -206,11 +206,11 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cells, rows.ravel(), minlength=n * d).reshape(n, d)
 
 
-def _margin_loss(m: np.ndarray, t: np.ndarray, gamma: float, raw: EmbeddingTable) -> float:
-    """:func:`bpr_loss` from the batch's margins ``m``."""
+def _margin_loss(m: np.ndarray, gamma: float, raw: EmbeddingTable, users, items) -> float:
+    """:func:`bpr_loss` from the batch's margins ``m`` and the distinct raw
+    rows it touches, ``users`` and ``items`` (read only when gamma > 0)."""
     loss = float(np.mean(np.logaddexp(0.0, -m)))
     if gamma:
-        users, items = np.unique(t[:, 0]), np.unique(t[:, 1:])
         loss += gamma * float(np.sum(raw.users[users] ** 2) + np.sum(raw.items[items] ** 2))
     return loss
 
@@ -232,7 +232,7 @@ def bpr_loss(
         raise ValueError("empty triple batch")
     u, p, j = t.T
     m = np.einsum("nd,nd->n", final.users[u], final.items[p] - final.items[j])
-    return _margin_loss(m, t, gamma, raw)
+    return _margin_loss(m, gamma, raw, np.unique(u), np.unique(t[:, 1:]))
 
 
 def bpr_gradients(
@@ -249,7 +249,7 @@ def bpr_gradients(
     One forward and one backward propagation: the batch gradient on the final
     tables is pushed back by reapplying the (self-adjoint) readout map to it;
     the L2 term acts on the raw rows the batch touches directly. The margins
-    are computed once, for the loss and the gradient.
+    and the touched rows are found once, for the loss and the gradient.
     """
     t = _triple_array(triples)
     if not len(t):
@@ -258,7 +258,8 @@ def bpr_gradients(
     u, p, j = t.T
     diff = final.items[p] - final.items[j]
     m = np.einsum("nd,nd->n", final.users[u], diff)
-    loss = _margin_loss(m, t, gamma, raw)
+    users, items = (np.unique(u), np.unique(t[:, 1:])) if gamma else (u[:0], u[:0])
+    loss = _margin_loss(m, gamma, raw, users, items)
     coef = -expit(-m)[:, None] / len(t)
 
     g_users = scatter_rows(u, coef * diff, op.n_users)
@@ -267,7 +268,6 @@ def bpr_gradients(
 
     back = propagate(op, EmbeddingTable(g_users, g_items))
     if gamma:
-        users, items = np.unique(u), np.unique(t[:, 1:])
         back.users[users] += 2.0 * gamma * raw.users[users]
         back.items[items] += 2.0 * gamma * raw.items[items]
     return loss, final, back

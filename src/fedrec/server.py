@@ -18,10 +18,10 @@ import numpy as np
 
 from .client import (
     ClientConfig,
-    ClientState,
+    ClientStates,
+    Overlay,
     client_update,
     infer_user_embedding,
-    init_client_states,
     personalize,
 )
 from .config import ExperimentConfig
@@ -253,25 +253,19 @@ class RoundReport:
 @dataclass(eq=False)
 class TrainResult:
     """The model the round loop trains: the global item table, the cluster
-    tables with their assignment, every client's state and the warm-start
-    item table under the clients' overlays. No table is ever written in place
-    (``apply_update`` returns a copy, ``client_update`` rebinds), so records
-    and snapshots may share arrays."""
+    tables with their assignment and every client's state. No item table is
+    written in place (``apply_update`` returns a copy), so records and
+    snapshots may share them; the client blocks are written by row."""
 
     global_items: np.ndarray
     cluster_items: dict[int, np.ndarray]
     assignment: ClusterAssignment | None
-    states: dict[int, ClientState]
-    local_base: np.ndarray
+    states: ClientStates
     reports: list[RoundReport]
     final_round: int = 0
 
-    @property
-    def user_table(self) -> np.ndarray:
-        return np.vstack([self.states[u].user_vec for u in range(len(self.states))])
-
     def checkpoint_table(self) -> EmbeddingTable:
-        return EmbeddingTable(self.user_table, self.global_items)
+        return EmbeddingTable(self.states.user_rows, self.global_items)
 
 
 def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
@@ -306,14 +300,14 @@ def warm_up(cfg: ExperimentConfig, split: SplitDataset) -> PretrainResult:
 
 
 def _noised_uploads(
-    states: dict[int, ClientState], cfg: ExperimentConfig, label: str, round_idx: int
+    states: ClientStates, cfg: ExperimentConfig, label: str, round_idx: int
 ) -> np.ndarray:
-    """Every user's uploaded embedding as one ``(N, d)`` block in user order,
-    LDP-noised on ``substream(seed, label, round, user)`` when privacy is
-    enabled."""
-    block = np.vstack([states[u].last_inferred for u in range(len(states))])
+    """Every user's uploaded embedding as a new ``(N, d)`` block in user
+    order, LDP-noised on ``substream(seed, label, round, user)`` when privacy
+    is enabled."""
+    block = states.inferred
     if not cfg.privacy.enabled:
-        return block
+        return block.copy()
     users = range(len(block) if cfg.privacy.laplace_lambda > 0 else 0)
     streams = substreams(cfg.train.seed, label, round_idx, ids=users)
     return randomize_vector(block, cfg.privacy, streams)
@@ -367,23 +361,24 @@ def eval_model(
 
 def build_eval_models(
     split: SplitDataset,
-    states: dict[int, ClientState],
+    overlays: Sequence[Overlay],
     rows: np.ndarray,
     cluster_items: np.ndarray,
     global_items: np.ndarray,
     cfg: ExperimentConfig,
     user: int,
+    user_row: np.ndarray,
     graph_items: np.ndarray,
 ) -> dict[int, UserEvalModel]:
-    """``{user: model}`` for one cluster member on its ``eval_graphs`` items:
-    its overlay rows, mixed by ``personalization.alpha``, are written into
-    ``rows`` (the cluster's mix over the warm-start table) in place, and the
-    model's ``scores`` are taken; the caller restores the rows. ``split`` is
-    unread: ``bench/tracer.py`` hooks this and reads ``states`` as argument 1."""
-    state, alpha = states[user], cfg.personalization.alpha
-    ids = state.local_items
-    rows[ids] = personalize(state.local_rows, cluster_items[ids], global_items[ids], alpha)
-    user_model = eval_model(cfg, state.user_vec, rows, graph_items)
+    """``{user: model}`` for one cluster member, its row ``user_row``, on its
+    ``eval_graphs`` items: its overlay rows ``overlays[user]``, mixed by
+    ``personalization.alpha``, are written into ``rows`` (the cluster's mix
+    over the warm-start table) in place, and the model's ``scores`` are taken;
+    the caller restores the rows. ``split`` is unread: ``bench/tracer.py``
+    hooks this and reads the overlays as argument 1."""
+    (ids, local_rows), alpha = overlays[user], cfg.personalization.alpha
+    rows[ids] = personalize(local_rows, cluster_items[ids], global_items[ids], alpha)
+    user_model = eval_model(cfg, user_row, rows, graph_items)
     user_model.scores  # cached while the overlay rows are in place
     return {user: user_model}
 
@@ -400,13 +395,14 @@ def personalized_models(
     alpha = cfg.personalization.alpha
     for c in range(assignment.k):  # k-means leaves no cluster empty
         cluster_items = model.cluster_items[c]
-        rows = personalize(model.local_base, cluster_items, global_items, alpha)
+        rows = personalize(states.local_base, cluster_items, global_items, alpha)
         members = np.flatnonzero(assignment.assignment == c).tolist()
         for user, graph_items in zip(members, eval_graphs(cfg, split, members)):
-            ids = states[user].local_items
+            ids = states.overlays[user].local_items
             saved = rows[ids]
             yield from build_eval_models(
-                split, states, rows, cluster_items, global_items, cfg, user, graph_items
+                split, states.overlays, rows, cluster_items, global_items, cfg,
+                user, states.user_rows[user], graph_items,
             ).items()
             rows[ids] = saved
 
@@ -429,7 +425,7 @@ def run_training(
     seed = cfg.train.seed
     n_users = split.n_users
     # the global and the warm-start item table start as one array
-    model = TrainResult(table.items, {}, None, init_client_states(table), table.items, [])
+    model = TrainResult(table.items, {}, None, ClientStates.start(table), [])
 
     k_clusters = min(cfg.cluster.k, n_users)
     budget = min(cfg.train.clients_per_round, n_users)
@@ -437,7 +433,7 @@ def run_training(
     neighbors, by_handle = (
         _neighbor_setup(cfg, split) if cfg.graph.neighbor_expansion else ((), None)
     )
-    ctx = ClientConfig(split, cfg, model.local_base, neighbors)
+    ctx = ClientConfig(split, cfg, neighbors)
     best, best_ndcg, evals_since_best = None, -np.inf, 0
 
     def recluster(round_idx: int) -> None:
@@ -455,7 +451,7 @@ def run_training(
         # identities do not persist across re-clusterings
         model.cluster_items = dict.fromkeys(range(k_clusters), model.global_items)
 
-    states, eta = model.states, cfg.train.eta  # the states dict is never rebound
+    states, eta = model.states, cfg.train.eta  # the states record is never rebound
     for round_idx in range(1, cfg.train.max_rounds + 1):
         started = time.perf_counter()
         if (round_idx - 1) % cfg.cluster.recluster_every == 0:
@@ -470,7 +466,7 @@ def run_training(
         # a blow-up here is named by the checks below, not by a warning
         with np.errstate(over="ignore", invalid="ignore"):
             keyed = zip(selected, substreams(seed, "client", round_idx, ids=selected))
-            updates = [client_update(states[u], model.global_items, ctx, s) for u, s in keyed]
+            updates = [client_update(states, u, model.global_items, ctx, s) for u, s in keyed]
             model.global_items = apply_update(model.global_items, aggregate(updates), eta)
             by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
             for user, update in zip(selected, updates):
@@ -481,13 +477,11 @@ def run_training(
         tables = [model.global_items] + [model.cluster_items[c] for c in by_cluster]
         if not all(np.isfinite(t).all() for t in tables):
             raise NumericError(f"non-finite global or cluster table after round {round_idx}")
-        if not all(
-            np.isfinite(states[u].user_vec).all() and np.isfinite(states[u].local_rows).all()
-            for u in selected
-        ):
+        blocks = [states.user_rows[selected]] + [states.overlays[u].local_rows for u in selected]
+        if not all(np.isfinite(b).all() for b in blocks):
             raise NumericError(f"non-finite client state after round {round_idx}")
 
-        train_loss = float(np.mean([states[u].last_loss for u in selected]))
+        train_loss = float(np.mean(states.losses[selected]))
         val_recall = val_ndcg = None
         if round_idx % cfg.train.eval_every == 0:
             models = personalized_models(split, model, cfg)
@@ -495,11 +489,11 @@ def run_training(
             val_recall, val_ndcg = result.recall, result.ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg, evals_since_best = val_ndcg, 0
-                # no table is written in place, so the snapshot shares them
+                # no item table is written in place, so the snapshot shares them
                 best = replace(
                     model,
                     cluster_items=dict(model.cluster_items),
-                    states={u: replace(s) for u, s in states.items()},
+                    states=states.copy(),
                     final_round=round_idx,
                 )
             else:

@@ -18,11 +18,11 @@ from fedrec.rng import substream
 from fedrec.server import _kmeans_pp
 
 
-def local_item_table(state, base: np.ndarray) -> np.ndarray:
-    """A client's fine-tuned item table: warm-start rows plus its own
-    accumulated raw-gradient steps on the rows it has touched."""
+def local_item_table(overlay, base: np.ndarray) -> np.ndarray:
+    """A client's fine-tuned item table: the warm-start rows ``base`` with its
+    ``Overlay``, its accumulated raw-gradient steps on the rows it has touched."""
     rows = base.copy()
-    rows[state.local_items] = state.local_rows
+    rows[overlay.local_items] = overlay.local_rows
     return rows
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedrec.cli import main as cli_main
-from fedrec.client import ClientConfig, ClientState, client_update, sample_bpr_triples
+from fedrec.client import ClientConfig, ClientStates, client_update, sample_bpr_triples
 from fedrec.config import PrivacySection, default_config
 from fedrec.data import (
     InteractionDataset,
@@ -193,7 +193,7 @@ def test_03_one_federated_round_equals_a_centralized_step():
         expected_items -= cfg.train.eta * (count / total) * item_grads
 
     item_err = float(np.abs(result.global_items - expected_items).max())
-    user_err = float(np.abs(result.user_table - expected_users).max())
+    user_err = float(np.abs(result.states.user_rows - expected_users).max())
     elapsed = time.perf_counter() - started
     ok = item_err <= 1e-10 and user_err <= 1e-10 and elapsed < 5.0
     assert _report(
@@ -407,13 +407,14 @@ def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():
     privacy = experiment.privacy = PrivacySection(
         pseudo_items_p=2, mask_ratio=0.2, enabled=True
     )
-    cfg = ClientConfig(split, experiment, local_base=items)
+    cfg = ClientConfig(split, experiment)
     supports_ok = True
     for round_idx in (1, 2):
         for user in range(12):
-            state = ClientState(user, items.mean(axis=0))
+            # every user from the mean item row, over the warm-start items
+            start = EmbeddingTable(np.tile(items.mean(axis=0), (12, 1)), items)
             update = client_update(
-                state, items, cfg, substream(3, "client", round_idx, user)
+                ClientStates.start(start), user, items, cfg, substream(3, "client", round_idx, user)
             )
             # the update's local graph, rebuilt from the same stream
             graph = build_client_graph(

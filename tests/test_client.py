@@ -7,11 +7,11 @@ from fedrec import client as client_module
 from fedrec import gnn
 from fedrec.client import (
     ClientConfig,
-    ClientState,
+    ClientStates,
+    Overlay,
     _local_operator,
     client_update,
     infer_user_embedding,
-    init_client_states,
     personalize,
     sample_bpr_triples,
 )
@@ -89,18 +89,24 @@ def make_cfg(split, items, n_layers=0, gamma=0.0, batch_size=1, privacy=None):
         train=TrainSection(eta=0.1, gamma=gamma, batch_size=batch_size),
         privacy=privacy or PrivacySection(),
     )
-    return ClientConfig(split, experiment, local_base=items)
+    return ClientConfig(split, experiment)
+
+
+def one_client(user_vec, items):
+    """The state of a one-user run: its row ``user_vec`` over the warm-start
+    item table ``items``."""
+    return ClientStates.start(EmbeddingTable(np.asarray(user_vec)[None, :], items))
 
 
 class TestClientUpdate:
     def test_closed_form_single_triple_zero_layers(self):
         split = make_split()
         items = np.arange(16, dtype=float).reshape(8, 2) / 10.0
-        state = ClientState(0, np.array([0.3, -0.2]), last_inferred=np.zeros(2))
-        user_before = state.user_vec.copy()
+        states = one_client([0.3, -0.2], items)
+        user_before = states.user_rows[0].copy()
         cfg = make_cfg(split, items)
         stream = substream(1, "client", 1, 0)
-        update = client_update(state, items, cfg, stream)
+        update = client_update(states, 0, items, cfg, stream)
 
         # replay the draws: no mask/pseudo draws when privacy is off
         replay = substream(1, "client", 1, 0)
@@ -116,12 +122,12 @@ class TestClientUpdate:
         # the user step was applied locally
         eta = cfg.experiment.train.eta
         expected_user = user_before - eta * coef * (items[pos] - items[neg])
-        np.testing.assert_allclose(state.user_vec, expected_user, atol=1e-12)
+        np.testing.assert_allclose(states.user_rows[0], expected_user, atol=1e-12)
 
     def test_pseudo_items_extend_the_gradient_support(self):
         split = make_split(n_items=12)
         items = substream(0, "items").normal(size=(12, 3))
-        state = ClientState(0, np.array([0.5, 0.1, -0.4]))
+        states = one_client([0.5, 0.1, -0.4], items)
         cfg = make_cfg(
             split,
             items,
@@ -129,7 +135,7 @@ class TestClientUpdate:
             n_layers=1,
             batch_size=4,
         )
-        update = client_update(state, items, cfg, substream(9, "c", 1, 0))
+        update = client_update(states, 0, items, cfg, substream(9, "c", 1, 0))
         # the graph the update built, rebuilt from the same stream
         replay = substream(9, "c", 1, 0)
         cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
@@ -146,7 +152,7 @@ class TestClientUpdate:
         # too; the upload carries the decoy draws in their place
         split = make_split(n_items=12)
         items = substream(0, "items").normal(size=(12, 3))
-        state = ClientState(0, np.array([0.5, 0.1, -0.4]))
+        states = one_client([0.5, 0.1, -0.4], items)
         cfg = make_cfg(
             split,
             items,
@@ -154,7 +160,7 @@ class TestClientUpdate:
             n_layers=1,
             batch_size=4,
         )
-        update = client_update(state, items, cfg, substream(9, "c", 1, 0))
+        update = client_update(states, 0, items, cfg, substream(9, "c", 1, 0))
         replay = substream(9, "c", 1, 0)
         cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
         sample_bpr_triples(cg, 4, replay)
@@ -165,7 +171,7 @@ class TestClientUpdate:
         expected = replay.normal(0.0, std, (len(pseudo), 3))
         np.testing.assert_array_equal([rows[i] for i in pseudo], expected)
         # the private step used the real rows, not the decoys
-        local = dict(zip(state.local_items.tolist(), state.local_rows))
+        local = dict(zip(states.overlays[0].local_items.tolist(), states.overlays[0].local_rows))
         for item in pseudo:
             assert not np.array_equal(
                 local[item], items[item] - cfg.experiment.train.eta * rows[item]
@@ -177,9 +183,9 @@ class TestClientUpdate:
         privacy = PrivacySection(mask_ratio=0.3, pseudo_items_p=2)
         results = []
         for _ in range(2):
-            state = ClientState(0, np.array([0.5, 0.1, -0.4]))
+            states = one_client([0.5, 0.1, -0.4], items)
             cfg = make_cfg(split, items, privacy=privacy, n_layers=2, batch_size=3)
-            results.append(client_update(state, items, cfg, substream(8, "c", 2, 0)))
+            results.append(client_update(states, 0, items, cfg, substream(8, "c", 2, 0)))
         a, b = results
         np.testing.assert_array_equal(a.items, b.items)
         np.testing.assert_array_equal(a.item_grads, b.item_grads)
@@ -198,8 +204,8 @@ class TestClientUpdate:
         for module in (gnn, client_module):
             if getattr(module, "propagate", None) is original:
                 monkeypatch.setattr(module, "propagate", counting)
-        state = ClientState(0, np.array([0.2, -0.1, 0.4, 0.05]))
-        client_update(state, items, cfg, substream(6, "c", 1, 0))
+        states = one_client([0.2, -0.1, 0.4, 0.05], items)
+        client_update(states, 0, items, cfg, substream(6, "c", 1, 0))
         assert len(calls) == 2
 
     @pytest.mark.parametrize("n_layers", [0, 2])
@@ -207,12 +213,12 @@ class TestClientUpdate:
         split = make_split(n_items=9)
         items = substream(2, "items").normal(size=(9, 4))
         user_vec = np.array([0.2, -0.1, 0.4, 0.05])
-        state = ClientState(0, user_vec.copy())
+        states = one_client(user_vec, items)
         privacy = PrivacySection(pseudo_items_p=2)
         cfg = make_cfg(
             split, items, n_layers=n_layers, gamma=0.02, batch_size=4, privacy=privacy
         )
-        client_update(state, items, cfg, substream(6, "c", 1, 0))
+        client_update(states, 0, items, cfg, substream(6, "c", 1, 0))
 
         replay = substream(6, "c", 1, 0)
         cg = build_client_graph(split, 0, privacy, replay)
@@ -223,17 +229,17 @@ class TestClientUpdate:
         assert final.users.tobytes() == expected.users.tobytes()
         assert final.items.tobytes() == expected.items.tobytes()
         assert loss == bpr_loss(expected, local, 0.02, raw)
-        assert state.last_loss == loss
-        assert state.last_inferred.tobytes() == final.users[0].tobytes()
+        assert states.losses[0] == loss
+        assert states.inferred[0].tobytes() == final.users[0].tobytes()
 
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_matches_direct_gradients_on_the_local_subgraph(self, n_layers):
         split = make_split(n_items=9)
         items = substream(2, "items").normal(size=(9, 4))
         user_vec = np.array([0.2, -0.1, 0.4, 0.05])
-        state = ClientState(0, user_vec.copy())
+        states = one_client(user_vec, items)
         cfg = make_cfg(split, items, n_layers=n_layers, gamma=0.02, batch_size=5)
-        update = client_update(state, items, cfg, substream(6, "c", 1, 0))
+        update = client_update(states, 0, items, cfg, substream(6, "c", 1, 0))
 
         replay = substream(6, "c", 1, 0)
         cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
@@ -350,16 +356,33 @@ class TestPersonalize:
 class TestLocalState:
     def test_init_states_copy_user_rows(self, rng):
         table = EmbeddingTable(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
-        states = init_client_states(table)
-        states[0].user_vec[0] = 99.0
+        states = ClientStates.start(table)
+        states.user_rows[0, 0] = 99.0
+        states.inferred[0, 1] = 98.0
         assert table.users[0, 0] != 99.0
+        assert table.users[0, 1] != 98.0
+        assert states.local_base is table.items
+
+    def test_copy_copies_the_blocks_and_shares_the_overlays(self, rng):
+        table = EmbeddingTable(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
+        states = ClientStates.start(table)
+        states.overlays[1] = Overlay(np.array([2]), np.array([[5.0, 5.0]]))
+        snapshot = states.copy()
+        states.user_rows[0] += 1.0
+        states.inferred[0] += 1.0
+        states.losses[0] = 0.5
+        states.overlays[1] = Overlay(np.array([3]), np.array([[6.0, 6.0]]))
+        assert not np.array_equal(snapshot.user_rows, states.user_rows)
+        assert not np.array_equal(snapshot.inferred, states.inferred)
+        assert np.isnan(snapshot.losses).all()
+        assert snapshot.overlays[1].local_items.tolist() == [2]
+        assert snapshot.overlays[0] is states.overlays[0]
+        assert snapshot.local_base is states.local_base
 
     def test_local_item_table_applies_the_overlay(self, rng):
         base = rng.normal(size=(4, 2))
-        state = ClientState(
-            0, np.zeros(2), local_items=np.array([2]), local_rows=np.array([[5.0, 5.0]])
-        )
-        rows = local_item_table(state, base)
+        overlay = Overlay(np.array([2]), np.array([[5.0, 5.0]]))
+        rows = local_item_table(overlay, base)
         np.testing.assert_array_equal(rows[2], [5.0, 5.0])
         np.testing.assert_array_equal(rows[0], base[0])
 

@@ -300,7 +300,9 @@ class TestScatterRows:
         ours = scatter_rows(np.array(index, dtype=np.int64), rows, n)
         assert ours.tobytes() == add_at_rows(index, rows, n).tobytes()
 
-    @pytest.mark.parametrize("n_layers, gamma", [(0, 0.0), (2, 0.0), (3, 0.05)])
+    # gamma > 0 on 200 triples over 6 users and 5 items: the L2 term's rows
+    # repeat, and the loss and the gradient take the same distinct rows
+    @pytest.mark.parametrize("n_layers, gamma", [(0, 0.0), (2, 0.0), (3, 0.05), (1, 0.5)])
     def test_bpr_gradients_scatter_positives_then_negatives(self, n_layers, gamma):
         rng = np.random.default_rng(70 + n_layers)
         graph = random_bipartite(rng, 6, 5, edge_prob=0.5)

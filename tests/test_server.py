@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec import server
-from fedrec.client import ClientState, personalize
+from fedrec.client import ClientStates, Overlay, personalize
 from fedrec.config import default_config, set_key
 from fedrec.evaluation import evaluate_cutoffs, user_ranks
 from fedrec.errors import NumericError
-from fedrec.gnn import GradientUpdate, init_table
+from fedrec.gnn import EmbeddingTable, GradientUpdate, init_table
 from fedrec.privacy import randomize_vector
 from fedrec.rng import substream, substreams
 from fedrec.server import (
@@ -410,10 +410,10 @@ class TestNeighborhoodMatch:
             assert neighbors[user].tolist() == [list(p) for p in expected]
 
 
-def upload_states(n_users: int, dim: int, seed: int) -> dict[int, ClientState]:
+def upload_states(n_users: int, dim: int, seed: int) -> ClientStates:
     # rows at about clip_delta's scale, so some entries are clipped
     rows = substream(seed, "uploads").normal(0.0, 0.15, (n_users, dim))
-    return {u: ClientState(u, rows[u], last_inferred=rows[u]) for u in range(n_users)}
+    return ClientStates.start(EmbeddingTable(rows, np.zeros((1, dim))))
 
 
 class TestNoisedUploads:
@@ -423,7 +423,7 @@ class TestNoisedUploads:
     def test_block_noise_equals_the_per_row_oracle(self, dim):
         cfg = tiny_config(**{"privacy.enabled": True, "train.seed": 2**40 + dim})
         states = upload_states(9, dim, dim)
-        block = np.vstack([s.last_inferred for s in states.values()])
+        block = states.inferred.copy()
         ours = server._noised_uploads(states, cfg, "cluster-upload", dim % 5)
         ref = loop_noised_uploads(block, cfg, "cluster-upload", dim % 5)
         assert ours.tobytes() == ref.tobytes()
@@ -432,7 +432,7 @@ class TestNoisedUploads:
     def test_zero_lambda_clips_and_draws_nothing(self, monkeypatch):
         cfg = tiny_config(**{"privacy.enabled": True, "privacy.laplace_lambda": 0.0})
         states = upload_states(5, 4, 1)
-        block = np.vstack([s.last_inferred for s in states.values()])
+        block = states.inferred.copy()
         keys, real = [], server.substreams
 
         def recorded(*key, ids):
@@ -449,7 +449,9 @@ class TestNoisedUploads:
         cfg = tiny_config()
         states = upload_states(5, 4, 2)
         out = server._noised_uploads(states, cfg, "cluster-upload", 1)
-        assert out.tobytes() == np.vstack([s.last_inferred for s in states.values()]).tobytes()
+        assert out.tobytes() == states.inferred.tobytes()
+        # a new block: the caller may keep it while the round writes the states
+        assert not np.shares_memory(out, states.inferred)
 
     def test_rows_and_streams_must_pair_up(self):
         cfg = tiny_config(**{"privacy.enabled": True})
@@ -486,7 +488,7 @@ class TestRunTraining:
             tiny_split.n_users, tiny_split.n_items, 6, substream(0, "init")
         )
         np.testing.assert_array_equal(result.global_items, init.items)
-        np.testing.assert_array_equal(result.user_table, init.users)
+        np.testing.assert_array_equal(result.states.user_rows, init.users)
         assert result.reports == []
         assert len(result.assignment.assignment) == tiny_split.n_users
 
@@ -510,7 +512,7 @@ class TestRunTraining:
         b = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         assert [r.record() for r in a.reports] == [r.record() for r in b.reports]
         np.testing.assert_array_equal(a.global_items, b.global_items)
-        np.testing.assert_array_equal(a.user_table, b.user_table)
+        np.testing.assert_array_equal(a.states.user_rows, b.states.user_rows)
 
     def test_no_clustering_reports_a_single_cluster(self, tiny_split):
         cfg = tiny_config(**{"cluster.k": 1})
@@ -569,8 +571,8 @@ class TestRunTraining:
     def test_restored_snapshot_equals_a_run_stopped_at_the_best_round(
         self, tiny_split
     ):
-        # the best-round snapshot keeps references, not copies; rounds run
-        # after it must not reach into it
+        # the best-round snapshot shares the item tables and the overlays and
+        # copies the client blocks; rounds run after it must not reach into it
         cfg = tiny_config(**{"train.max_rounds": 30, "train.patience": 2})
         result = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         assert result.final_round < len(result.reports)
@@ -582,17 +584,27 @@ class TestRunTraining:
         assert result.cluster_items.keys() == stopped.cluster_items.keys()
         for c, table in result.cluster_items.items():
             np.testing.assert_array_equal(table, stopped.cluster_items[c])
-        for user, state in result.states.items():
-            theirs = stopped.states[user]
-            np.testing.assert_array_equal(state.local_items, theirs.local_items)
-            np.testing.assert_array_equal(state.local_rows, theirs.local_rows)
+        ours, theirs = result.states, stopped.states
+        for block in ("user_rows", "inferred", "losses"):
+            assert getattr(ours, block).tobytes() == getattr(theirs, block).tobytes(), block
+        assert len(ours.overlays) == len(theirs.overlays) == tiny_split.n_users
+        for mine, other in zip(ours.overlays, theirs.overlays):
+            assert mine.local_items.tobytes() == other.local_items.tobytes()
+            assert mine.local_rows.tobytes() == other.local_rows.tobytes()
 
-    def test_a_non_finite_client_state_is_named(self, tiny_split, monkeypatch):
+    @pytest.mark.parametrize("where", ["user_row", "overlay_row"])
+    def test_a_non_finite_client_state_is_named(self, tiny_split, monkeypatch, where):
         real = server.client_update
 
-        def overflowing(state, *args):
-            update = real(state, *args)
-            state.user_vec = np.full_like(state.user_vec, np.inf)
+        def overflowing(states, user, *args):
+            update = real(states, user, *args)
+            if where == "user_row":
+                states.user_rows[user, 0] = np.inf
+            else:
+                items, rows = states.overlays[user]
+                rows = rows.copy()
+                rows[-1, 0] = np.inf
+                states.overlays[user] = Overlay(items, rows)
             return update
 
         monkeypatch.setattr(server, "client_update", overflowing)
@@ -679,22 +691,23 @@ class TestPersonalizedModels:
     def reference_models(split, result, cfg):
         """Every user's model on its own copy of the full three-table mix."""
         models = {}
-        for user, state in result.states.items():
+        states = result.states
+        for user, overlay in enumerate(states.overlays):
             cluster = result.cluster_items[int(result.assignment.assignment[user])]
             mixed = personalize(
-                local_item_table(state, result.local_base),
+                local_item_table(overlay, states.local_base),
                 cluster,
                 result.global_items,
                 cfg.personalization.alpha,
             )
             graph_items = loop_eval_graph(cfg, split, user)
-            models[user] = eval_model(cfg, state.user_vec, mixed, graph_items)
+            models[user] = eval_model(cfg, states.user_rows[user], mixed, graph_items)
         return models
 
     def test_equal_the_full_three_table_mix(self, tiny_split, trained):
         cfg, result = trained
         assert len(np.unique(result.assignment.assignment)) >= 2
-        assert any(len(s.local_items) for s in result.states.values())
+        assert any(len(o.local_items) for o in result.states.overlays)
         cfg = copy.deepcopy(cfg)
         cfg.personalization.alpha = (0.5, 0.3, 0.2)
         refs = self.reference_models(tiny_split, result, cfg)
@@ -715,10 +728,10 @@ class TestPersonalizedModels:
         cfg = copy.deepcopy(cfg)
         cfg.personalization.alpha = (0.5, 0.3, 0.2)
         # cluster 0 holds users 0 and 1: the first with overlay rows, the second without
-        with_rows = next(s for s in result.states.values() if len(s.local_items))
-        states = dict(result.states)
-        states[0] = replace(with_rows, user=0)
-        states[1] = ClientState(1, result.states[1].user_vec)
+        with_rows = next(o for o in result.states.overlays if len(o.local_items))
+        states = result.states.copy()
+        states.overlays[0] = with_rows
+        states.overlays[1] = Overlay(np.empty(0, np.int64), np.empty((0, cfg.model.dim)))
         in_second = (np.arange(tiny_split.n_users) >= 2).astype(np.int64)
         model = replace(
             result,
@@ -727,7 +740,7 @@ class TestPersonalizedModels:
             states=states,
         )
         base = personalize(
-            model.local_base, model.cluster_items[0], model.global_items, cfg.personalization.alpha
+            states.local_base, model.cluster_items[0], model.global_items, cfg.personalization.alpha
         )
         seen = {
             user: m.item_rows.copy()
