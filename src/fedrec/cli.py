@@ -4,8 +4,8 @@ Flags use the same dotted names as the config file (`--train.eta 0.02`) and
 take precedence over it; `--seed` is shorthand for `train.seed`. `main`
 picks the table each command uses: the server's warm-up table (written by
 `pretrain` and `simulate`), or a loaded `--warm-start` or `--checkpoint`
-file. `train` and `evaluate` share the server's per-user evaluation models,
-ranked one user at a time. Exit codes: 0 ok, 2 config error, 3 data error,
+file. `train` and `evaluate` share the server's evaluation models, scored and
+ranked in blocks of users. Exit codes: 0 ok, 2 config error, 3 data error,
 4 numeric failure.
 """
 
@@ -18,10 +18,10 @@ from pathlib import Path
 from .config import REGISTRY, ExperimentConfig, build_config, read_config_file
 from .data import SplitDataset, leave_one_out_split, load_interactions
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import PHASES, evaluate_cutoffs
+from .evaluation import EVAL_BLOCK, PHASES, evaluate_cutoffs, rank_metrics
 from .gnn import EmbeddingTable, load_checkpoint, save_checkpoint
 from .privacy import privacy_budget
-from .server import eval_graphs, eval_model, personalized_models, run_training, warm_up
+from .server import eval_models, run_training, warm_up
 
 COMMANDS = ("pretrain", "train", "evaluate", "simulate")
 # the paper's three reduced variants are each one setting of an existing key
@@ -99,8 +99,7 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _results_records(cfg, split, models, final_round) -> list[dict]:
-    by_phase = evaluate_cutoffs(split, models, cfg.eval.cutoffs)
+def _results_records(cfg, split, by_phase, final_round) -> list[dict]:
     return [
         {
             "phase": phase,
@@ -156,10 +155,8 @@ def cmd_train(
         fh.write("user_id,cluster_id\n")
         for user in range(split.n_users):
             fh.write(f"{user},{int(result.assignment.assignment[user])}\n")
-    models = personalized_models(split, result, cfg)
-    _write_json(
-        out / "results.json", _results_records(cfg, split, models, result.final_round)
-    )
+    by_phase = rank_metrics(result.ranks, cfg.eval.cutoffs)
+    _write_json(out / "results.json", _results_records(cfg, split, by_phase, result.final_round))
     print(f"train: wrote {out / 'checkpoint.txt'} ({result.final_round} effective rounds)")
 
 
@@ -167,11 +164,11 @@ def cmd_evaluate(
     cfg: ExperimentConfig, split: SplitDataset, out: Path, table: EmbeddingTable
 ) -> None:
     # bare-model protocol: the checkpoint's own rows, no personalization mix
-    models = (
-        (user, eval_model(cfg, table.users[user], table.items, graph_items))
-        for user, graph_items in enumerate(eval_graphs(cfg, split, range(split.n_users)))
-    )
-    records = _results_records(cfg, split, models, 0)
+    n = split.n_users
+    blocks = (list(range(i, min(i + EVAL_BLOCK, n))) for i in range(0, n, EVAL_BLOCK))
+    models = (pair for block in blocks for pair in eval_models(cfg, split, block, table).items())
+    by_phase = evaluate_cutoffs(split, models, cfg.eval.cutoffs)
+    records = _results_records(cfg, split, by_phase, 0)
     _write_json(out / "results.json", records)
     for rec in records:
         print(

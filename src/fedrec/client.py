@@ -9,10 +9,15 @@ anonymous co-interacting neighbors.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random import Generator
+from scipy import sparse
+from scipy.special import expit
 
 from .config import ExperimentConfig
 from .data import ClientGraph, SplitDataset, build_client_graph
@@ -22,6 +27,8 @@ from .gnn import (
     GradientUpdate,
     PropagationOperator,
     bpr_gradients,
+    scatter_rows,
+    star_readout,
 )
 from .privacy import complement_ids, ldp_randomize, pseudo_item_gradients
 
@@ -126,43 +133,105 @@ def _local_operator(
     return op, raw, local_triples, item_space
 
 
-def client_update(
-    states: ClientStates,
-    user: int,
-    global_items: np.ndarray,
-    cfg: ClientConfig,
-    rng: np.random.Generator,
-) -> GradientUpdate:
-    """One federated round on client ``user``.
+STAR_CHUNK = 16  # star clients per kernel pass: a chunk's blocks stay in cache
 
-    Builds the obfuscated local graph and propagates once forward (the loss
-    and the inferred user embedding) and once back (exact BPR gradients).
-    Applies the user-row and private item-row steps on-device, writing the
-    user's rows of ``states`` and rebinding its overlay, then returns the
-    item gradients with decoy pseudo rows attached and LDP applied. The
-    uploaded rows are those with a nonzero gradient plus the batch's items; a
-    pseudo item's decoy row replaces its real one. Draw order on ``rng``:
-    mask, pseudo items, positives, negatives, decoy noise, LDP noise.
-    """
+
+# a client's arithmetic: loss, inferred row, user-row gradient, upload ids and rows
+LocalStep = namedtuple("LocalStep", "loss inferred user_grad items rows")
+
+
+def _star_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
+    """The steps of a chunk of star clients: BPR through :func:`star_readout`
+    forward and back, each client's loss its own batch's. A client's item
+    space (claimed items and negatives, as on its compact operator) is one
+    run of rows keyed ``client * M + item``."""
+    exp, n_items, n = cfg.experiment, len(global_items), len(graphs)
+    gamma, offsets = exp.train.gamma, np.arange(n) * n_items
+    claimed = [cg.true_items | cg.pseudo_items for cg in graphs]
+    linked = np.fromiter(chain.from_iterable(claimed), np.int64)
+    linked += np.repeat(offsets, [len(c) for c in claimed])
+    sizes = np.array([len(b) for b in batches])
+    c = np.repeat(np.arange(n), sizes)
+    ends = np.concatenate(batches)[:, 1:] + offsets[c][:, None]
+    keys = np.union1d(linked, ends[:, 1])  # positives are claimed
+    star = np.full(len(keys), -1)
+    star[np.searchsorted(keys, linked)] = linked // n_items
+    p, j = np.searchsorted(keys, ends).T
+    raw_users = states.user_rows[[cg.user for cg in graphs]]
+    raw_items = global_items[keys % n_items]
+    final = star_readout(raw_users, raw_items, star, exp.model.layers)
+    diff = final.items[p] - final.items[j]
+    m = np.einsum("nd,nd->n", final.users[c], diff)
+    losses = np.bincount(c, np.logaddexp(0.0, -m), n) / sizes
+    coef = -expit(-m)[:, None] / sizes[c][:, None]
+    pulled = coef * final.users[c]
+    g_items = scatter_rows(np.concatenate((p, j)), np.concatenate((pulled, -pulled)), len(keys))
+    grads = star_readout(scatter_rows(c, coef * diff, n), g_items, star, exp.model.layers)
+    touched = np.unique(np.concatenate((p, j)))
+    if gamma:
+        norms = np.bincount(keys[touched] // n_items, np.sum(raw_items[touched] ** 2, axis=1), n)
+        losses += gamma * (np.sum(raw_users**2, axis=1) + norms)
+        grads.users += 2.0 * gamma * raw_users
+        grads.items[touched] += 2.0 * gamma * raw_items[touched]
+    support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), touched)
+    cuts = np.searchsorted(keys[support], offsets[1:])
+    items, rows = np.split(keys[support] % n_items, cuts), np.split(grads.items[support], cuts)
+    return list(map(LocalStep, losses.tolist(), final.users, grads.users, items, rows))
+
+
+def client_round(
+    states: ClientStates, users: Sequence[int], global_items: np.ndarray, cfg: ClientConfig,
+    streams: Iterable[Generator],
+) -> list[GradientUpdate]:
+    """The uploads of ``users`` in one round, in order, each client drawing on
+    its own stream in ``streams``: every local graph and BPR batch first, then
+    the star clients' arithmetic ``STAR_CHUNK`` at a time in the star kernel,
+    each client with neighbour rows on its own compact operator (once forward,
+    once back), then :func:`client_update` per client."""
     exp = cfg.experiment
-    train, privacy = exp.train, exp.privacy
-    nb = cfg.neighbors[user] if cfg.neighbors else ()
-    cg = build_client_graph(cfg.split, user, privacy, rng, neighbors=nb)
+    streams, graphs, batches = list(streams), [], []
+    for user, rng in zip(users, streams):
+        nb = cfg.neighbors[user] if cfg.neighbors else ()
+        graphs.append(build_client_graph(cfg.split, user, exp.privacy, rng, neighbors=nb))
+        size = exp.train.batch_size or len(graphs[-1].true_items)
+        batches.append(sample_bpr_triples(graphs[-1], size, rng))
 
-    batch = train.batch_size if train.batch_size > 0 else len(cg.true_items)
-    triples = sample_bpr_triples(cg, batch, rng)
+    steps: dict[int, LocalStep] = {}
+    stars = [k for k, cg in enumerate(graphs) if not len(cg.neighbor_users)]
+    for i in range(0, len(stars), STAR_CHUNK):
+        chunk = stars[i : i + STAR_CHUNK]
+        parts = [graphs[k] for k in chunk], [batches[k] for k in chunk]
+        steps.update(zip(chunk, _star_steps(*parts, states, global_items, cfg)))
+    for k in set(range(len(graphs))) - steps.keys():
+        user_vec = states.user_rows[graphs[k].user]
+        op, raw, local, space = _local_operator(
+            graphs[k], batches[k], exp.model.layers, user_vec, global_items, cfg.neighbor_vecs
+        )
+        loss, final, grads = bpr_gradients(op, raw, local, exp.train.gamma)
+        support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local[:, 1:])
+        upload = space[support], grads.items[support]
+        # copies: views would keep the client's operator-sized blocks alive
+        steps[k] = LocalStep(loss, final.users[0].copy(), grads.users[0].copy(), *upload)
+    finish = enumerate(zip(graphs, streams))
+    return [client_update(states, cg, steps[k], cfg, rng) for k, (cg, rng) in finish]
 
-    op, raw, local_triples, item_space = _local_operator(
-        cg, triples, exp.model.layers, states.user_rows[user], global_items, cfg.neighbor_vecs
-    )
-    states.losses[user], final, grads = bpr_gradients(op, raw, local_triples, train.gamma)
-    states.inferred[user] = final.users[0]
 
-    # the true gradient stays on the device; ``raw``, which may view the row, is spent
-    states.user_rows[user] -= train.eta * grads.users[0]
+def client_update(
+    states: ClientStates, cg: ClientGraph, step: LocalStep, cfg: ClientConfig, rng: Generator
+) -> GradientUpdate:
+    """Finishes client ``cg.user``'s round from its arithmetic ``step``: writes
+    its loss, inferred row and user-row step into ``states``, rebinds its
+    overlay with the private item-row step, and returns the item gradients
+    with decoy pseudo rows in place of the real ones and LDP applied. Every
+    draw is on the client's own stream ``rng``, in order: mask, pseudo items,
+    positives, negatives (in :func:`client_round`), decoy noise, LDP noise.
+    So graphs, batches, decoys and noise do not depend on how the arithmetic
+    is batched; only its rounding does."""
+    train, privacy = cfg.experiment.train, cfg.experiment.privacy
+    user, items, rows = cg.user, step.items, step.rows
+    states.losses[user], states.inferred[user] = step.loss, step.inferred
+    states.user_rows[user] -= train.eta * step.user_grad
 
-    support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local_triples[:, 1:])
-    items, rows = item_space[support], grads.items[support]
     # private step: untouched rows start from the warm-start table
     own = states.overlays[user]
     merged = np.union1d(own.local_items, items)
@@ -201,20 +270,22 @@ def personalize(
 
 
 def infer_user_embedding(
-    user_row: np.ndarray,
-    item_rows: np.ndarray,
-    items: np.ndarray,
-    n_layers: int,
+    user_rows: np.ndarray, item_rows: np.ndarray, graphs: Sequence[np.ndarray], n_layers: int,
+    patch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Readout embedding of a single user on its star graph over the sorted
-    item ids ``items``, equal to the bit to ``propagate(op, raw).users[0]``
-    on the star's operator, without building one."""
-    n = len(items)
-    # the operator's edge weight 1/sqrt(n * 1); no items: one zero row
-    adj = np.full((1, n), 1.0 / np.sqrt(np.int64(n))) if n else np.zeros((1, 1))
-    item_layer = item_rows[items] if n else np.zeros((1, len(user_row)))
-    user_layers = [np.asarray(user_row, dtype=np.float64)[None, :]]
-    for _ in range(n_layers):
-        user_layers.append(adj @ item_layer)
-        item_layer = adj.T @ user_layers[-2]
-    return np.mean(user_layers, axis=0)[0]
+    """Readout rows of a block of users, user ``k`` on its one-user star graph
+    over the item ids ``graphs[k]``; user ``owner[i]`` of ``patch = (owner,
+    ids, rows)`` reads ``rows[i]`` for item ``ids[i]``."""
+    n, n_items = len(graphs), len(item_rows)
+    counts, cols = np.array([len(g) for g in graphs]), np.concatenate(graphs)
+    graph = sparse.csr_matrix((np.ones(len(cols)), cols, np.cumsum([0, *counts])), (n, n_items))
+    sums = graph @ item_rows
+    if patch is not None:
+        owner, ids, rows = patch
+        member = np.repeat(np.arange(n), counts)
+        hit = np.isin(owner * n_items + ids, member * n_items + cols)  # patched graph items
+        sums += scatter_rows(owner[hit], rows[hit] - item_rows[ids[hit]], n)
+    # a star over the one row s/sqrt(n) reads its user out as one over n rows summing to s
+    scaled = sums / np.sqrt(np.maximum(counts, 1))[:, None]
+    star = np.where(counts > 0, np.arange(n), -1)
+    return star_readout(user_rows, scaled, star, n_layers).users

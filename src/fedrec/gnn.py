@@ -153,6 +153,27 @@ def propagate(op: PropagationOperator, table: EmbeddingTable) -> EmbeddingTable:
     return total
 
 
+def star_readout(
+    users: np.ndarray, items: np.ndarray, star: np.ndarray, n_layers: int
+) -> EmbeddingTable:
+    """``propagate`` on a block of one-user star graphs, in closed form and up
+    to rounding: item row ``r`` is linked to user ``star[r]`` (-1: isolated).
+    With n items summing to s, user layers go u0, s/sqrt(n), u0, ... (u0 then
+    zeros if n is 0), linked item layers i0, u0/sqrt(n), s/n, u0/sqrt(n), ...
+    The map is self-adjoint, so it also carries a gradient back."""
+    linked = star >= 0
+    counts = np.bincount(star[linked], minlength=len(users))[:, None]
+    sums = scatter_rows(star[linked], items[linked], len(users))
+    odd, even = (n_layers + 1) // 2, n_layers // 2  # layers 1, 3, ... and 2, 4, ...
+    root = np.sqrt(np.maximum(counts, 1))
+    out_users, out_items = np.where(counts > 0, even + 1, 1) * users, items.copy()
+    if n_layers:
+        out_users += odd * (sums / root)
+        pulled = odd * (users / root) + even * (sums / np.maximum(counts, 1))
+        out_items[linked] += pulled[star[linked]]
+    return EmbeddingTable(out_users / (n_layers + 1), out_items / (n_layers + 1))
+
+
 def _triple_array(
     triples: np.ndarray | Sequence[tuple[int, int, int]],
 ) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import defaultdict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
@@ -20,14 +20,14 @@ from .client import (
     ClientConfig,
     ClientStates,
     Overlay,
-    client_update,
+    client_round,
     infer_user_embedding,
     personalize,
 )
 from .config import ExperimentConfig
 from .data import SplitDataset
 from .errors import ConfigError, NumericError
-from .evaluation import UserEvalModel, evaluate_cutoffs
+from .evaluation import EVAL_BLOCK, UserEvalModel, rank_metrics, user_ranks
 from .gnn import EmbeddingTable, GradientUpdate, init_table, scatter_rows
 from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
 from .privacy import randomize_vector, sample_pseudo_items
@@ -253,9 +253,9 @@ class RoundReport:
 @dataclass(eq=False)
 class TrainResult:
     """The model the round loop trains: the global item table, the cluster
-    tables with their assignment and every client's state. No item table is
-    written in place (``apply_update`` returns a copy), so records and
-    snapshots may share them; the client blocks are written by row."""
+    tables with their assignment, every client's state and, once returned,
+    its ``user_ranks``. No item table is written in place (``apply_update``
+    returns a copy), so snapshots share them; client blocks are written by row."""
 
     global_items: np.ndarray
     cluster_items: dict[int, np.ndarray]
@@ -263,6 +263,7 @@ class TrainResult:
     states: ClientStates
     reports: list[RoundReport]
     final_round: int = 0
+    ranks: dict[int, tuple[int | None, int | None]] = field(default_factory=dict)
 
     def checkpoint_table(self) -> EmbeddingTable:
         return EmbeddingTable(self.states.user_rows, self.global_items)
@@ -349,62 +350,55 @@ def eval_graphs(
         yield np.union1d(own, sample_pseudo_items(split.n_items, own, p, stream)) if p else own
 
 
-def eval_model(
-    cfg: ExperimentConfig, user_row: np.ndarray, item_rows: np.ndarray, graph_items: np.ndarray
-) -> UserEvalModel:
-    """One user's model for the ranking protocol; candidates exclude its
-    local graph's items (``eval_graphs``). Item scores use the raw rows: every
-    candidate is isolated there, so propagation would only rescale them."""
-    user_emb = infer_user_embedding(user_row, item_rows, graph_items, cfg.model.layers)
-    return UserEvalModel(user_emb, item_rows, graph_items)
+def eval_models(
+    cfg: ExperimentConfig, split: SplitDataset, users: list[int], table: EmbeddingTable, patch=None
+) -> dict[int, UserEvalModel]:
+    """``{user: model}`` for a block of ``users`` on ``table``, each excluding
+    its ``eval_graphs`` items; member ``owner[i]`` of ``patch = (owner, ids,
+    rows)`` sees ``rows[i]`` for item ``ids[i]``. Scores are one product on the
+    raw item rows (candidates are isolated on the star), patches rewritten."""
+    graphs, item_rows = list(eval_graphs(cfg, split, users)), table.items
+    embs = infer_user_embedding(table.users[users], item_rows, graphs, cfg.model.layers, patch)
+    scores = embs @ item_rows.T
+    if patch is not None:
+        owner, ids, rows = patch
+        scores[owner, ids] = np.einsum("nd,nd->n", rows, embs[owner])
+    models = zip(users, embs, graphs, scores)
+    return {u: UserEvalModel(e, item_rows, g, r) for u, e, g, r in models}
 
 
 def build_eval_models(
-    split: SplitDataset,
-    overlays: Sequence[Overlay],
-    rows: np.ndarray,
-    cluster_items: np.ndarray,
-    global_items: np.ndarray,
-    cfg: ExperimentConfig,
-    user: int,
-    user_row: np.ndarray,
-    graph_items: np.ndarray,
+    split: SplitDataset, overlays: Sequence[Overlay], rows: np.ndarray, cluster_items: np.ndarray,
+    model: TrainResult, cfg: ExperimentConfig, users: list[int],
 ) -> dict[int, UserEvalModel]:
-    """``{user: model}`` for one cluster member, its row ``user_row``, on its
-    ``eval_graphs`` items: its overlay rows ``overlays[user]``, mixed by
-    ``personalization.alpha``, are written into ``rows`` (the cluster's mix
-    over the warm-start table) in place, and the model's ``scores`` are taken;
-    the caller restores the rows. ``split`` is unread: ``bench/tracer.py``
-    hooks this and reads the overlays as argument 1."""
-    (ids, local_rows), alpha = overlays[user], cfg.personalization.alpha
-    rows[ids] = personalize(local_rows, cluster_items[ids], global_items[ids], alpha)
-    user_model = eval_model(cfg, user_row, rows, graph_items)
-    user_model.scores  # cached while the overlay rows are in place
-    return {user: user_model}
+    """``eval_models`` for a block of a cluster's members on ``rows``, its mix,
+    each member's overlay ``overlays[user]`` mixed by ``personalization.alpha``
+    patched in. ``bench/tracer.py`` hooks this and reads argument 1."""
+    own = [overlays[user] for user in users]
+    ids, local = (np.concatenate(part) for part in zip(*own))
+    owner = np.repeat(np.arange(len(own)), [len(o.local_items) for o in own])
+    alpha, global_items = cfg.personalization.alpha, model.global_items
+    mixed = personalize(local, cluster_items[ids], global_items[ids], alpha)
+    table = EmbeddingTable(model.states.user_rows, rows)
+    return eval_models(cfg, split, users, table, (owner, ids, mixed))
 
 
 def personalized_models(
     split: SplitDataset, model: TrainResult, cfg: ExperimentConfig
 ) -> Iterator[tuple[int, UserEvalModel]]:
     """``(user, model)`` for every user on the item table mixed by
-    ``personalization.alpha``, cluster by cluster, from ``build_eval_models``
-    on the cluster's one mix, restored before the next member. A model's
-    ``scores`` are taken before it is yielded; its ``item_rows`` is the shared
-    table, which holds this user's mix only until the next model is asked for."""
-    states, assignment, global_items = model.states, model.assignment, model.global_items
-    alpha = cfg.personalization.alpha
+    ``personalization.alpha``, cluster by cluster and ``EVAL_BLOCK`` members
+    at a time, from ``build_eval_models`` on the cluster's one mix."""
+    states, assignment, alpha = model.states, model.assignment, cfg.personalization.alpha
     for c in range(assignment.k):  # k-means leaves no cluster empty
         cluster_items = model.cluster_items[c]
-        rows = personalize(states.local_base, cluster_items, global_items, alpha)
+        rows = personalize(states.local_base, cluster_items, model.global_items, alpha)
         members = np.flatnonzero(assignment.assignment == c).tolist()
-        for user, graph_items in zip(members, eval_graphs(cfg, split, members)):
-            ids = states.overlays[user].local_items
-            saved = rows[ids]
+        for i in range(0, len(members), EVAL_BLOCK):
+            block = members[i : i + EVAL_BLOCK]
             yield from build_eval_models(
-                split, states.overlays, rows, cluster_items, global_items, cfg,
-                user, states.user_rows[user], graph_items,
+                split, states.overlays, rows, cluster_items, model, cfg, block
             ).items()
-            rows[ids] = saved
 
 
 def run_training(
@@ -419,8 +413,8 @@ def run_training(
     proportion to cluster sizes, collect privacy-protected client updates,
     apply the weighted-average step to the global table and to each cluster
     table, and periodically evaluate the personalized models on validation
-    data with early stopping on NDCG@20. Returns the best-validation
-    snapshot of the model, with every round's report.
+    data with early stopping on NDCG@20. Returns the best-validation snapshot
+    with every round's report and the ranks that chose it (else its own).
     """
     seed = cfg.train.seed
     n_users = split.n_users
@@ -465,8 +459,8 @@ def run_training(
 
         # a blow-up here is named by the checks below, not by a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            keyed = zip(selected, substreams(seed, "client", round_idx, ids=selected))
-            updates = [client_update(states, u, model.global_items, ctx, s) for u, s in keyed]
+            streams = substreams(seed, "client", round_idx, ids=selected)
+            updates = client_round(states, selected, model.global_items, ctx, streams)
             model.global_items = apply_update(model.global_items, aggregate(updates), eta)
             by_cluster: dict[int, list[GradientUpdate]] = defaultdict(list)
             for user, update in zip(selected, updates):
@@ -484,8 +478,8 @@ def run_training(
         train_loss = float(np.mean(states.losses[selected]))
         val_recall = val_ndcg = None
         if round_idx % cfg.train.eval_every == 0:
-            models = personalized_models(split, model, cfg)
-            result = evaluate_cutoffs(split, models, (es_cutoff,))["validation"][es_cutoff]
+            ranks = user_ranks(split, personalized_models(split, model, cfg))
+            result = rank_metrics(ranks, (es_cutoff,))["validation"][es_cutoff]
             val_recall, val_ndcg = result.recall, result.ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg, evals_since_best = val_ndcg, 0
@@ -495,6 +489,7 @@ def run_training(
                     cluster_items=dict(model.cluster_items),
                     states=states.copy(),
                     final_round=round_idx,
+                    ranks=ranks,
                 )
             else:
                 evals_since_best += 1
@@ -520,5 +515,6 @@ def run_training(
         recluster(0)
     if best is None:
         model.final_round = len(model.reports)
+        model.ranks = user_ranks(split, personalized_models(split, model, cfg))
         return model
     return replace(best, reports=model.reports)

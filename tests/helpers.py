@@ -10,10 +10,30 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from fedrec.data import InteractionDataset, SplitDataset, _first_appearance_ids
+from fedrec.client import Overlay, _local_operator, sample_bpr_triples
+from fedrec.data import (
+    InteractionDataset,
+    SplitDataset,
+    _first_appearance_ids,
+    build_client_graph,
+)
 from fedrec.errors import DataError, read_text
-from fedrec.gnn import BipartiteGraph, EmbeddingTable, bpr_loss, propagate
-from fedrec.privacy import randomize_vector, sample_pseudo_items
+from fedrec.evaluation import UserEvalModel
+from fedrec.gnn import (
+    BipartiteGraph,
+    EmbeddingTable,
+    GradientUpdate,
+    PropagationOperator,
+    bpr_gradients,
+    bpr_loss,
+    propagate,
+)
+from fedrec.privacy import (
+    ldp_randomize,
+    pseudo_item_gradients,
+    randomize_vector,
+    sample_pseudo_items,
+)
 from fedrec.rng import substream
 from fedrec.server import _kmeans_pp
 
@@ -317,3 +337,72 @@ def add_at_bpr_gradients(op, raw: EmbeddingTable, triples: np.ndarray, gamma: fl
         back.users[users] += 2.0 * gamma * raw.users[users]
         back.items[items] += 2.0 * gamma * raw.items[items]
     return loss, final, back
+
+
+def operator_client_update(states, user, global_items, cfg, rng) -> GradientUpdate:
+    """One client's whole round on its own compact operator, every step in
+    one call: the per-client reference for ``client.client_round``, whose
+    star clients take the star kernel instead."""
+    exp = cfg.experiment
+    train, privacy = exp.train, exp.privacy
+    nb = cfg.neighbors[user] if cfg.neighbors else ()
+    cg = build_client_graph(cfg.split, user, privacy, rng, neighbors=nb)
+    triples = sample_bpr_triples(cg, train.batch_size or len(cg.true_items), rng)
+    op, raw, local_triples, item_space = _local_operator(
+        cg, triples, exp.model.layers, states.user_rows[user], global_items, cfg.neighbor_vecs
+    )
+    states.losses[user], final, grads = bpr_gradients(op, raw, local_triples, train.gamma)
+    states.inferred[user] = final.users[0]
+    states.user_rows[user] -= train.eta * grads.users[0]
+    support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local_triples[:, 1:])
+    items, rows = item_space[support], grads.items[support]
+    own = states.overlays[user]
+    merged = np.union1d(own.local_items, items)
+    local = states.local_base[merged]
+    local[np.searchsorted(merged, own.local_items)] = own.local_rows
+    local[np.searchsorted(merged, items)] -= train.eta * rows
+    states.overlays[user] = Overlay(merged, local)
+    if cg.pseudo_items:
+        pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)
+        decoys = pseudo_item_gradients(pseudo, rows[~np.isin(items, pseudo)], rng)
+        upload = np.union1d(items, pseudo)
+        block = np.empty((len(upload), rows.shape[1]))
+        block[np.searchsorted(upload, items)] = rows
+        block[np.searchsorted(upload, pseudo)] = decoys
+        items, rows = upload, block
+    return ldp_randomize(GradientUpdate(items, rows, len(cg.true_items)), privacy, rng)
+
+
+def star_user_readout(user_row, item_rows, graph_items, n_layers) -> np.ndarray:
+    """Readout row of one user on its star graph over ``graph_items``, by
+    ``propagate`` on the star's own operator."""
+    n = len(graph_items)
+    edges = np.column_stack((np.zeros(n, np.int64), np.arange(n)))
+    op = PropagationOperator(1, max(n, 1), edges, n_layers)
+    rows = item_rows[graph_items] if n else np.zeros((1, len(user_row)))
+    return propagate(op, EmbeddingTable(np.asarray(user_row)[None, :], rows)).users[0]
+
+
+def loop_eval_model(cfg, user_row, item_rows, graph_items) -> UserEvalModel:
+    """One user's evaluation model on its own full item table: the reference
+    for the block-built models of ``server.eval_models``."""
+    emb = star_user_readout(user_row, item_rows, graph_items, cfg.model.layers)
+    return UserEvalModel(emb, item_rows, graph_items)
+
+
+def full_sort_ranks(split: SplitDataset, models) -> dict:
+    """(validation, test) ranks by sorting every candidate of each model's
+    own ``scores`` (descending, ties to the smaller id): test_06's oracle."""
+    ranks = {}
+    for user, model in models:
+        excluded = set(model.excluded.tolist())
+        pair = []
+        for held, extra in ((split.validation[user], ()), (split.test[user], (split.validation[user],))):
+            out = excluded | set(int(x) for x in extra)
+            ordered = sorted(
+                (i for i in range(len(model.scores)) if i not in out),
+                key=lambda i: (-model.scores[i], i),
+            )
+            pair.append(ordered.index(held) + 1 if held in ordered else None)
+        ranks[user] = tuple(pair)
+    return ranks

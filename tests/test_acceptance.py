@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedrec.cli import main as cli_main
-from fedrec.client import ClientConfig, ClientStates, client_update, sample_bpr_triples
+from fedrec.client import ClientConfig, ClientStates, client_round, sample_bpr_triples
 from fedrec.config import PrivacySection, default_config
 from fedrec.data import (
     InteractionDataset,
@@ -413,8 +413,8 @@ def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():
         for user in range(12):
             # every user from the mean item row, over the warm-start items
             start = EmbeddingTable(np.tile(items.mean(axis=0), (12, 1)), items)
-            update = client_update(
-                ClientStates.start(start), user, items, cfg, substream(3, "client", round_idx, user)
+            (update,) = client_round(
+                ClientStates.start(start), [user], items, cfg, [substream(3, "client", round_idx, user)]
             )
             # the update's local graph, rebuilt from the same stream
             graph = build_client_graph(

@@ -9,8 +9,11 @@ from fedrec.client import (
     ClientConfig,
     ClientStates,
     Overlay,
+    STAR_CHUNK,
+    LocalStep,
     _local_operator,
-    client_update,
+    _star_steps,
+    client_round,
     infer_user_embedding,
     personalize,
     sample_bpr_triples,
@@ -31,7 +34,7 @@ from fedrec.gnn import (
     propagate,
 )
 from fedrec.rng import substream
-from helpers import local_item_table
+from helpers import local_item_table, operator_client_update, star_user_readout
 
 
 def graph_of(true_items, n_items, pseudo=frozenset(), masked=frozenset()):
@@ -92,6 +95,11 @@ def make_cfg(split, items, n_layers=0, gamma=0.0, batch_size=1, privacy=None):
     return ClientConfig(split, experiment)
 
 
+def update_one(states, user, items, cfg, stream):
+    """Client ``user``'s upload from a round of it alone."""
+    return client_round(states, [user], items, cfg, [stream])[0]
+
+
 def one_client(user_vec, items):
     """The state of a one-user run: its row ``user_vec`` over the warm-start
     item table ``items``."""
@@ -106,7 +114,7 @@ class TestClientUpdate:
         user_before = states.user_rows[0].copy()
         cfg = make_cfg(split, items)
         stream = substream(1, "client", 1, 0)
-        update = client_update(states, 0, items, cfg, stream)
+        update = update_one(states, 0, items, cfg, stream)
 
         # replay the draws: no mask/pseudo draws when privacy is off
         replay = substream(1, "client", 1, 0)
@@ -135,7 +143,7 @@ class TestClientUpdate:
             n_layers=1,
             batch_size=4,
         )
-        update = client_update(states, 0, items, cfg, substream(9, "c", 1, 0))
+        update = update_one(states, 0, items, cfg, substream(9, "c", 1, 0))
         # the graph the update built, rebuilt from the same stream
         replay = substream(9, "c", 1, 0)
         cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
@@ -160,7 +168,7 @@ class TestClientUpdate:
             n_layers=1,
             batch_size=4,
         )
-        update = client_update(states, 0, items, cfg, substream(9, "c", 1, 0))
+        update = update_one(states, 0, items, cfg, substream(9, "c", 1, 0))
         replay = substream(9, "c", 1, 0)
         cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
         sample_bpr_triples(cg, 4, replay)
@@ -185,28 +193,32 @@ class TestClientUpdate:
         for _ in range(2):
             states = one_client([0.5, 0.1, -0.4], items)
             cfg = make_cfg(split, items, privacy=privacy, n_layers=2, batch_size=3)
-            results.append(client_update(states, 0, items, cfg, substream(8, "c", 2, 0)))
+            results.append(update_one(states, 0, items, cfg, substream(8, "c", 2, 0)))
         a, b = results
         np.testing.assert_array_equal(a.items, b.items)
         np.testing.assert_array_equal(a.item_grads, b.item_grads)
         assert a.data_count == b.data_count
 
     def test_propagates_once_forward_and_once_back(self, monkeypatch):
+        # a star client: the star kernel once forward and once back, no operator
         split = make_split(n_items=9)
         items = substream(2, "items").normal(size=(9, 4))
         cfg = make_cfg(split, items, n_layers=2, batch_size=3)
-        original, calls = gnn.propagate, []
+        calls = {"propagate": [], "star_readout": []}
+        for name, seen in calls.items():
+            original = getattr(gnn, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counting(*args, _original=original, _seen=seen, **kwargs):
+                _seen.append(args)
+                return _original(*args, **kwargs)
 
-        for module in (gnn, client_module):
-            if getattr(module, "propagate", None) is original:
-                monkeypatch.setattr(module, "propagate", counting)
+            for module in (gnn, client_module):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
         states = one_client([0.2, -0.1, 0.4, 0.05], items)
-        client_update(states, 0, items, cfg, substream(6, "c", 1, 0))
-        assert len(calls) == 2
+        update_one(states, 0, items, cfg, substream(6, "c", 1, 0))
+        assert len(calls["star_readout"]) == 2
+        assert calls["propagate"] == []
 
     @pytest.mark.parametrize("n_layers", [0, 2])
     def test_loss_and_inferred_row_come_from_the_forward_pass(self, n_layers):
@@ -218,7 +230,7 @@ class TestClientUpdate:
         cfg = make_cfg(
             split, items, n_layers=n_layers, gamma=0.02, batch_size=4, privacy=privacy
         )
-        client_update(states, 0, items, cfg, substream(6, "c", 1, 0))
+        update_one(states, 0, items, cfg, substream(6, "c", 1, 0))
 
         replay = substream(6, "c", 1, 0)
         cg = build_client_graph(split, 0, privacy, replay)
@@ -229,8 +241,9 @@ class TestClientUpdate:
         assert final.users.tobytes() == expected.users.tobytes()
         assert final.items.tobytes() == expected.items.tobytes()
         assert loss == bpr_loss(expected, local, 0.02, raw)
-        assert states.losses[0] == loss
-        assert states.inferred[0].tobytes() == final.users[0].tobytes()
+        # the star kernel's rounding may differ from the operator's
+        assert states.losses[0] == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(states.inferred[0], final.users[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_matches_direct_gradients_on_the_local_subgraph(self, n_layers):
@@ -239,7 +252,7 @@ class TestClientUpdate:
         user_vec = np.array([0.2, -0.1, 0.4, 0.05])
         states = one_client(user_vec, items)
         cfg = make_cfg(split, items, n_layers=n_layers, gamma=0.02, batch_size=5)
-        update = client_update(states, 0, items, cfg, substream(6, "c", 1, 0))
+        update = update_one(states, 0, items, cfg, substream(6, "c", 1, 0))
 
         replay = substream(6, "c", 1, 0)
         cg = build_client_graph(split, 0, cfg.experiment.privacy, replay)
@@ -388,8 +401,8 @@ class TestLocalState:
 
     def test_infer_user_embedding_zero_layers_is_the_raw_row(self, rng):
         row = rng.normal(size=3)
-        out = infer_user_embedding(row, rng.normal(size=(5, 3)), [0, 2], 0)
-        np.testing.assert_array_equal(out, row)
+        out = infer_user_embedding(row[None, :], rng.normal(size=(5, 3)), [np.array([0, 2])], 0)
+        np.testing.assert_array_equal(out[0], row)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 30, 999])
     @pytest.mark.parametrize("n_layers", range(5))
@@ -401,11 +414,119 @@ class TestLocalState:
         op = PropagationOperator(1, max(n, 1), edges, n_layers)
         raw = EmbeddingTable(row[None, :], rows[items] if n else np.zeros((1, 16)))
         expected = propagate(op, raw).users[0]
-        out = infer_user_embedding(row, rows, items, n_layers)
-        assert out.tobytes() == expected.tobytes()
+        out = infer_user_embedding(row[None, :], rows, [items], n_layers)[0]
+        # closed form against the operator: equal up to rounding
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_infer_user_embedding_single_item_one_layer(self):
         row = np.array([1.0, 0.0])
         items = np.array([[0.0, 2.0], [9.0, 9.0]])
-        out = infer_user_embedding(row, items, [0], 1)
-        np.testing.assert_allclose(out, [0.5, 1.0])
+        out = infer_user_embedding(row[None, :], items, [np.array([0])], 1)
+        np.testing.assert_allclose(out[0], [0.5, 1.0])
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_infer_user_embedding_block_with_patched_rows(self, n_layers):
+        gen = np.random.default_rng(n_layers)
+        base, users = gen.normal(size=(12, 4)), gen.normal(size=(4, 4))
+        graphs = [np.array([1, 3, 4]), np.array([0]), np.array([], np.int64), np.arange(12)]
+        # user 0's item 3 and item 7 (outside its graph), user 3's item 0
+        owner, ids = np.array([0, 0, 3]), np.array([3, 7, 0])
+        patched = gen.normal(size=(3, 4))
+        out = infer_user_embedding(users, base, graphs, n_layers, (owner, ids, patched))
+        for k, graph in enumerate(graphs):
+            table = base.copy()
+            table[ids[owner == k]] = patched[owner == k]
+            expected = star_user_readout(users[k], table, graph, n_layers)
+            np.testing.assert_allclose(out[k], expected, rtol=0, atol=1e-12)
+
+
+def split_of(train_counts, n_items):
+    """A split whose user ``u`` has ``train_counts[u]`` training items."""
+    gen, rows = np.random.default_rng(len(train_counts)), []
+    for user, count in enumerate(train_counts):
+        picked = gen.choice(n_items, size=count + 2, replace=False)
+        rows.extend((user, int(i), t) for t, i in enumerate(picked))
+    return leave_one_out_split(InteractionDataset(len(train_counts), n_items, rows))
+
+
+def operator_step(cg, triples, user_vec, items, cfg):
+    """A client's step on its own compact operator: the per-client reference."""
+    exp = cfg.experiment
+    op, raw, local, space = _local_operator(cg, triples, exp.model.layers, user_vec, items, None)
+    loss, final, grads = bpr_gradients(op, raw, local, exp.train.gamma)
+    support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local[:, 1:])
+    return LocalStep(loss, final.users[0], grads.users[0], space[support], grads.items[support])
+
+
+def assert_steps_close(ours, theirs):
+    """Two LocalSteps equal up to the kernel's rounding, their ids exactly."""
+    np.testing.assert_array_equal(ours.items, theirs.items)
+    assert ours.loss == pytest.approx(theirs.loss, rel=1e-12, abs=1e-12)
+    for a, b in zip(ours[1:3] + (ours.rows,), theirs[1:3] + (theirs.rows,)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+
+class TestStarSteps:
+    """The batched star-client arithmetic against each client's own compact
+    operator (``_local_operator`` + ``bpr_gradients``), within 1e-12."""
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("batch_size", [0, 1, 9])
+    def test_chunk_equals_the_per_client_operator(self, n_layers, gamma, batch_size):
+        # user 0 has one training item (n = 1); batch 9 repeats triples
+        split = split_of([1, 2, 6, 9, 4, 7], n_items=20)
+        exp = ExperimentConfig(
+            model=ModelSection(layers=n_layers, dim=5),
+            train=TrainSection(gamma=gamma, batch_size=batch_size),
+            privacy=PrivacySection(pseudo_items_p=2, mask_ratio=0.3),
+        )
+        cfg = ClientConfig(split, exp)
+        gen = np.random.default_rng(n_layers)
+        items, users = gen.normal(size=(20, 5)), gen.normal(size=(6, 5))
+        graphs, batches = [], []
+        for user in range(6):
+            stream = substream(4, "c", 1, user)
+            graphs.append(build_client_graph(split, user, exp.privacy, stream))
+            batches.append(sample_bpr_triples(graphs[-1], batch_size or len(graphs[-1].true_items), stream))
+        assert any(cg.masked_items for cg in graphs) and all(cg.pseudo_items for cg in graphs)
+        assert len(graphs[0].true_items | graphs[0].pseudo_items) == 3
+        steps = _star_steps(graphs, batches, ClientStates.start(EmbeddingTable(users, items)), items, cfg)
+        for user, step in enumerate(steps):
+            assert_steps_close(step, operator_step(graphs[user], batches[user], users[user], items, cfg))
+
+    def test_round_with_a_partial_chunk_and_neighbour_clients(self):
+        n_users = STAR_CHUNK + 7
+        split = split_of([3 + u % 5 for u in range(n_users)], n_items=40)
+        exp = ExperimentConfig(
+            model=ModelSection(layers=2, dim=4),
+            train=TrainSection(gamma=0.01, eta=0.1),
+            privacy=PrivacySection(enabled=True, pseudo_items_p=2, mask_ratio=0.2),
+        )
+        gen = np.random.default_rng(5)
+        items = gen.normal(size=(40, 4))
+        # every third user has neighbour rows (handle, shared item); the rest are stars
+        neighbors = [
+            np.array([[h, int(split.train_items(u)[0])] for h in (1, 4)]) if u % 3 == 0
+            else np.empty((0, 2), np.int64)
+            for u in range(n_users)
+        ]
+        cfg = ClientConfig(split, exp, neighbors, gen.normal(size=(6, 4)))
+        start = EmbeddingTable(gen.normal(size=(n_users, 4)), items)
+        ours, theirs = ClientStates.start(start), ClientStates.start(start)
+        users = list(range(n_users))
+        updates = client_round(ours, users, items, cfg, [substream(2, "c", 1, u) for u in users])
+        for user, update in zip(users, updates):
+            expected = operator_client_update(theirs, user, items, cfg, substream(2, "c", 1, user))
+            np.testing.assert_array_equal(update.items, expected.items)
+            assert update.data_count == expected.data_count
+            if len(neighbors[user]):  # the operator path: the same bits
+                assert update.item_grads.tobytes() == expected.item_grads.tobytes()
+                assert ours.user_rows[user].tobytes() == theirs.user_rows[user].tobytes()
+                assert ours.overlays[user].local_rows.tobytes() == theirs.overlays[user].local_rows.tobytes()
+                assert ours.losses[user] == theirs.losses[user]
+            else:  # the kernel; the LDP noise and decoys are the same draws
+                np.testing.assert_allclose(update.item_grads, expected.item_grads, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(ours.user_rows[user], theirs.user_rows[user], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(ours.inferred[user], theirs.inferred[user], rtol=0, atol=1e-12)
+                assert ours.losses[user] == pytest.approx(theirs.losses[user], rel=1e-12)

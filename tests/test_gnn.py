@@ -17,6 +17,7 @@ from fedrec.gnn import (
     propagate,
     save_checkpoint,
     scatter_rows,
+    star_readout,
 )
 from helpers import (
     add_at_bpr_gradients,
@@ -103,6 +104,35 @@ class TestReadout:
         oracle = dense_readout(2, 3, graph.edges, 3, t)
         np.testing.assert_allclose(out.users, oracle.users, atol=1e-12)
         np.testing.assert_allclose(out.items, oracle.items, atol=1e-12)
+
+
+class TestStarReadout:
+    """The closed-form star kernel against ``propagate`` on the block's own
+    operator: stars of 0, 1 and several linked rows, isolated rows between."""
+
+    # star of each item row: 0 has three, 2 one, 1 none; -1 rows are isolated
+    STAR = np.array([0, -1, 0, 2, -1, 0, -1])
+
+    @pytest.mark.parametrize("n_layers", range(5))
+    def test_equals_propagate_on_the_block_operator(self, n_layers):
+        gen = np.random.default_rng(n_layers)
+        users, items = gen.normal(size=(3, 4)), gen.normal(size=(7, 4))
+        rows = np.flatnonzero(self.STAR >= 0)
+        op = PropagationOperator(3, 7, np.column_stack((self.STAR[rows], rows)), n_layers)
+        expected = propagate(op, EmbeddingTable(users, items))
+        out = star_readout(users, items, self.STAR, n_layers)
+        np.testing.assert_allclose(out.users, expected.users, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out.items, expected.items, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_is_self_adjoint(self, n_layers):
+        gen = np.random.default_rng(10 + n_layers)
+        x = EmbeddingTable(gen.normal(size=(3, 4)), gen.normal(size=(7, 4)))
+        y = EmbeddingTable(gen.normal(size=(3, 4)), gen.normal(size=(7, 4)))
+        rx, ry = (star_readout(t.users, t.items, self.STAR, n_layers) for t in (x, y))
+        left = np.sum(rx.users * y.users) + np.sum(rx.items * y.items)
+        right = np.sum(x.users * ry.users) + np.sum(x.items * ry.items)
+        assert left == pytest.approx(right, rel=1e-12)
 
 
 class TestOperatorEdges:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec import server
+from fedrec import client as client_module
+from fedrec import cli, evaluation, server
 from fedrec.client import ClientStates, Overlay, personalize
 from fedrec.config import default_config, set_key
 from fedrec.evaluation import evaluate_cutoffs, user_ranks
@@ -23,8 +24,7 @@ from fedrec.server import (
     aggregate,
     apply_update,
     cluster_users,
-    eval_graphs,
-    eval_model,
+    eval_models,
     item_token,
     matcher_key,
     neighborhood_match,
@@ -36,7 +36,15 @@ from fedrec.server import (
 )
 from fedrec.synthetic import two_community_dataset
 from fedrec.data import build_client_graph, leave_one_out_split
-from helpers import local_item_table, loop_cluster_users, loop_eval_graph, loop_noised_uploads
+from helpers import (
+    full_sort_ranks,
+    local_item_table,
+    loop_cluster_users,
+    loop_eval_graph,
+    loop_eval_model,
+    loop_noised_uploads,
+    star_user_readout,
+)
 
 
 class TestClusterUsers:
@@ -480,6 +488,13 @@ def tiny_split():
     return leave_one_out_split(two_community_dataset(24, 16, seed=11, per_user=5))
 
 
+def bare_models(split, table, cfg):
+    """``fedrec evaluate``'s models: every user on ``table``'s own rows."""
+    for i in range(0, split.n_users, server.EVAL_BLOCK):
+        block = list(range(i, min(i + server.EVAL_BLOCK, split.n_users)))
+        yield from eval_models(cfg, split, block, table).items()
+
+
 class TestRunTraining:
     def test_zero_rounds_leave_the_tables_at_the_warm_start(self, tiny_split):
         cfg = tiny_config(**{"train.max_rounds": 0})
@@ -527,12 +542,7 @@ class TestRunTraining:
         global_only.personalization.alpha = (0.0, 0.0, 1.0)
         models = personalized_models(tiny_split, result, global_only)
         # bare side: the checkpoint rows, as `fedrec evaluate` ranks them
-        table = result.checkpoint_table()
-        users = range(tiny_split.n_users)
-        bare = (
-            (u, eval_model(cfg, table.users[u], table.items, graph_items))
-            for u, graph_items in zip(users, eval_graphs(cfg, tiny_split, users))
-        )
+        bare = bare_models(tiny_split, result.checkpoint_table(), cfg)
         ours = evaluate_cutoffs(tiny_split, models, (10,))
         theirs = evaluate_cutoffs(tiny_split, bare, (10,))
         for phase in ("validation", "test"):
@@ -594,10 +604,10 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("where", ["user_row", "overlay_row"])
     def test_a_non_finite_client_state_is_named(self, tiny_split, monkeypatch, where):
-        real = server.client_update
+        real = client_module.client_update
 
-        def overflowing(states, user, *args):
-            update = real(states, user, *args)
+        def overflowing(states, cg, *args):
+            update, user = real(states, cg, *args), cg.user
             if where == "user_row":
                 states.user_rows[user, 0] = np.inf
             else:
@@ -607,7 +617,7 @@ class TestRunTraining:
                 states.overlays[user] = Overlay(items, rows)
             return update
 
-        monkeypatch.setattr(server, "client_update", overflowing)
+        monkeypatch.setattr(client_module, "client_update", overflowing)
         cfg = tiny_config()
         with pytest.raises(NumericError, match="client state after round 1"):
             run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
@@ -701,7 +711,7 @@ class TestPersonalizedModels:
                 cfg.personalization.alpha,
             )
             graph_items = loop_eval_graph(cfg, split, user)
-            models[user] = eval_model(cfg, states.user_rows[user], mixed, graph_items)
+            models[user] = loop_eval_model(cfg, states.user_rows[user], mixed, graph_items)
         return models
 
     def test_equal_the_full_three_table_mix(self, tiny_split, trained):
@@ -711,16 +721,19 @@ class TestPersonalizedModels:
         cfg = copy.deepcopy(cfg)
         cfg.personalization.alpha = (0.5, 0.3, 0.2)
         refs = self.reference_models(tiny_split, result, cfg)
-        models = {}
-        for user, ours in personalized_models(tiny_split, result, cfg):
-            # the table is shared: it holds this user's mix only until the next
-            assert ours.item_rows.tobytes() == refs[user].item_rows.tobytes()
-            models[user] = ours
+        models = dict(personalized_models(tiny_split, result, cfg))
         assert sorted(models) == list(range(tiny_split.n_users))
         for user, ref in refs.items():
             ours = models[user]
-            assert ours.scores.tobytes() == ref.scores.tobytes()
-            assert ours.user_embedding.tobytes() == ref.user_embedding.tobytes()
+            # the shared table is the cluster's mix; the overlay is in the scores
+            cluster = result.cluster_items[int(result.assignment.assignment[user])]
+            base = personalize(
+                result.states.local_base, cluster, result.global_items, cfg.personalization.alpha
+            )
+            assert ours.item_rows.tobytes() == base.tobytes()
+            # blocked products and the star kernel round differently from one user's
+            np.testing.assert_allclose(ours.scores, ref.scores, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ours.user_embedding, ref.user_embedding, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(ours.excluded, ref.excluded)
 
     def test_no_overlay_row_leaks_to_the_next_member(self, tiny_split, trained):
@@ -742,19 +755,22 @@ class TestPersonalizedModels:
         base = personalize(
             states.local_base, model.cluster_items[0], model.global_items, cfg.personalization.alpha
         )
-        seen = {
-            user: m.item_rows.copy()
-            for user, m in personalized_models(tiny_split, model, cfg)
-            if user < 2
-        }
-        assert seen[0].tobytes() != base.tobytes()
-        assert seen[1].tobytes() == base.tobytes()
+        seen = {user: m for user, m in personalized_models(tiny_split, model, cfg) if user < 2}
+        assert all(m.item_rows.tobytes() == base.tobytes() for m in seen.values())
+        # the first member scores its overlay rows, the second the cluster's mix
+        ids = with_rows.local_items
+        assert np.abs(seen[0].scores[ids] - base[ids] @ seen[0].user_embedding).max() > 1e-6
+        np.testing.assert_allclose(seen[1].scores, base @ seen[1].user_embedding, rtol=0, atol=1e-12)
+        graph = loop_eval_graph(cfg, tiny_split, 1)
+        expected = star_user_readout(states.user_rows[1], base, graph, cfg.model.layers)
+        np.testing.assert_allclose(seen[1].user_embedding, expected, rtol=0, atol=1e-12)
 
     def test_collected_models_keep_their_ranks(self, tiny_split, trained):
         cfg, result = trained
         refs = self.reference_models(tiny_split, result, cfg)
         collected = dict(personalized_models(tiny_split, result, cfg))
         ranks = user_ranks(tiny_split, collected.items())
+        assert ranks == full_sort_ranks(tiny_split, collected.items())
         assert ranks == user_ranks(tiny_split, refs.items())
         assert ranks == user_ranks(tiny_split, personalized_models(tiny_split, result, cfg))
 
@@ -772,3 +788,122 @@ class TestPersonalizedModels:
             else:
                 assert np.isin(train, model.excluded).all()
                 assert len(model.excluded) == len(train) + p
+
+
+def zero_rows(table: np.ndarray, items) -> np.ndarray:
+    """A copy of ``table`` with ``items``' rows zeroed: their scores tie at 0."""
+    out = table.copy()
+    out[items] = 0.0
+    return out
+
+
+class TestBlockedRanks:
+    """Ranks taken from blocks of users equal test_06's full sort of each
+    model's own scores, across block boundaries (``EVAL_BLOCK`` 5 of 24
+    users), with exact score ties and targets inside the excluded set."""
+
+    TIED = [0, 1, 2, 3, 4, 5, 6, 7]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        for module in (evaluation, server, cli):
+            monkeypatch.setattr(module, "EVAL_BLOCK", 5)
+
+    @staticmethod
+    def assert_cases_covered(split, models, ranks):
+        held = [split.validation[u] for u in ranks] + [split.test[u] for u in ranks]
+        assert any(r is None for pair in ranks.values() for r in pair)
+        assert any(
+            models[u].scores[t] == 0.0 and r is not None and t in TestBlockedRanks.TIED
+            for u in ranks
+            for t, r in zip((split.validation[u], split.test[u]), ranks[u])
+        ), held
+
+    def test_personalized_pass(self, tiny_split):
+        cfg = tiny_config(**{"cluster.k": 3, "privacy.pseudo_items_p": 6})
+        result = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
+        assert any(len(o.local_items) for o in result.states.overlays)
+        cfg.personalization.alpha = (0.5, 0.3, 0.2)
+        tied = self.TIED
+        states = result.states.copy()
+        states.local_base = zero_rows(states.local_base, tied)
+        for user, (ids, rows) in enumerate(states.overlays):
+            states.overlays[user] = Overlay(ids, zero_rows(rows, np.isin(ids, tied)))
+        model = replace(
+            result,
+            global_items=zero_rows(result.global_items, tied),
+            cluster_items={c: zero_rows(t, tied) for c, t in result.cluster_items.items()},
+            states=states,
+        )
+        models = dict(personalized_models(tiny_split, model, cfg))
+        ranks = user_ranks(tiny_split, models.items())
+        assert ranks == full_sort_ranks(tiny_split, models.items())
+        self.assert_cases_covered(tiny_split, models, ranks)
+
+    def test_bare_pass(self, tiny_split, tmp_path):
+        cfg = tiny_config(**{"privacy.pseudo_items_p": 6})
+        table = warm_up(cfg, tiny_split).table
+        table = EmbeddingTable(table.users, zero_rows(table.items, self.TIED))
+        models = dict(bare_models(tiny_split, table, cfg))
+        assert sorted(models) == list(range(tiny_split.n_users))
+        for user, ours in models.items():
+            graph = loop_eval_graph(cfg, tiny_split, user)
+            ref = loop_eval_model(cfg, table.users[user], table.items, graph)
+            np.testing.assert_array_equal(ours.excluded, graph)
+            np.testing.assert_allclose(ours.scores, ref.scores, rtol=0, atol=1e-12)
+        ranks = user_ranks(tiny_split, models.items())
+        assert ranks == full_sort_ranks(tiny_split, models.items())
+        self.assert_cases_covered(tiny_split, models, ranks)
+        # `fedrec evaluate` ranks the same models
+        cli.cmd_evaluate(cfg, tiny_split, tmp_path, table)
+        by_phase = evaluation.rank_metrics(ranks, cfg.eval.cutoffs)
+        expected = cli._results_records(cfg, tiny_split, by_phase, 0)
+        assert json.loads((tmp_path / "results.json").read_text()) == expected
+
+    def test_eval_models_patch_equals_a_patched_table(self, tiny_split):
+        cfg = tiny_config()
+        gen = np.random.default_rng(3)
+        rows, users = gen.normal(size=(16, 6)), gen.normal(size=(3, 6))
+        graphs = [tiny_split.train_items(u) for u in range(3)]
+        owner = np.array([0, 0, 2])
+        ids = np.array([int(graphs[0][0]), 15, int(graphs[2][-1])])
+        patched = gen.normal(size=(3, 6))
+        table = EmbeddingTable(users, rows)
+        models = eval_models(cfg, tiny_split, [0, 1, 2], table, (owner, ids, patched))
+        for k in range(3):
+            table = rows.copy()
+            table[ids[owner == k]] = patched[owner == k]
+            ref = loop_eval_model(cfg, users[k], table, graphs[k])
+            np.testing.assert_allclose(models[k].scores, ref.scores, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(models[k].user_embedding, ref.user_embedding, rtol=0, atol=1e-12)
+
+
+class TestRankOnce:
+    """``results.json`` comes from the ranks the returned model carries, and
+    they are the ranks a fresh pass over its personalized models gives."""
+
+    @pytest.mark.parametrize(
+        "rounds,every", [(4, 2), (1, 2), (0, 1)], ids=["evaluated", "no-evaluation", "no-rounds"]
+    )
+    def test_results_equal_a_fresh_ranking_of_the_returned_model(
+        self, tiny_split, tmp_path, monkeypatch, rounds, every
+    ):
+        cfg = tiny_config(**{"train.max_rounds": rounds, "train.eval_every": every})
+        returned = []
+
+        def keep(*args, **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training", keep)
+        cli.cmd_train(cfg, tiny_split, tmp_path, warm_up(cfg, tiny_split).table)
+        (result,) = returned
+        assert any(r.val_ndcg is not None for r in result.reports) == (rounds >= every)
+        fresh = user_ranks(tiny_split, personalized_models(tiny_split, result, cfg))
+        assert result.ranks == fresh
+        by_phase = evaluate_cutoffs(
+            tiny_split, personalized_models(tiny_split, result, cfg), cfg.eval.cutoffs
+        )
+        written = json.loads((tmp_path / "results.json").read_text())
+        assert written == cli._results_records(cfg, tiny_split, by_phase, result.final_round)
