@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,14 +23,7 @@ from scipy.special import expit
 from .config import ExperimentConfig
 from .data import ClientGraph, SplitDataset, build_client_graph
 from .errors import DataError
-from .gnn import (
-    EmbeddingTable,
-    GradientUpdate,
-    PropagationOperator,
-    bpr_gradients,
-    scatter_rows,
-    star_readout,
-)
+from .gnn import EmbeddingTable, GradientUpdate, gram_readout, scatter_rows, star_readout
 from .privacy import complement_ids, ldp_randomize, pseudo_item_gradients
 
 
@@ -67,15 +61,91 @@ class ClientStates:
         return ClientStates(*blocks, list(self.overlays), self.local_base)
 
 
+@dataclass(frozen=True, eq=False)
+class Neighbours:
+    """Every user's one-hop neighbour rows as one CSR: user ``u``'s sorted
+    (handle, shared item) int64 rows are ``rows[indptr[u]:indptr[u + 1]]``."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, user: int) -> np.ndarray:
+        return self.rows[self.indptr[user] : self.indptr[user + 1]]
+
+
+@dataclass(frozen=True, eq=False)
+class NeighbourFold:
+    """Every user's neighbour rows folded once per run into what they add to
+    the user's graph. User ``u``'s shared items are the slots
+    ``ptr[u]:ptr[u + 1]``, with sorted ids in ``items`` and ``counts``, the
+    number of neighbours sharing each one. With ``d_h`` the number of items
+    neighbour ``h`` shares, ``weights`` (slots x handles) holds 1/sqrt(d_h)
+    where ``h`` shares the slot's item, and the block-diagonal ``gram``
+    (slots x slots) sums 1/d_h over the neighbours sharing both items."""
+
+    ptr: np.ndarray
+    items: np.ndarray
+    counts: np.ndarray
+    weights: sparse.csr_matrix
+    gram: sparse.csr_matrix
+
+    def __getitem__(self, user: int) -> np.ndarray:
+        """User ``user``'s (handle, shared item) int64 rows, in item order."""
+        lo, hi = self.ptr[user], self.ptr[user + 1]
+        handles = self.weights.indices[self.weights.indptr[lo] : self.weights.indptr[hi]]
+        return np.column_stack((handles, np.repeat(self.items[lo:hi], self.counts[lo:hi])))
+
+
+def fold_neighbours(neighbors: Neighbours, n_items: int) -> NeighbourFold:
+    """Every user's :class:`NeighbourFold` from the CSR, with no per-user loop.
+    A handle indexes one of the ``len(neighbors)`` users' uploaded rows."""
+    n_users, n_rows = len(neighbors), len(neighbors.rows)
+    user_bits, item_bits, row_bits = (n.bit_length() for n in (n_users, n_items, n_rows))
+    if user_bits + item_bits + row_bits > 63:
+        raise DataError("too many neighbour rows to fold in one int64 sort")
+    handles, items = neighbors.rows.T
+    user = np.repeat(np.arange(n_users), np.diff(neighbors.indptr))
+    # (user, handle) groups are runs: a user's rows are sorted by handle
+    key = (user << user_bits) | handles
+    change = np.concatenate(([True], key[1:] != key[:-1]))[:n_rows]
+    group, group_ptr = np.cumsum(change) - 1, np.append(np.flatnonzero(change), n_rows)
+    degree = np.diff(group_ptr)
+    # the rows in (user, item) order, by one in-place sort of keys carrying the row index
+    np.left_shift(user, item_bits, out=key)
+    key |= items
+    key <<= row_bits
+    key |= np.arange(n_rows)
+    key.sort()
+    order = key & ((1 << row_bits) - 1)
+    key >>= row_bits  # (user, item)
+    new = np.concatenate(([True], key[1:] != key[:-1]))[:n_rows]
+    first = np.flatnonzero(new)
+    slot_ptr, n_slots = np.append(first, n_rows), len(first)
+    slot = np.empty(n_rows, np.int64)
+    slot[order] = np.cumsum(new) - 1
+    root = (1.0 / np.sqrt(degree))[group]
+    weights = sparse.csr_matrix((root[order], handles[order], slot_ptr), (n_slots, n_users))
+    # gram = member @ member.T, the transpose built in row order
+    member = sparse.csr_matrix((weights.data, group[order], slot_ptr), (n_slots, len(degree)))
+    gram = member @ sparse.csr_matrix((root, slot, group_ptr), member.shape[::-1])
+    pairs = key[first]
+    ptr = np.searchsorted(pairs, np.arange(n_users + 1) << item_bits)
+    return NeighbourFold(ptr, pairs & ((1 << item_bits) - 1), np.diff(slot_ptr), weights, gram)
+
+
 @dataclass(eq=False)
 class ClientConfig:
-    """Inputs shared by every client update; only ``neighbor_vecs`` changes
-    from round to round. The settings are those of ``experiment``."""
+    """Inputs shared by every client update; only ``neighbor_vecs``, the
+    users' uploaded rows in handle order, changes from round to round. The
+    settings are those of ``experiment``; ``neighbors`` is every user's
+    neighbour rows as :func:`fold_neighbours` folds them."""
 
     split: SplitDataset
     experiment: ExperimentConfig
-    # per user, sorted (handle, item) rows; uploaded user rows by handle
-    neighbors: Sequence[np.ndarray] = ()
+    neighbors: NeighbourFold | None = None
     neighbor_vecs: np.ndarray | None = None
 
 
@@ -99,74 +169,45 @@ def sample_bpr_triples(
     return triples
 
 
-def _local_operator(
-    cg: ClientGraph,
-    triples: np.ndarray,
-    n_layers: int,
-    user_vec: np.ndarray,
-    global_items: np.ndarray,
-    neighbor_vecs: np.ndarray | None,
-):
-    """Compact propagation problem around one client.
-
-    Item space = claimed items + sampled negatives + neighbor-shared items;
-    everything reachable from the batch lives there, so gradients computed on
-    the compact graph equal gradients on the full catalog graph. Returns the
-    operator, the raw table, the triples in local ids (user 0) and the sorted
-    catalogue ids of the local items.
-    """
-    claimed = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
-    handles, shared = cg.neighbor_users.T
-    item_space = np.unique(np.concatenate((claimed, triples[:, 2], shared)))
-    # row 0 is the client; the neighbor handles follow in sorted order
-    handles, rows = np.unique(handles, return_inverse=True)
-    edges = np.zeros((len(claimed) + len(shared), 2), dtype=np.int64)
-    edges[len(claimed):, 0] = rows + 1
-    edges[:, 1] = np.searchsorted(item_space, np.concatenate((claimed, shared)))
-    op = PropagationOperator(1 + len(handles), len(item_space), edges, n_layers)
-    user_rows = user_vec[None, :]
-    if len(handles):
-        user_rows = np.vstack((user_rows, neighbor_vecs[handles]))
-    raw = EmbeddingTable(user_rows, global_items[item_space])
-    local_triples = np.zeros_like(triples)
-    local_triples[:, 1:] = np.searchsorted(item_space, triples[:, 1:])
-    return op, raw, local_triples, item_space
-
-
 STAR_CHUNK = 16  # star clients per kernel pass: a chunk's blocks stay in cache
+NEIGHBOUR_CHUNK = 32  # clients with neighbour rows per kernel pass
 
 
 # a client's arithmetic: loss, inferred row, user-row gradient, upload ids and rows
 LocalStep = namedtuple("LocalStep", "loss inferred user_grad items rows")
 
 
-def _star_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
-    """The steps of a chunk of star clients: BPR through :func:`star_readout`
-    forward and back, each client's loss its own batch's. A client's item
-    space (claimed items and negatives, as on its compact operator) is one
-    run of rows keyed ``client * M + item``."""
+def _chunk_steps(
+    graphs, batches, states, global_items, cfg: ClientConfig, shared: np.ndarray, kernel
+) -> list[LocalStep]:
+    """The steps of a chunk of clients: BPR through a readout map forward and
+    back, each client's loss its own batch's. Client ``k``'s item space (its
+    claimed items, its negatives and its ``shared`` items, as on its compact
+    operator) is one run of rows keyed ``k * M + item``; ``shared`` holds such
+    keys. ``kernel(keys, linked, owner)``, given the rows of the claimed items
+    and their clients, returns the forward and the backward readout maps."""
     exp, n_items, n = cfg.experiment, len(global_items), len(graphs)
     gamma, offsets = exp.train.gamma, np.arange(n) * n_items
-    claimed = [cg.true_items | cg.pseudo_items for cg in graphs]
+    claimed = [sorted(cg.true_items | cg.pseudo_items) for cg in graphs]
     linked = np.fromiter(chain.from_iterable(claimed), np.int64)
-    linked += np.repeat(offsets, [len(c) for c in claimed])
+    owner = np.repeat(np.arange(n), [len(c) for c in claimed])
+    linked += offsets[owner]
     sizes = np.array([len(b) for b in batches])
     c = np.repeat(np.arange(n), sizes)
     ends = np.concatenate(batches)[:, 1:] + offsets[c][:, None]
-    keys = np.union1d(linked, ends[:, 1])  # positives are claimed
-    star = np.full(len(keys), -1)
-    star[np.searchsorted(keys, linked)] = linked // n_items
+    keys = np.union1d(linked, np.concatenate((ends[:, 1], shared)))  # positives are claimed
+    forward, backward = kernel(keys, np.searchsorted(keys, linked), owner)
     p, j = np.searchsorted(keys, ends).T
     raw_users = states.user_rows[[cg.user for cg in graphs]]
     raw_items = global_items[keys % n_items]
-    final = star_readout(raw_users, raw_items, star, exp.model.layers)
+    final = forward(raw_users, raw_items)
     diff = final.items[p] - final.items[j]
     m = np.einsum("nd,nd->n", final.users[c], diff)
     losses = np.bincount(c, np.logaddexp(0.0, -m), n) / sizes
     coef = -expit(-m)[:, None] / sizes[c][:, None]
     pulled = coef * final.users[c]
     g_items = scatter_rows(np.concatenate((p, j)), np.concatenate((pulled, -pulled)), len(keys))
-    grads = star_readout(scatter_rows(c, coef * diff, n), g_items, star, exp.model.layers)
+    grads = backward(scatter_rows(c, coef * diff, n), g_items)
     touched = np.unique(np.concatenate((p, j)))
     if gamma:
         norms = np.bincount(keys[touched] // n_items, np.sum(raw_items[touched] ** 2, axis=1), n)
@@ -179,39 +220,81 @@ def _star_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> lis
     return list(map(LocalStep, losses.tolist(), final.users, grads.users, items, rows))
 
 
+def _star_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
+    """The steps of a chunk of star clients, through :func:`star_readout`."""
+
+    def kernel(keys, linked, owner):
+        star = np.full(len(keys), -1)
+        star[linked] = owner
+        readout = partial(star_readout, star=star, n_layers=cfg.experiment.model.layers)
+        return readout, readout
+
+    return _chunk_steps(graphs, batches, states, global_items, cfg, np.empty(0, np.int64), kernel)
+
+
+def _neighbour_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
+    """The steps of a chunk of clients with neighbour rows, through
+    :func:`gram_readout` on their folds in ``cfg.neighbors``. Every triple
+    reads the client's own row and the neighbour rows get no gradient, so the
+    graph folds to its item side, and the uploaded rows ``cfg.neighbor_vecs``
+    enter through one product with the chunk's ``weights``. With ``d_i`` =
+    [i claimed] + the neighbours sharing ``i``, a claimed item's edge weighs
+    1/sqrt(n d_i) for a client claiming n items, and ``gram`` is scaled by
+    1/sqrt(d_i d_j)."""
+    fold, n_items, n_layers = cfg.neighbors, len(global_items), cfg.experiment.model.layers
+    users = [cg.user for cg in graphs]
+    slots = np.concatenate([np.arange(fold.ptr[u], fold.ptr[u + 1]) for u in users])
+    shared = np.repeat(np.arange(len(users)) * n_items, np.diff(fold.ptr)[users])
+    shared += fold.items[slots]
+    received = fold.weights[slots] @ cfg.neighbor_vecs
+    gram = fold.gram[slots][:, slots].tocoo()
+
+    def kernel(keys, linked, owner):
+        at, shape = np.searchsorted(keys, shared), (len(keys), len(keys))
+        degree = np.zeros(len(keys))
+        degree[at] = fold.counts[slots]
+        degree[linked] += 1.0
+        weights = 1.0 / np.sqrt(np.bincount(owner)[owner] * degree[linked])
+        starts = np.searchsorted(owner, np.arange(len(users) + 1))
+        edges = sparse.csr_matrix((weights, linked, starts), (len(users), len(keys)))
+        scale = 1.0 / np.sqrt(degree[at])
+        cells = gram.data * scale[gram.row] * scale[gram.col]
+        steps = sparse.csr_matrix((cells, (at[gram.row], at[gram.col])), shape)
+        sent = np.zeros((len(keys), received.shape[1]))
+        sent[at] = scale[:, None] * received
+        readout = partial(gram_readout, edges=edges, gram=steps, n_layers=n_layers)
+        return partial(readout, sent=sent), readout
+
+    return _chunk_steps(graphs, batches, states, global_items, cfg, shared, kernel)
+
+
 def client_round(
     states: ClientStates, users: Sequence[int], global_items: np.ndarray, cfg: ClientConfig,
     streams: Iterable[Generator],
 ) -> list[GradientUpdate]:
     """The uploads of ``users`` in one round, in order, each client drawing on
     its own stream in ``streams``: every local graph and BPR batch first, then
-    the star clients' arithmetic ``STAR_CHUNK`` at a time in the star kernel,
-    each client with neighbour rows on its own compact operator (once forward,
-    once back), then :func:`client_update` per client."""
+    the star clients' arithmetic ``STAR_CHUNK`` at a time in the star kernel
+    and the other clients' ``NEIGHBOUR_CHUNK`` at a time in the item-Gram
+    kernel, then :func:`client_update` per client."""
     exp = cfg.experiment
     streams, graphs, batches = list(streams), [], []
     for user, rng in zip(users, streams):
-        nb = cfg.neighbors[user] if cfg.neighbors else ()
+        nb = cfg.neighbors[user] if cfg.neighbors is not None else ()
         graphs.append(build_client_graph(cfg.split, user, exp.privacy, rng, neighbors=nb))
         size = exp.train.batch_size or len(graphs[-1].true_items)
         batches.append(sample_bpr_triples(graphs[-1], size, rng))
 
     steps: dict[int, LocalStep] = {}
-    stars = [k for k, cg in enumerate(graphs) if not len(cg.neighbor_users)]
-    for i in range(0, len(stars), STAR_CHUNK):
-        chunk = stars[i : i + STAR_CHUNK]
-        parts = [graphs[k] for k in chunk], [batches[k] for k in chunk]
-        steps.update(zip(chunk, _star_steps(*parts, states, global_items, cfg)))
-    for k in set(range(len(graphs))) - steps.keys():
-        user_vec = states.user_rows[graphs[k].user]
-        op, raw, local, space = _local_operator(
-            graphs[k], batches[k], exp.model.layers, user_vec, global_items, cfg.neighbor_vecs
-        )
-        loss, final, grads = bpr_gradients(op, raw, local, exp.train.gamma)
-        support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local[:, 1:])
-        upload = space[support], grads.items[support]
-        # copies: views would keep the client's operator-sized blocks alive
-        steps[k] = LocalStep(loss, final.users[0].copy(), grads.users[0].copy(), *upload)
+    expanded = [len(cg.neighbor_users) > 0 for cg in graphs]
+    for kind, size, run in (
+        (False, STAR_CHUNK, _star_steps), (True, NEIGHBOUR_CHUNK, _neighbour_steps)
+    ):
+        group = [k for k, e in enumerate(expanded) if e == kind]
+        for i in range(0, len(group), size):
+            chunk = group[i : i + size]
+            parts = [graphs[k] for k in chunk], [batches[k] for k in chunk]
+            steps.update(zip(chunk, run(*parts, states, global_items, cfg)))
     finish = enumerate(zip(graphs, streams))
     return [client_update(states, cg, steps[k], cfg, rng) for k, (cg, rng) in finish]
 

@@ -149,9 +149,9 @@ class ClientGraph:
 
     ``true_items`` are the unmasked training items, ``pseudo_items`` the
     decoys reported as interacted, ``masked_items`` the hidden training
-    items. ``neighbor_users`` holds sorted (neighbor handle, shared item)
-    int64 rows when one-hop neighbor expansion is on; a handle indexes the
-    server's anonymous user rows.
+    items. ``neighbor_users`` holds (neighbor handle, shared item) int64 rows
+    when one-hop neighbor expansion is on; a handle indexes the server's
+    anonymous user rows.
     """
 
     user: int
@@ -176,7 +176,7 @@ def build_client_graph(
     Pseudo items are drawn from the complement of the full training set, so
     they never collide with masked items either. Draw order (mask, pseudo)
     is fixed so a keyed stream reproduces the graph bit for bit.
-    ``neighbors`` are the user's sorted (handle, item) rows, kept as given.
+    ``neighbors`` are the user's (handle, item) rows, kept as given.
     """
     train_items = split.train_items(user)
     kept, masked = mask_interacted_items(train_items, privacy.mask_ratio, rng)

@@ -104,11 +104,7 @@ class PropagationOperator:
     n_layers: int
     degree_u: np.ndarray = field(init=False, repr=False)
     degree_i: np.ndarray = field(init=False, repr=False)
-    _adj: np.ndarray | sparse.csr_matrix = field(init=False, repr=False)
-
-    # below this many cells the dense adjacency beats csr construction cost,
-    # which matters because every client update builds a tiny operator
-    _DENSE_CELLS = 1 << 14
+    _adj: sparse.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_layers < 0:
@@ -125,14 +121,7 @@ class PropagationOperator:
         self.degree_u = np.bincount(us, minlength=self.n_users).astype(np.int64)
         self.degree_i = np.bincount(its, minlength=self.n_items).astype(np.int64)
         weights = 1.0 / np.sqrt(self.degree_u[us] * self.degree_i[its])
-        if self.n_users * self.n_items <= self._DENSE_CELLS:
-            adj = np.zeros((self.n_users, self.n_items))
-            adj[us, its] = weights
-            self._adj = adj
-        else:
-            self._adj = sparse.csr_matrix(
-                (weights, (us, its)), shape=(self.n_users, self.n_items)
-            )
+        self._adj = sparse.csr_matrix((weights, (us, its)), shape=(self.n_users, self.n_items))
 
 
 def propagate(op: PropagationOperator, table: EmbeddingTable) -> EmbeddingTable:
@@ -172,6 +161,30 @@ def star_readout(
         pulled = odd * (users / root) + even * (sums / np.maximum(counts, 1))
         out_items[linked] += pulled[star[linked]]
     return EmbeddingTable(out_users / (n_layers + 1), out_items / (n_layers + 1))
+
+
+def gram_readout(
+    users: np.ndarray, items: np.ndarray, edges, gram, n_layers: int, sent: np.ndarray | float = 0.0
+) -> EmbeddingTable:
+    """``propagate`` on a block of graphs, each with one own user and other
+    users whose rows need no readout, in closed form over the item side. Row
+    ``k`` of the sparse ``edges`` holds own user ``k``'s normalized edge
+    weights a, the symmetric ``gram`` is the two-step map from items through
+    the other users back to items, and ``sent`` is what the other users send
+    to the items in one step. With G = a a^T + gram, item layers go x0,
+    x1 = a u0 + sent, G x0, G x1, ... and own user layer l is a^T times item
+    layer l - 1. Returns the own users' rows and every item row. The map is
+    self-adjoint, so with ``sent`` 0 it carries back a gradient that is zero
+    on the other users."""
+    total_users, total_items = users.copy(), items.copy()
+    before, layer = items, edges.T @ users + sent
+    for depth in range(1, n_layers + 1):
+        pulled = edges @ before
+        total_users += pulled
+        total_items += layer
+        if depth < n_layers:
+            before, layer = layer, edges.T @ pulled + gram @ before
+    return EmbeddingTable(total_users / (n_layers + 1), total_items / (n_layers + 1))
 
 
 def _triple_array(

@@ -12,21 +12,23 @@ import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .client import (
     ClientConfig,
     ClientStates,
+    Neighbours,
     Overlay,
     client_round,
+    fold_neighbours,
     infer_user_embedding,
     personalize,
 )
 from .config import ExperimentConfig
 from .data import SplitDataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .evaluation import EVAL_BLOCK, UserEvalModel, rank_metrics, user_ranks
 from .gnn import EmbeddingTable, GradientUpdate, init_table, scatter_rows
 from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
@@ -211,27 +213,6 @@ def user_token(user: int, key: bytes) -> str:
     return hashlib.blake2b(f"u:{user}".encode(), key=key, digest_size=16).hexdigest()
 
 
-def neighborhood_match(
-    uploads: Mapping[int, Sequence[str]], key: bytes
-) -> dict[int, dict[str, tuple[str, ...]]]:
-    """For each client and each uploaded item token, the anonymous tokens of
-    the other clients sharing it. Raw ids never appear in the responses."""
-    owners: dict[str, list[int]] = defaultdict(list)
-    for client in sorted(uploads):
-        for token in uploads[client]:
-            owners[token].append(client)
-    anon = {client: user_token(client, key) for client in uploads}
-    responses: dict[int, dict[str, tuple[str, ...]]] = {}
-    for client in sorted(uploads):
-        entry: dict[str, tuple[str, ...]] = {}
-        for token in uploads[client]:
-            others = tuple(anon[o] for o in owners[token] if o != client)
-            if others:
-                entry[token] = others
-        responses[client] = entry
-    return responses
-
-
 @dataclass(eq=False)
 class RoundReport:
     round: int
@@ -314,27 +295,42 @@ def _noised_uploads(
     return randomize_vector(block, cfg.privacy, streams)
 
 
-def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset):
-    """One-hop expansion inputs from the keyed matcher, each item tokenised
-    once. Each anonymous user token becomes a handle, its rank among all
-    users' tokens, so clients see neither tokens nor raw ids. Returns per user
-    sorted (handle, item) int64 rows and ``by_handle``, each handle's user."""
+def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset) -> tuple[Neighbours, np.ndarray]:
+    """One-hop expansion inputs from the keyed matcher, which sees tokens
+    only: it groups the training pairs by the rank of each item's token and
+    names every other owner of the item by a handle, the rank of that user's
+    token, so clients see neither tokens nor raw ids. Returns every user's
+    sorted (handle, item) rows as one CSR and ``by_handle``, each handle's user."""
     key = matcher_key(cfg.train.seed)
-    token_of = {i: item_token(i, key) for i in np.unique(split.indices).tolist()}
-    item_of = {token: i for i, token in token_of.items()}
-    uploads = {
-        u: [token_of[i] for i in split.train_items(u).tolist()]
-        for u in range(split.n_users)
-    }
-    responses = neighborhood_match(uploads, key)
-    anon = [user_token(u, key) for u in range(split.n_users)]
-    by_handle = np.argsort(anon)
-    handle_of = {anon[u]: h for h, u in enumerate(by_handle.tolist())}
-    pairs = (  # responses run in user order
-        sorted((handle_of[a], item_of[t]) for t, anons in entry.items() for a in anons)
-        for entry in responses.values()
-    )
-    return [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs], by_handle
+    n_users, n_pairs = split.n_users, len(split.indices)
+    user_bits, pair_bits = n_users.bit_length(), n_pairs.bit_length()
+    if 2 * user_bits + pair_bits > 63:
+        raise DataError("too many training pairs to match in one int64 sort")
+    # the ranks of the keyed tokens, which are distinct
+    rank = np.argsort(np.argsort([item_token(i, key) for i in range(split.n_items)]))
+    rank = rank[split.indices]
+    by_handle = np.argsort([user_token(u, key) for u in range(n_users)])
+    handle = np.argsort(by_handle)
+    owner = np.repeat(np.arange(n_users), np.diff(split.indptr))
+    order = np.lexsort((owner, rank))  # the pairs grouped by item token
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(rank[order]) != 0))[:n_pairs])
+    sizes = np.diff(np.append(starts, n_pairs))
+    # each pair meets every pair of its group; a row's key is (user, handle, pair)
+    size, start = np.repeat(sizes, sizes), np.repeat(starts, sizes)
+    offset = np.cumsum(size) - size  # where each pair's meetings begin
+    rows = np.repeat((owner[order] << (user_bits + pair_bits)) | order, size)
+    partner = np.repeat(start - offset, size) + np.arange(len(rows))
+    rows |= (handle[owner[order]] << pair_bits)[partner]
+    # a pair meets itself at its own place in its group
+    rows = np.delete(rows, offset + np.arange(n_pairs) - start)
+    rows.sort()
+    indptr = np.searchsorted(rows, np.arange(n_users + 1) << (user_bits + pair_bits))
+    block = np.empty((len(rows), 2), dtype=np.int64)
+    np.right_shift(rows, pair_bits, out=block[:, 0])
+    block[:, 0] &= (1 << user_bits) - 1
+    rows &= (1 << pair_bits) - 1
+    np.take(split.indices, rows, out=block[:, 1])
+    return Neighbours(indptr, block), by_handle
 
 
 def eval_graphs(
@@ -424,10 +420,11 @@ def run_training(
     k_clusters = min(cfg.cluster.k, n_users)
     budget = min(cfg.train.clients_per_round, n_users)
     es_cutoff = 20 if 20 in cfg.eval.cutoffs else max(cfg.eval.cutoffs)
-    neighbors, by_handle = (
-        _neighbor_setup(cfg, split) if cfg.graph.neighbor_expansion else ((), None)
-    )
-    ctx = ClientConfig(split, cfg, neighbors)
+    ctx = ClientConfig(split, cfg)
+    if cfg.graph.neighbor_expansion:
+        neighbors, by_handle = _neighbor_setup(cfg, split)
+        ctx.neighbors = fold_neighbours(neighbors, split.n_items)
+        del neighbors  # the fold is all the rounds read
     best, best_ndcg, evals_since_best = None, -np.inf, 0
 
     def recluster(round_idx: int) -> None:

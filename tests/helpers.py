@@ -7,10 +7,18 @@ and the gradient oracle uses central finite differences on the loss alone.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 from scipy.special import expit
 
-from fedrec.client import Overlay, _local_operator, sample_bpr_triples
+from fedrec.client import (
+    NeighbourFold,
+    Neighbours,
+    Overlay,
+    fold_neighbours,
+    sample_bpr_triples,
+)
 from fedrec.data import (
     InteractionDataset,
     SplitDataset,
@@ -35,7 +43,7 @@ from fedrec.privacy import (
     sample_pseudo_items,
 )
 from fedrec.rng import substream
-from fedrec.server import _kmeans_pp
+from fedrec.server import _kmeans_pp, item_token, matcher_key, user_token
 
 
 def local_item_table(overlay, base: np.ndarray) -> np.ndarray:
@@ -339,16 +347,96 @@ def add_at_bpr_gradients(op, raw: EmbeddingTable, triples: np.ndarray, gamma: fl
     return loss, final, back
 
 
+def neighborhood_match(uploads, key: bytes) -> dict[int, dict[str, tuple[str, ...]]]:
+    """For each client and each uploaded item token, the anonymous tokens of
+    the other clients sharing it; raw ids never appear in the responses. The
+    per-item owner lists of the dict matcher: the reference for the array
+    matcher in ``server._neighbor_setup``."""
+    owners: dict[str, list[int]] = defaultdict(list)
+    for client in sorted(uploads):
+        for token in uploads[client]:
+            owners[token].append(client)
+    anon = {client: user_token(client, key) for client in uploads}
+    responses: dict[int, dict[str, tuple[str, ...]]] = {}
+    for client in sorted(uploads):
+        entry: dict[str, tuple[str, ...]] = {}
+        for token in uploads[client]:
+            others = tuple(anon[o] for o in owners[token] if o != client)
+            if others:
+                entry[token] = others
+        responses[client] = entry
+    return responses
+
+
+def loop_neighbor_setup(seed: int, split: SplitDataset) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per user, the sorted (handle, item) rows of :func:`neighborhood_match`'s
+    responses, and ``by_handle``: the reference for ``server._neighbor_setup``."""
+    key = matcher_key(seed)
+    token_of = {i: item_token(i, key) for i in np.unique(split.indices).tolist()}
+    item_of = {token: i for i, token in token_of.items()}
+    uploads = {
+        u: [token_of[i] for i in split.train_items(u).tolist()] for u in range(split.n_users)
+    }
+    responses = neighborhood_match(uploads, key)
+    anon = [user_token(u, key) for u in range(split.n_users)]
+    by_handle = np.argsort(anon)
+    handle_of = {anon[u]: h for h, u in enumerate(by_handle.tolist())}
+    pairs = (  # responses run in user order
+        sorted((handle_of[a], item_of[t]) for t, anons in entry.items() for a in anons)
+        for entry in responses.values()
+    )
+    return [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs], by_handle
+
+
+def neighbours_of(rows) -> Neighbours:
+    """The CSR of per-user lists of sorted (handle, item) rows."""
+    blocks = [np.asarray(r, dtype=np.int64).reshape(-1, 2) for r in rows]
+    indptr = np.cumsum([0] + [len(b) for b in blocks])
+    return Neighbours(indptr, np.concatenate(blocks) if blocks else np.empty((0, 2), np.int64))
+
+
+def fold_of(rows, n_items: int) -> NeighbourFold:
+    """The fold of per-user lists of sorted (handle, item) rows."""
+    return fold_neighbours(neighbours_of(rows), n_items)
+
+
+def local_operator(cg, triples, n_layers, user_vec, global_items, neighbor_vecs):
+    """Compact propagation problem around one client.
+
+    Item space = claimed items + sampled negatives + neighbor-shared items;
+    everything reachable from the batch lives there, so gradients computed on
+    the compact graph equal gradients on the full catalog graph. Returns the
+    operator, the raw table, the triples in local ids (user 0) and the sorted
+    catalogue ids of the local items.
+    """
+    claimed = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
+    handles, shared = cg.neighbor_users.T
+    item_space = np.unique(np.concatenate((claimed, triples[:, 2], shared)))
+    # row 0 is the client; the neighbor handles follow in sorted order
+    handles, rows = np.unique(handles, return_inverse=True)
+    edges = np.zeros((len(claimed) + len(shared), 2), dtype=np.int64)
+    edges[len(claimed):, 0] = rows + 1
+    edges[:, 1] = np.searchsorted(item_space, np.concatenate((claimed, shared)))
+    op = PropagationOperator(1 + len(handles), len(item_space), edges, n_layers)
+    user_rows = user_vec[None, :]
+    if len(handles):
+        user_rows = np.vstack((user_rows, neighbor_vecs[handles]))
+    raw = EmbeddingTable(user_rows, global_items[item_space])
+    local_triples = np.zeros_like(triples)
+    local_triples[:, 1:] = np.searchsorted(item_space, triples[:, 1:])
+    return op, raw, local_triples, item_space
+
+
 def operator_client_update(states, user, global_items, cfg, rng) -> GradientUpdate:
     """One client's whole round on its own compact operator, every step in
     one call: the per-client reference for ``client.client_round``, whose
-    star clients take the star kernel instead."""
+    clients take the star and item-Gram kernels instead."""
     exp = cfg.experiment
     train, privacy = exp.train, exp.privacy
-    nb = cfg.neighbors[user] if cfg.neighbors else ()
+    nb = cfg.neighbors[user] if cfg.neighbors is not None else ()
     cg = build_client_graph(cfg.split, user, privacy, rng, neighbors=nb)
     triples = sample_bpr_triples(cg, train.batch_size or len(cg.true_items), rng)
-    op, raw, local_triples, item_space = _local_operator(
+    op, raw, local_triples, item_space = local_operator(
         cg, triples, exp.model.layers, states.user_rows[user], global_items, cfg.neighbor_vecs
     )
     states.losses[user], final, grads = bpr_gradients(op, raw, local_triples, train.gamma)

@@ -41,10 +41,10 @@ from fedrec.pretrain import infonce_gradients
 from fedrec.privacy import laplace_noise, privacy_budget
 from fedrec.rng import substream
 from fedrec.server import (
+    _neighbor_setup,
     aggregate,
     item_token,
     matcher_key,
-    neighborhood_match,
     personalized_models,
     run_training,
     warm_up,
@@ -52,7 +52,9 @@ from fedrec.server import (
 from fedrec.synthetic import two_community_dataset
 from helpers import (
     dense_readout,
+    loop_neighbor_setup,
     max_rel_error,
+    neighborhood_match,
     random_bipartite,
     random_table,
     table_loss_gradient,
@@ -441,7 +443,14 @@ def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():
         len(s) == 32 and set(s) <= set("0123456789abcdef") for s in seen_strings
     )
     audit_ok = not (seen_strings & raw_ids)
-    ok = supports_ok and tokens_ok and audit_ok
+    # the array matcher the rounds use returns what these audited responses say
+    experiment.train.seed = 3
+    neighbors, by_handle = _neighbor_setup(experiment, split)
+    expected, expected_by_handle = loop_neighbor_setup(3, split)
+    same_ok = np.array_equal(by_handle, expected_by_handle) and all(
+        np.array_equal(neighbors[u], expected[u]) for u in range(12)
+    )
+    ok = supports_ok and tokens_ok and audit_ok and same_ok
     assert _report(
         10,
         "privacy-plumbing",

@@ -8,10 +8,11 @@ from fedrec import gnn
 from fedrec.client import (
     ClientConfig,
     ClientStates,
+    NEIGHBOUR_CHUNK,
     Overlay,
     STAR_CHUNK,
     LocalStep,
-    _local_operator,
+    _neighbour_steps,
     _star_steps,
     client_round,
     infer_user_embedding,
@@ -34,7 +35,14 @@ from fedrec.gnn import (
     propagate,
 )
 from fedrec.rng import substream
-from helpers import local_item_table, operator_client_update, star_user_readout
+from fedrec.server import _neighbor_setup
+from helpers import (
+    local_item_table,
+    local_operator,
+    fold_of,
+    operator_client_update,
+    star_user_readout,
+)
 
 
 def graph_of(true_items, n_items, pseudo=frozenset(), masked=frozenset()):
@@ -235,7 +243,7 @@ class TestClientUpdate:
         replay = substream(6, "c", 1, 0)
         cg = build_client_graph(split, 0, privacy, replay)
         triples = sample_bpr_triples(cg, 4, replay)
-        op, raw, local, _ = _local_operator(cg, triples, n_layers, user_vec, items, None)
+        op, raw, local, _ = local_operator(cg, triples, n_layers, user_vec, items, None)
         loss, final, _ = bpr_gradients(op, raw, local, 0.02)
         expected = propagate(op, raw)
         assert final.users.tobytes() == expected.users.tobytes()
@@ -291,7 +299,7 @@ class TestNeighborExpandedOperator:
             neighbor_users=neighbors,
         )
         triples = sample_bpr_triples(cg, 6, substream(3, "triples"))
-        op, raw, local, item_space = _local_operator(
+        op, raw, local, item_space = local_operator(
             cg, triples, n_layers, user_vec, items, neighbor_vecs
         )
         compact = bpr_gradients(op, raw, local, 0.01)[2]
@@ -452,7 +460,9 @@ def split_of(train_counts, n_items):
 def operator_step(cg, triples, user_vec, items, cfg):
     """A client's step on its own compact operator: the per-client reference."""
     exp = cfg.experiment
-    op, raw, local, space = _local_operator(cg, triples, exp.model.layers, user_vec, items, None)
+    op, raw, local, space = local_operator(
+        cg, triples, exp.model.layers, user_vec, items, cfg.neighbor_vecs
+    )
     loss, final, grads = bpr_gradients(op, raw, local, exp.train.gamma)
     support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local[:, 1:])
     return LocalStep(loss, final.users[0], grads.users[0], space[support], grads.items[support])
@@ -504,29 +514,186 @@ class TestStarSteps:
             privacy=PrivacySection(enabled=True, pseudo_items_p=2, mask_ratio=0.2),
         )
         gen = np.random.default_rng(5)
-        items = gen.normal(size=(40, 4))
         # every third user has neighbour rows (handle, shared item); the rest are stars
-        neighbors = [
-            np.array([[h, int(split.train_items(u)[0])] for h in (1, 4)]) if u % 3 == 0
-            else np.empty((0, 2), np.int64)
-            for u in range(n_users)
-        ]
-        cfg = ClientConfig(split, exp, neighbors, gen.normal(size=(6, 4)))
-        start = EmbeddingTable(gen.normal(size=(n_users, 4)), items)
-        ours, theirs = ClientStates.start(start), ClientStates.start(start)
-        users = list(range(n_users))
-        updates = client_round(ours, users, items, cfg, [substream(2, "c", 1, u) for u in users])
-        for user, update in zip(users, updates):
-            expected = operator_client_update(theirs, user, items, cfg, substream(2, "c", 1, user))
-            np.testing.assert_array_equal(update.items, expected.items)
-            assert update.data_count == expected.data_count
-            if len(neighbors[user]):  # the operator path: the same bits
-                assert update.item_grads.tobytes() == expected.item_grads.tobytes()
-                assert ours.user_rows[user].tobytes() == theirs.user_rows[user].tobytes()
-                assert ours.overlays[user].local_rows.tobytes() == theirs.overlays[user].local_rows.tobytes()
-                assert ours.losses[user] == theirs.losses[user]
-            else:  # the kernel; the LDP noise and decoys are the same draws
-                np.testing.assert_allclose(update.item_grads, expected.item_grads, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(ours.user_rows[user], theirs.user_rows[user], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(ours.inferred[user], theirs.inferred[user], rtol=0, atol=1e-12)
-                assert ours.losses[user] == pytest.approx(theirs.losses[user], rel=1e-12)
+        neighbors = fold_of(
+            ([[h, int(split.train_items(u)[0])] for h in (1, 4)] if u % 3 == 0 else []
+             for u in range(n_users)),
+            40,
+        )
+        cfg = ClientConfig(split, exp, neighbors, gen.normal(size=(n_users, 4)))
+        assert_round_equals_the_operator(cfg, gen.normal(size=(40, 4)), list(range(n_users)), 2)
+
+
+def assert_round_equals_the_operator(cfg, items, users, seed):
+    """``client_round`` of ``users`` against ``operator_client_update`` per
+    client on the same streams: the same upload ids, data counts and draws,
+    and every row within 1e-12 of the largest magnitude."""
+    gen = np.random.default_rng(seed)
+    start = EmbeddingTable(gen.normal(size=(cfg.split.n_users, items.shape[1])), items)
+    ours, theirs = ClientStates.start(start), ClientStates.start(start)
+    streams = [substream(seed, "c", 1, u) for u in users]
+    updates = client_round(ours, users, items, cfg, streams)
+    for user, update in zip(users, updates):
+        expected = operator_client_update(theirs, user, items, cfg, substream(seed, "c", 1, user))
+        np.testing.assert_array_equal(update.items, expected.items)
+        assert update.data_count == expected.data_count
+        # the LDP noise and the decoys are the same draws: only rounding differs
+        for a, b in (
+            (update.item_grads, expected.item_grads),
+            (ours.user_rows[user], theirs.user_rows[user]),
+            (ours.inferred[user], theirs.inferred[user]),
+            (ours.overlays[user].local_rows, theirs.overlays[user].local_rows),
+        ):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+        np.testing.assert_array_equal(ours.overlays[user].local_items, theirs.overlays[user].local_items)
+        assert ours.losses[user] == pytest.approx(theirs.losses[user], rel=1e-12, abs=1e-12)
+
+
+class TestFoldNeighbours:
+    """Every user's fold against a per-user loop over its rows."""
+
+    ROWS = [
+        [],
+        [[0, 3], [0, 5], [2, 5], [4, 1], [4, 3], [4, 5]],
+        [[1, 7]],
+        [],
+        [[0, 0], [0, 7], [1, 0], [1, 7], [3, 0], [3, 7]],  # every neighbour shares both
+    ]
+
+    def test_equals_the_per_user_loop(self):
+        n_users, n_items = len(self.ROWS), 8
+        fold = fold_of(self.ROWS, n_items)
+        assert len(fold.ptr) == n_users + 1
+        for user, rows in enumerate(self.ROWS):
+            rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+            shared, counts = np.unique(rows[:, 1], return_counts=True)
+            lo, hi = fold.ptr[user], fold.ptr[user + 1]
+            np.testing.assert_array_equal(fold.items[lo:hi], shared)
+            np.testing.assert_array_equal(fold.counts[lo:hi], counts)
+            weights, gram = np.zeros((len(shared), n_users)), np.zeros((len(shared),) * 2)
+            for h in np.unique(rows[:, 0]):
+                mine = np.searchsorted(shared, rows[rows[:, 0] == h, 1])
+                weights[mine, h] = 1.0 / np.sqrt(len(mine))
+                gram[np.ix_(mine, mine)] += 1.0 / len(mine)
+            np.testing.assert_allclose(fold.weights[lo:hi].toarray(), weights, rtol=1e-15)
+            block = fold.gram[lo:hi].toarray()
+            np.testing.assert_allclose(block[:, lo:hi], gram, rtol=1e-15)
+            assert not np.delete(block, np.arange(lo, hi), axis=1).any()  # block diagonal
+            assert sorted(fold[user].tolist()) == rows.tolist()
+            assert fold[user].dtype == np.int64
+
+    def test_no_rows_fold_to_nothing(self):
+        fold = fold_of([[], []], 5)
+        assert fold.ptr.tolist() == [0, 0, 0] and fold.gram.shape == (0, 0)
+        assert fold[1].shape == (0, 2)
+
+
+class TestNeighbourSteps:
+    """The item-Gram kernel for clients with neighbour rows against each
+    client's own compact operator (``local_operator`` + ``bpr_gradients``),
+    within 1e-12 of the largest magnitude and with the same upload ids."""
+
+    @staticmethod
+    def chunk_case(n_layers, gamma, rows_of, train_counts=(1, 2, 6, 9, 4, 7), mask=0.3, pseudo=2):
+        split = split_of(list(train_counts), n_items=24)
+        n = len(train_counts)
+        exp = ExperimentConfig(
+            model=ModelSection(layers=n_layers, dim=5),
+            train=TrainSection(gamma=gamma, batch_size=7),
+            privacy=PrivacySection(pseudo_items_p=pseudo, mask_ratio=mask),
+        )
+        gen = np.random.default_rng(n_layers + 10 * n)
+        neighbors = fold_of((rows_of(split, u) for u in range(n)), 24)
+        cfg = ClientConfig(split, exp, neighbors, gen.normal(size=(n, 5)))
+        items, users = gen.normal(size=(24, 5)), gen.normal(size=(n, 5))
+        graphs, batches = [], []
+        for user in range(n):
+            stream = substream(4, "c", 1, user)
+            graphs.append(build_client_graph(split, user, exp.privacy, stream, neighbors[user]))
+            batches.append(sample_bpr_triples(graphs[-1], 7, stream))
+        states = ClientStates.start(EmbeddingTable(users, items))
+        steps = _neighbour_steps(graphs, batches, states, items, cfg)
+        for user, step in enumerate(steps):
+            assert_steps_close(step, operator_step(graphs[user], batches[user], users[user], items, cfg))
+        return graphs
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_matched_neighbours(self, n_layers, gamma):
+        # the matcher's rows: every other owner of each training item
+        def rows_of(split, user):
+            others = [
+                (v, int(i)) for v in range(split.n_users) if v != user
+                for i in np.intersect1d(split.train_items(user), split.train_items(v))
+            ]
+            return sorted(((3 * v + 1) % split.n_users, i) for v, i in others)
+
+        graphs = self.chunk_case(n_layers, gamma, rows_of, train_counts=(8, 9, 6, 9, 8, 7, 9))
+        # a shared item masked this round reaches its client only through neighbours
+        assert any(
+            set(cg.neighbor_users[:, 1].tolist()) & cg.masked_items for cg in graphs
+        )
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_one_claimed_item_and_one_neighbour(self, n_layers):
+        graphs = self.chunk_case(
+            n_layers, 0.5, lambda split, u: [[u, int(split.train_items(u)[0])]],
+            train_counts=(1, 1, 1), mask=0.0, pseudo=0,
+        )
+        assert all(len(cg.true_items | cg.pseudo_items) == 1 for cg in graphs)
+        assert all(len(cg.neighbor_users) == 1 for cg in graphs)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_neighbours_sharing_every_item(self, n_layers):
+        # handles 0, 2 and 3 share all of each user's training items
+        def rows_of(split, user):
+            return [[h, int(i)] for h in (0, 2, 3) for i in split.train_items(user)]
+
+        self.chunk_case(n_layers, 0.0, rows_of)
+
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    def test_a_handle_in_two_clients_does_not_leak(self, n_layers):
+        # handle 1 names a neighbour of every client, each with its own items
+        def rows_of(split, user):
+            own = split.train_items(user)
+            return [[1, int(i)] for i in own[: 1 + user % 3]] + [[4, int(own[-1])]]
+
+        self.chunk_case(n_layers, 0.5, rows_of)
+
+    def test_round_of_mixed_clients_over_partial_chunks(self):
+        n_users = NEIGHBOUR_CHUNK + STAR_CHUNK + 5
+        split = split_of([3 + u % 6 for u in range(n_users)], n_items=30)
+        exp = ExperimentConfig(
+            model=ModelSection(layers=3, dim=4),
+            train=TrainSection(gamma=0.01, eta=0.1),
+            privacy=PrivacySection(enabled=True, pseudo_items_p=2, mask_ratio=0.25),
+        )
+        neighbors, _ = _neighbor_setup(exp, split)
+        # a third of the users are stars: their rows are dropped
+        rows = [neighbors[u] if u % 3 else [] for u in range(n_users)]
+        cfg = ClientConfig(split, exp, fold_of(rows, 30))
+        cfg.neighbor_vecs = np.random.default_rng(1).normal(size=(n_users, 4))
+        users = list(range(n_users - 1, -1, -1))
+        assert sum(bool(len(r)) for r in rows) > NEIGHBOUR_CHUNK
+        assert_round_equals_the_operator(cfg, np.random.default_rng(2).normal(size=(30, 4)), users, 3)
+
+    def test_propagates_through_the_gram_kernel_only(self, monkeypatch):
+        split = split_of([5, 6], n_items=12)
+        exp = ExperimentConfig(model=ModelSection(layers=2, dim=3))
+        neighbors = fold_of([[[1, int(split.train_items(0)[1])]], []], 12)
+        cfg = ClientConfig(split, exp, neighbors, np.ones((2, 3)))
+        calls = {"propagate": 0, "gram_readout": 0, "bpr_gradients": 0}
+        for name in calls:
+            original = getattr(gnn, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (gnn, client_module):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        items = np.random.default_rng(0).normal(size=(12, 3))
+        states = ClientStates.start(EmbeddingTable(np.ones((2, 3)), items))
+        client_round(states, [0], items, cfg, [substream(1, "c", 1, 0)])
+        assert calls == {"propagate": 0, "gram_readout": 2, "bpr_gradients": 0}

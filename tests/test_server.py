@@ -27,7 +27,6 @@ from fedrec.server import (
     eval_models,
     item_token,
     matcher_key,
-    neighborhood_match,
     personalized_models,
     run_training,
     select_clients,
@@ -35,14 +34,16 @@ from fedrec.server import (
     warm_up,
 )
 from fedrec.synthetic import two_community_dataset
-from fedrec.data import build_client_graph, leave_one_out_split
+from fedrec.data import InteractionDataset, build_client_graph, leave_one_out_split
 from helpers import (
     full_sort_ranks,
     local_item_table,
     loop_cluster_users,
     loop_eval_graph,
     loop_eval_model,
+    loop_neighbor_setup,
     loop_noised_uploads,
+    neighborhood_match,
     star_user_readout,
 )
 
@@ -416,6 +417,55 @@ class TestNeighborhoodMatch:
             )
             assert neighbors[user].dtype == np.int64
             assert neighbors[user].tolist() == [list(p) for p in expected]
+
+
+def split_training_on(train_sets, n_items: int):
+    """A split whose user ``u`` trains on exactly ``train_sets[u]``: every
+    user's two later interactions are items ``n_items`` and ``n_items + 1``."""
+    rows = [(u, i, t) for u, own in enumerate(train_sets) for t, i in enumerate(own)]
+    rows += [(u, n_items + k, 99 + k) for u in range(len(train_sets)) for k in (0, 1)]
+    return leave_one_out_split(InteractionDataset(len(train_sets), n_items + 2, rows))
+
+
+class TestNeighborSetupEqualsTheDictMatcher:
+    """The array matcher against the per-item owner lists it replaced
+    (``helpers.loop_neighbor_setup``): the same CSR rows, dtypes and handles."""
+
+    CASES = {
+        "no item shared": [[0], [1, 2], [3]],
+        "items held by one user": [[0, 1, 5], [1, 2], [3], [2, 4, 5], [6]],
+        "users sharing every item": [[0, 1, 2, 3]] * 5,
+        "one user": [[0, 1]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equal_the_oracle(self, case, seed):
+        split = split_training_on(self.CASES[case], n_items=7)
+        self.assert_equal_the_oracle(split, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_the_oracle_on_random_splits(self, seed):
+        gen = np.random.default_rng(seed)
+        n_items = int(gen.integers(2, 12))
+        train_sets = [
+            gen.choice(n_items, size=int(gen.integers(1, n_items + 1)), replace=False)
+            for _ in range(int(gen.integers(1, 30)))
+        ]
+        self.assert_equal_the_oracle(split_training_on(train_sets, n_items), seed)
+
+    @staticmethod
+    def assert_equal_the_oracle(split, seed):
+        cfg = default_config()
+        cfg.train.seed = seed
+        neighbors, by_handle = _neighbor_setup(cfg, split)
+        expected, expected_by_handle = loop_neighbor_setup(seed, split)
+        assert by_handle.dtype == expected_by_handle.dtype
+        np.testing.assert_array_equal(by_handle, expected_by_handle)
+        assert len(neighbors) == split.n_users and neighbors.indptr.dtype == np.int64
+        assert neighbors.rows.dtype == np.int64 and neighbors.rows.shape[1:] == (2,)
+        for user in range(split.n_users):
+            assert neighbors[user].tolist() == expected[user].tolist()
 
 
 def upload_states(n_users: int, dim: int, seed: int) -> ClientStates:
