@@ -132,33 +132,57 @@ def _normalized_rows(x: np.ndarray):
     return x / safe[:, None], zero, safe
 
 
+INFONCE_CELLS = 1 << 18  # similarities per InfoNCE row block: 2 MB of float64
+
+
 def _entity_infonce(a: np.ndarray, b: np.ndarray, tau: float, grads: bool):
     """Per-entity terms and, with ``grads``, the gradients w.r.t. ``a`` and
-    ``b``, in two N×N blocks: the similarities and one exponential that gives
-    scipy's logsumexp and softmax bit for bit (``exp(0)`` is exactly 1)."""
+    ``b``, over blocks of ``a``-rows of at most ``INFONCE_CELLS`` similarities.
+    A block holds its similarities and one exponential that gives scipy's
+    logsumexp and softmax bit for bit (``exp(0)`` is exactly 1); ``b``'s
+    gradient sums the blocks' column terms and is finished after the loop."""
     a_hat, zero_a, na = _normalized_rows(a)
     b_hat, zero_b, nb = _normalized_rows(b)
     zero = bool(zero_a.any() or zero_b.any())
-    sims = a_hat @ b_hat.T
-    w = sims / tau
-    top = w.max(axis=1, keepdims=True)
-    w -= top
-    peaks = np.nonzero(w == 0)  # every row maximum, ties included
-    count = np.bincount(peaks[0], minlength=len(w)).astype(float)[:, None]
-    np.exp(w, out=w)
-    w[peaks] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite input
-        lse = np.log1p(w.sum(axis=1, keepdims=True) / count) + np.log(count) + top
-    terms = lse[:, 0] - np.diag(sims) / tau
+    n = len(a_hat)
+    step = max(1, min(n, INFONCE_CELLS // max(n, 1)))
+    # every block writes into these, so no two blocks' arrays are alive at once
+    sims_buf, w_buf = np.empty((step, n)), np.empty((step, n))
+    peaks_buf = np.empty((step, n), dtype=bool)
+    terms = np.empty(n)
+    if grads:
+        grad_a = np.empty_like(a_hat)
+        # -0.0 adds exactly nothing, so a single block is the unblocked sum
+        wa = np.full_like(b_hat, -0.0)
+        ws_cols = np.full(n, -0.0)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        a_rows = a_hat[rows]
+        k = len(a_rows)
+        sims = np.matmul(a_rows, b_hat.T, out=sims_buf[:k])
+        w = np.divide(sims, tau, out=w_buf[:k])
+        top = w.max(axis=1, keepdims=True)
+        w -= top
+        peaks = np.equal(w, 0, out=peaks_buf[:k])  # every row maximum, ties included
+        count = np.count_nonzero(peaks, axis=1).astype(float)[:, None]
+        np.exp(w, out=w)
+        w[peaks] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite input
+            lse = np.log1p(w.sum(axis=1, keepdims=True) / count) + np.log(count) + top
+        terms[rows] = lse[:, 0] - np.diagonal(sims, offset=start) / tau
+        if not grads:
+            continue
+        w[peaks] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        w.reshape(-1)[start :: n + 1] -= 1.0  # the block's diagonal cells
+        w /= tau
+        ws = np.multiply(w, sims, out=sims)
+        grad_a[rows] = (w @ b_hat - ws.sum(axis=1)[:, None] * a_rows) / na[rows, None]
+        wa += w.T @ a_rows
+        ws_cols += ws.sum(axis=0)
     if not grads:
         return terms, None, None, zero
-    w[peaks] = 1.0
-    w /= w.sum(axis=1, keepdims=True)
-    w[np.diag_indices_from(w)] -= 1.0
-    w /= tau
-    ws = np.multiply(w, sims, out=sims)
-    grad_a = (w @ b_hat - ws.sum(axis=1)[:, None] * a_hat) / na[:, None]
-    grad_b = (w.T @ a_hat - ws.sum(axis=0)[:, None] * b_hat) / nb[:, None]
+    grad_b = (wa - ws_cols[:, None] * b_hat) / nb[:, None]
     grad_a[zero_a] = 0.0
     grad_b[zero_b] = 0.0
     return terms, grad_a, grad_b, zero

@@ -10,6 +10,7 @@ from fedrec.config import PretrainSection, PrivacySection
 from fedrec.data import leave_one_out_split
 from fedrec.gnn import BipartiteGraph, EmbeddingTable, init_table, propagate
 from fedrec.pretrain import (
+    INFONCE_CELLS,
     _entity_infonce,
     _sample_absent_edges,
     assemble_pretraining_graph,
@@ -427,7 +428,7 @@ class TestInfoNCEKernel:
         b = random_table(rng, 9, 6, 5)
         assert infonce_loss(a, b, 0.3) == infonce_gradients(a, b, 0.3)[0]
 
-    def test_one_call_holds_fewer_than_three_user_blocks(self):
+    def test_one_call_holds_less_than_one_user_block(self):
         rng = np.random.default_rng(5)
         a = random_table(rng, 1000, 500, 8)
         b = random_table(rng, 1000, 500, 8)
@@ -437,8 +438,52 @@ class TestInfoNCEKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the similarities and the shared exponential, 8 MB each, plus change
-        assert peak < 3 * 1000**2 * 8
+        # two buffers of INFONCE_CELLS float64 (the similarities and the
+        # shared exponential), the peak mask and the rows' own arrays: 5 MB
+        assert peak < 1000**2 * 8
+
+
+def multi_block_pair(n, dim, seed):
+    """Two ``(n, dim)`` blocks that the kernel splits into several row
+    blocks, the last one shorter: row 3 (first block) and row ``n - 3``
+    (last block) of ``a`` equal ``b[3]``, and ``b[step + 5]`` equals it too,
+    so both rows tie at their maximum; ``a[n - 2]`` and ``b[step + 7]`` are
+    zero-norm rows."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
+    step = INFONCE_CELLS // n
+    assert step + 3 < n and n % step  # row n - 3 is past the first block
+    b[step + 5] = b[3]
+    a[[3, n - 3]] = b[3]
+    a[n - 2] = 0.0
+    b[step + 7] = 0.0
+    return a, b
+
+
+class TestInfoNCERowBlocks:
+    @pytest.mark.parametrize("tau", [0.05, 5.0])
+    @pytest.mark.parametrize("dim", [3, 64])
+    @pytest.mark.parametrize("n", [700, 1100])
+    def test_matches_the_scipy_reference(self, n, dim, tau):
+        a, b = multi_block_pair(n, dim, n + dim)
+        got = _entity_infonce(a, b, tau, True)
+        ref = scipy_entity_infonce(a, b, tau)
+        # the terms and a's gradient keep their per-row arithmetic; only a
+        # block's similarity product may round unlike the N×N product. b's
+        # gradient sums its column terms block by block, a different order
+        # from one N×N column sum, so it gets ten times the slack. Both are
+        # shares of the largest magnitude: entries near 0 carry the
+        # absolute rounding of their larger neighbours.
+        for mine, want, share in zip(got, ref, (1e-12, 1e-12, 1e-11)):
+            np.testing.assert_allclose(mine, want, rtol=0, atol=share * np.abs(want).max())
+        assert not got[1][n - 2].any() and not got[2][INFONCE_CELLS // n + 7].any()
+        np.testing.assert_array_equal(_entity_infonce(a, b, tau, False)[0], got[0])
+
+    def test_loss_alone_equals_the_loss_of_the_gradient_call(self):
+        rng = np.random.default_rng(6)
+        a = random_table(rng, 700, 1100, 8)
+        b = random_table(rng, 700, 1100, 8)
+        assert infonce_loss(a, b, 0.3) == infonce_gradients(a, b, 0.3)[0]
 
 
 class TestPretrain:
