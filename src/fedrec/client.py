@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -92,12 +91,6 @@ class NeighbourFold:
     weights: sparse.csr_matrix
     gram: sparse.csr_matrix
 
-    def __getitem__(self, user: int) -> np.ndarray:
-        """User ``user``'s (handle, shared item) int64 rows, in item order."""
-        lo, hi = self.ptr[user], self.ptr[user + 1]
-        handles = self.weights.indices[self.weights.indptr[lo] : self.weights.indptr[hi]]
-        return np.column_stack((handles, np.repeat(self.items[lo:hi], self.counts[lo:hi])))
-
 
 def fold_neighbours(neighbors: Neighbours, n_items: int) -> NeighbourFold:
     """Every user's :class:`NeighbourFold` from the CSR, with no per-user loop.
@@ -154,19 +147,29 @@ def sample_bpr_triples(
 ) -> np.ndarray:
     """``(batch, 3)`` int64 (user, pos, neg) rows: positives uniform over the
     unmasked items, one negative each, uniform over items outside
-    true+pseudo+masked (drawn as a position in that complement)."""
-    positives = sorted(cg.true_items)
-    if not positives:
+    true+pseudo+masked (drawn as a position in that complement). Each draw
+    is ``rng.integers(0, n, batch)``, the draw of ``rng.choice(n, batch)``."""
+    positives = cg.true_ids
+    blocked = np.sort(np.concatenate((positives, cg.pseudo_ids, cg.masked_ids)))
+    if not len(positives):
         raise DataError(f"user {cg.user} has no positive items to sample")
-    blocked = np.array(sorted(cg.true_items | cg.pseudo_items | cg.masked_items), np.int64)
     if len(blocked) >= cg.n_items:
         raise DataError(f"user {cg.user} has no valid negative item")
     triples = np.full((batch, 3), cg.user, dtype=np.int64)
-    triples[:, 1] = rng.choice(np.asarray(positives, dtype=np.int64), size=batch)
-    triples[:, 2] = complement_ids(
-        blocked, rng.choice(cg.n_items - len(blocked), size=batch)
-    )
+    triples[:, 1] = positives[rng.integers(0, len(positives), batch)]
+    triples[:, 2] = complement_ids(blocked, rng.integers(0, cg.n_items - len(blocked), batch))
     return triples
+
+
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d(a, b)`` of two 1-D integer arrays, by one sort of their
+    concatenation, without ``np.unique``'s per-call overhead."""
+    ids = np.concatenate((a, b))
+    ids.sort()
+    new = np.empty(len(ids), dtype=bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return ids[new]
 
 
 STAR_CHUNK = 16  # star clients per kernel pass: a chunk's blocks stay in cache
@@ -188,14 +191,15 @@ def _chunk_steps(
     and their clients, returns the forward and the backward readout maps."""
     exp, n_items, n = cfg.experiment, len(global_items), len(graphs)
     gamma, offsets = exp.train.gamma, np.arange(n) * n_items
-    claimed = [sorted(cg.true_items | cg.pseudo_items) for cg in graphs]
-    linked = np.fromiter(chain.from_iterable(claimed), np.int64)
-    owner = np.repeat(np.arange(n), [len(c) for c in claimed])
-    linked += offsets[owner]
+    # the claimed items' keys, sorted: each client's true then pseudo ids
+    ids = [a for cg in graphs for a in (cg.true_ids, cg.pseudo_ids)]
+    owner = np.repeat(np.arange(n), [len(cg.true_ids) + len(cg.pseudo_ids) for cg in graphs])
+    linked = np.concatenate(ids) + offsets[owner]
+    linked.sort()
     sizes = np.array([len(b) for b in batches])
     c = np.repeat(np.arange(n), sizes)
     ends = np.concatenate(batches)[:, 1:] + offsets[c][:, None]
-    keys = np.union1d(linked, np.concatenate((ends[:, 1], shared)))  # positives are claimed
+    keys = _sorted_union(linked, np.concatenate((ends[:, 1], shared)))  # positives are claimed
     forward, backward = kernel(keys, np.searchsorted(keys, linked), owner)
     p, j = np.searchsorted(keys, ends).T
     raw_users = states.user_rows[[cg.user for cg in graphs]]
@@ -208,13 +212,13 @@ def _chunk_steps(
     pulled = coef * final.users[c]
     g_items = scatter_rows(np.concatenate((p, j)), np.concatenate((pulled, -pulled)), len(keys))
     grads = backward(scatter_rows(c, coef * diff, n), g_items)
-    touched = np.unique(np.concatenate((p, j)))
+    touched = _sorted_union(p, j)
     if gamma:
         norms = np.bincount(keys[touched] // n_items, np.sum(raw_items[touched] ** 2, axis=1), n)
         losses += gamma * (np.sum(raw_users**2, axis=1) + norms)
         grads.users += 2.0 * gamma * raw_users
         grads.items[touched] += 2.0 * gamma * raw_items[touched]
-    support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), touched)
+    support = _sorted_union(np.flatnonzero(grads.items.any(axis=1)), touched)
     cuts = np.searchsorted(keys[support], offsets[1:])
     items, rows = np.split(keys[support] % n_items, cuts), np.split(grads.items[support], cuts)
     return list(map(LocalStep, losses.tolist(), final.users, grads.users, items, rows))
@@ -232,6 +236,21 @@ def _star_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> lis
     return _chunk_steps(graphs, batches, states, global_items, cfg, np.empty(0, np.int64), kernel)
 
 
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[k]:stops[k]`` in turn, as one index array."""
+    lengths = stops - starts
+    return np.arange(lengths.sum()) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+
+
+def _diagonal_block(gram: sparse.csr_matrix, slots: np.ndarray):
+    """``gram[slots][:, slots]`` as COO ``(row, col, data)``, cells in stored
+    order, by index arithmetic: ``gram`` is block diagonal and ``slots`` is a
+    sequence of whole diagonal blocks, each a run of ascending slots."""
+    cells = _ranges(gram.indptr[slots], gram.indptr[slots + 1])
+    row = np.repeat(np.arange(len(slots)), np.diff(gram.indptr)[slots])
+    return row, gram.indices[cells] - (slots - np.arange(len(slots)))[row], gram.data[cells]
+
+
 def _neighbour_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
     """The steps of a chunk of clients with neighbour rows, through
     :func:`gram_readout` on their folds in ``cfg.neighbors``. Every triple
@@ -242,12 +261,12 @@ def _neighbour_steps(graphs, batches, states, global_items, cfg: ClientConfig) -
     1/sqrt(n d_i) for a client claiming n items, and ``gram`` is scaled by
     1/sqrt(d_i d_j)."""
     fold, n_items, n_layers = cfg.neighbors, len(global_items), cfg.experiment.model.layers
-    users = [cg.user for cg in graphs]
-    slots = np.concatenate([np.arange(fold.ptr[u], fold.ptr[u + 1]) for u in users])
+    users = np.array([cg.user for cg in graphs])
+    slots = _ranges(fold.ptr[users], fold.ptr[users + 1])
     shared = np.repeat(np.arange(len(users)) * n_items, np.diff(fold.ptr)[users])
     shared += fold.items[slots]
     received = fold.weights[slots] @ cfg.neighbor_vecs
-    gram = fold.gram[slots][:, slots].tocoo()
+    row, col, data = _diagonal_block(fold.gram, slots)
 
     def kernel(keys, linked, owner):
         at, shape = np.searchsorted(keys, shared), (len(keys), len(keys))
@@ -258,8 +277,7 @@ def _neighbour_steps(graphs, batches, states, global_items, cfg: ClientConfig) -
         starts = np.searchsorted(owner, np.arange(len(users) + 1))
         edges = sparse.csr_matrix((weights, linked, starts), (len(users), len(keys)))
         scale = 1.0 / np.sqrt(degree[at])
-        cells = gram.data * scale[gram.row] * scale[gram.col]
-        steps = sparse.csr_matrix((cells, (at[gram.row], at[gram.col])), shape)
+        steps = sparse.csr_matrix((data * scale[row] * scale[col], (at[row], at[col])), shape)
         sent = np.zeros((len(keys), received.shape[1]))
         sent[at] = scale[:, None] * received
         readout = partial(gram_readout, edges=edges, gram=steps, n_layers=n_layers)
@@ -280,13 +298,13 @@ def client_round(
     exp = cfg.experiment
     streams, graphs, batches = list(streams), [], []
     for user, rng in zip(users, streams):
-        nb = cfg.neighbors[user] if cfg.neighbors is not None else ()
-        graphs.append(build_client_graph(cfg.split, user, exp.privacy, rng, neighbors=nb))
-        size = exp.train.batch_size or len(graphs[-1].true_items)
+        graphs.append(build_client_graph(cfg.split, user, exp.privacy, rng))
+        size = exp.train.batch_size or len(graphs[-1].true_ids)
         batches.append(sample_bpr_triples(graphs[-1], size, rng))
 
     steps: dict[int, LocalStep] = {}
-    expanded = [len(cg.neighbor_users) > 0 for cg in graphs]
+    fold = cfg.neighbors
+    expanded = (np.diff(fold.ptr)[users] > 0).tolist() if fold is not None else [False] * len(users)
     for kind, size, run in (
         (False, STAR_CHUNK, _star_steps), (True, NEIGHBOUR_CHUNK, _neighbour_steps)
     ):
@@ -317,22 +335,24 @@ def client_update(
 
     # private step: untouched rows start from the warm-start table
     own = states.overlays[user]
-    merged = np.union1d(own.local_items, items)
+    merged = _sorted_union(own.local_items, items)
     local = states.local_base[merged]
     local[np.searchsorted(merged, own.local_items)] = own.local_rows
     local[np.searchsorted(merged, items)] -= train.eta * rows
     states.overlays[user] = Overlay(merged, local)
 
-    if cg.pseudo_items:
-        pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)
-        decoys = pseudo_item_gradients(pseudo, rows[~np.isin(items, pseudo)], rng)
-        upload = np.union1d(items, pseudo)
+    pseudo = cg.pseudo_ids
+    if len(pseudo):
+        upload = _sorted_union(items, pseudo)
         block = np.empty((len(upload), rows.shape[1]))
         block[np.searchsorted(upload, items)] = rows
-        block[np.searchsorted(upload, pseudo)] = decoys
+        decoy = np.zeros(len(upload), dtype=bool)
+        decoy[np.searchsorted(upload, pseudo)] = True
+        # the rows off the decoy mask are the real rows, in id order
+        block[decoy] = pseudo_item_gradients(pseudo, block[~decoy], rng)
         items, rows = upload, block
 
-    update = GradientUpdate(items, rows, data_count=len(cg.true_items))
+    update = GradientUpdate(items, rows, data_count=len(cg.true_ids))
     return ldp_randomize(update, privacy, rng)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,49 +145,43 @@ def leave_one_out_split(ds: InteractionDataset) -> SplitDataset:
 
 @dataclass(frozen=True, eq=False)
 class ClientGraph:
-    """One user's local ego-graph after the obfuscation steps.
-
-    ``true_items`` are the unmasked training items, ``pseudo_items`` the
-    decoys reported as interacted, ``masked_items`` the hidden training
-    items. ``neighbor_users`` holds (neighbor handle, shared item) int64 rows
-    when one-hop neighbor expansion is on; a handle indexes the server's
-    anonymous user rows.
+    """One user's local ego-graph after the obfuscation steps, as sorted
+    int64 id arrays: ``true_ids`` the unmasked training items,
+    ``pseudo_ids`` the decoys reported as interacted (never training items),
+    ``masked_ids`` the hidden training items. ``true_items``,
+    ``pseudo_items`` and ``masked_items`` give each as a frozenset, the
+    form ``bench/tracer.py`` joins with ``|``.
     """
 
     user: int
     n_items: int
-    true_items: frozenset[int]
-    pseudo_items: frozenset[int]
-    masked_items: frozenset[int]
-    neighbor_users: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 2), dtype=np.int64)
-    )
+    true_ids: np.ndarray
+    pseudo_ids: np.ndarray
+    masked_ids: np.ndarray
+
+    @property
+    def true_items(self) -> frozenset[int]:
+        return frozenset(self.true_ids.tolist())
+
+    @property
+    def pseudo_items(self) -> frozenset[int]:
+        return frozenset(self.pseudo_ids.tolist())
+
+    @property
+    def masked_items(self) -> frozenset[int]:
+        return frozenset(self.masked_ids.tolist())
 
 
 def build_client_graph(
-    split: SplitDataset,
-    user: int,
-    privacy: PrivacySection,
-    rng: np.random.Generator,
-    neighbors: np.ndarray | tuple = (),
+    split: SplitDataset, user: int, privacy: PrivacySection, rng: np.random.Generator
 ) -> ClientGraph:
     """Apply masking and then pseudo-item sampling to a user's train items.
 
     Pseudo items are drawn from the complement of the full training set, so
     they never collide with masked items either. Draw order (mask, pseudo)
     is fixed so a keyed stream reproduces the graph bit for bit.
-    ``neighbors`` are the user's (handle, item) rows, kept as given.
     """
     train_items = split.train_items(user)
     kept, masked = mask_interacted_items(train_items, privacy.mask_ratio, rng)
-    pseudo = sample_pseudo_items(
-        split.n_items, train_items, privacy.pseudo_items_p, rng
-    )
-    return ClientGraph(
-        user=user,
-        n_items=split.n_items,
-        true_items=frozenset(kept.tolist()),
-        pseudo_items=frozenset(pseudo.tolist()),
-        masked_items=frozenset(masked.tolist()),
-        neighbor_users=np.asarray(neighbors, dtype=np.int64).reshape(-1, 2),
-    )
+    pseudo = sample_pseudo_items(split.n_items, train_items, privacy.pseudo_items_p, rng)
+    return ClientGraph(user, split.n_items, kept, pseudo, masked)

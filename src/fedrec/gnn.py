@@ -219,7 +219,7 @@ class GradientUpdate:
     def __post_init__(self) -> None:
         self.items = np.asarray(self.items, dtype=np.int64)
         self.item_grads = np.asarray(self.item_grads, dtype=np.float64)
-        if self.items.ndim != 1 or (np.diff(self.items) <= 0).any():
+        if self.items.ndim != 1 or (self.items[1:] <= self.items[:-1]).any():
             raise ValueError("items must be strictly increasing 1-D ids")
         if self.item_grads.ndim != 2 or len(self.item_grads) != len(self.items):
             raise ValueError("item_grads must hold one row per item")

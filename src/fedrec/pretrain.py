@@ -279,6 +279,6 @@ def assemble_pretraining_graph(
     blocks = [np.empty((0, 2), dtype=np.int64)]
     for user, stream in enumerate(substreams(seed, "pretrain-graph", ids=range(split.n_users))):
         cg = build_client_graph(split, user, privacy, stream)
-        items = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
+        items = np.sort(np.concatenate((cg.true_ids, cg.pseudo_ids)))
         blocks.append(np.column_stack((np.full(len(items), user), items)))
     return BipartiteGraph(split.n_users, split.n_items, np.concatenate(blocks))

@@ -19,7 +19,7 @@ def complement_ids(blocked: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The ids at positions ``pos`` of the sorted complement of the sorted,
     distinct ids ``blocked``, without building the complement: position k
     maps to k plus the number of blocked ids at or below the answer."""
-    return pos + np.searchsorted(blocked - np.arange(len(blocked)), pos, side="right")
+    return pos + (blocked - np.arange(len(blocked))).searchsorted(pos, side="right")
 
 
 def sample_pseudo_items(
@@ -52,7 +52,9 @@ def mask_interacted_items(
     if count == 0:
         return true_items, true_items[:0]
     masked = np.sort(rng.choice(true_items, size=count, replace=False))
-    return np.setdiff1d(true_items, masked, assume_unique=True), masked
+    kept = np.ones(len(true_items), dtype=bool)
+    kept[np.searchsorted(true_items, masked)] = False
+    return true_items[kept], masked
 
 
 def laplace_noise(rng: np.random.Generator, scale: float, size) -> np.ndarray:
@@ -74,7 +76,8 @@ def randomize_vector(
     generator per row, each row's own draw, turned into noise at once."""
     if not (cfg.clip_delta > 0 and cfg.laplace_lambda >= 0):
         raise ValueError("need clip_delta > 0 and laplace_lambda >= 0")
-    out = np.clip(vec, -cfg.clip_delta, cfg.clip_delta)
+    out = np.maximum(vec, -cfg.clip_delta)  # np.clip without its wrapper
+    np.minimum(out, cfg.clip_delta, out=out)
     if cfg.laplace_lambda > 0 and isinstance(rng, np.random.Generator):
         return out + laplace_noise(rng, cfg.laplace_lambda, out.shape)
     if cfg.laplace_lambda > 0:
@@ -124,5 +127,13 @@ def pseudo_item_gradients(
         return np.zeros((0, real_rows.shape[1]))
     if not len(real_rows):
         raise ValueError("need real item gradients to imitate")
-    std = float(np.ravel(real_rows).std())
-    return rng.normal(0.0, std, (len(pseudo_items), real_rows.shape[1]))
+    return rng.normal(0.0, pooled_std(real_rows), (len(pseudo_items), real_rows.shape[1]))
+
+
+def pooled_std(rows: np.ndarray) -> float:
+    """``float(np.ravel(rows).std())`` by the reductions ``np.std`` runs:
+    the pairwise sum, over the count, then the mean square deviation."""
+    flat = np.ravel(rows)
+    dev = flat - np.add.reduce(flat) / len(flat)
+    dev *= dev
+    return math.sqrt(np.add.reduce(dev) / len(flat))

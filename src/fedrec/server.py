@@ -343,7 +343,10 @@ def eval_graphs(
     streams = substreams(cfg.train.seed, "eval-graph", ids=users) if p else repeat(None)
     for user, stream in zip(users, streams):
         own = split.train_items(user)
-        yield np.union1d(own, sample_pseudo_items(split.n_items, own, p, stream)) if p else own
+        if p:  # pseudo items lie outside the training items, so one sort joins them
+            own = np.concatenate((own, sample_pseudo_items(split.n_items, own, p, stream)))
+            own.sort()
+        yield own
 
 
 def eval_models(

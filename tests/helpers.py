@@ -317,6 +317,48 @@ def loop_eval_graph(cfg, split: SplitDataset, user: int) -> np.ndarray:
     return np.union1d(items, pseudo)
 
 
+def loop_mask_interacted_items(true_items: np.ndarray, mask_ratio: float, rng):
+    """Reference masking: the same draw, the kept items by ``np.setdiff1d``."""
+    count = int(mask_ratio * len(true_items))
+    if count == 0:
+        return true_items, true_items[:0]
+    masked = np.sort(rng.choice(true_items, size=count, replace=False))
+    return np.setdiff1d(true_items, masked, assume_unique=True), masked
+
+
+def loop_client_update(states, cg, step, cfg, rng) -> GradientUpdate:
+    """Reference finishing step, with the set operations and library calls
+    ``client.client_update`` had: ``np.union1d`` merges the overlay and the
+    upload ids, ``np.isin`` finds the real rows, ``np.std`` sizes the decoys
+    and ``np.clip`` bounds the rows before the Laplace noise."""
+    train, privacy = cfg.experiment.train, cfg.experiment.privacy
+    user, items, rows = cg.user, step.items, step.rows
+    states.losses[user], states.inferred[user] = step.loss, step.inferred
+    states.user_rows[user] -= train.eta * step.user_grad
+    own = states.overlays[user]
+    merged = np.union1d(own.local_items, items)
+    local = states.local_base[merged]
+    local[np.searchsorted(merged, own.local_items)] = own.local_rows
+    local[np.searchsorted(merged, items)] -= train.eta * rows
+    states.overlays[user] = Overlay(merged, local)
+    if cg.pseudo_items:
+        pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)
+        real = rows[~np.isin(items, pseudo)]
+        decoys = rng.normal(0.0, float(np.ravel(real).std()), (len(pseudo), rows.shape[1]))
+        upload = np.union1d(items, pseudo)
+        block = np.empty((len(upload), rows.shape[1]))
+        block[np.searchsorted(upload, items)] = rows
+        block[np.searchsorted(upload, pseudo)] = decoys
+        items, rows = upload, block
+    if privacy.enabled:
+        rows = np.clip(rows, -privacy.clip_delta, privacy.clip_delta)
+        if privacy.laplace_lambda > 0:
+            u = rng.random(rows.shape) - 0.5
+            inner = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(np.float64).tiny)
+            rows = rows + -privacy.laplace_lambda * np.sign(u) * np.log(inner)
+    return GradientUpdate(items, rows, len(cg.true_items))
+
+
 def add_at_rows(index, rows: np.ndarray, n: int) -> np.ndarray:
     """``np.add.at`` into zeros: the reference for ``gnn.scatter_rows``."""
     out = np.zeros((n, rows.shape[1]))
@@ -400,8 +442,19 @@ def fold_of(rows, n_items: int) -> NeighbourFold:
     return fold_neighbours(neighbours_of(rows), n_items)
 
 
-def local_operator(cg, triples, n_layers, user_vec, global_items, neighbor_vecs):
-    """Compact propagation problem around one client.
+def fold_rows(fold: NeighbourFold | None, user: int) -> np.ndarray:
+    """User ``user``'s (handle, shared item) int64 rows read back from the
+    fold, in item order; none without a fold."""
+    if fold is None:
+        return np.empty((0, 2), dtype=np.int64)
+    lo, hi = fold.ptr[user], fold.ptr[user + 1]
+    handles = fold.weights.indices[fold.weights.indptr[lo] : fold.weights.indptr[hi]]
+    return np.column_stack((handles, np.repeat(fold.items[lo:hi], fold.counts[lo:hi])))
+
+
+def local_operator(cg, triples, n_layers, user_vec, global_items, neighbor_vecs, neighbours=()):
+    """Compact propagation problem around one client, whose (handle, shared
+    item) rows are ``neighbours``.
 
     Item space = claimed items + sampled negatives + neighbor-shared items;
     everything reachable from the batch lives there, so gradients computed on
@@ -410,7 +463,7 @@ def local_operator(cg, triples, n_layers, user_vec, global_items, neighbor_vecs)
     catalogue ids of the local items.
     """
     claimed = np.array(sorted(cg.true_items | cg.pseudo_items), dtype=np.int64)
-    handles, shared = cg.neighbor_users.T
+    handles, shared = np.asarray(neighbours, dtype=np.int64).reshape(-1, 2).T
     item_space = np.unique(np.concatenate((claimed, triples[:, 2], shared)))
     # row 0 is the client; the neighbor handles follow in sorted order
     handles, rows = np.unique(handles, return_inverse=True)
@@ -433,11 +486,11 @@ def operator_client_update(states, user, global_items, cfg, rng) -> GradientUpda
     clients take the star and item-Gram kernels instead."""
     exp = cfg.experiment
     train, privacy = exp.train, exp.privacy
-    nb = cfg.neighbors[user] if cfg.neighbors is not None else ()
-    cg = build_client_graph(cfg.split, user, privacy, rng, neighbors=nb)
+    cg = build_client_graph(cfg.split, user, privacy, rng)
     triples = sample_bpr_triples(cg, train.batch_size or len(cg.true_items), rng)
     op, raw, local_triples, item_space = local_operator(
-        cg, triples, exp.model.layers, states.user_rows[user], global_items, cfg.neighbor_vecs
+        cg, triples, exp.model.layers, states.user_rows[user], global_items, cfg.neighbor_vecs,
+        fold_rows(cfg.neighbors, user),
     )
     states.losses[user], final, grads = bpr_gradients(op, raw, local_triples, train.gamma)
     states.inferred[user] = final.users[0]

@@ -12,9 +12,11 @@ from fedrec.client import (
     Overlay,
     STAR_CHUNK,
     LocalStep,
+    _diagonal_block,
     _neighbour_steps,
     _star_steps,
     client_round,
+    client_update,
     infer_user_embedding,
     personalize,
     sample_bpr_triples,
@@ -40,19 +42,16 @@ from helpers import (
     local_item_table,
     local_operator,
     fold_of,
+    fold_rows,
+    loop_client_update,
     operator_client_update,
     star_user_readout,
 )
 
 
-def graph_of(true_items, n_items, pseudo=frozenset(), masked=frozenset()):
-    return ClientGraph(
-        user=0,
-        n_items=n_items,
-        true_items=frozenset(true_items),
-        pseudo_items=frozenset(pseudo),
-        masked_items=frozenset(masked),
-    )
+def graph_of(true_items, n_items, pseudo=(), masked=()):
+    arrays = (np.array(sorted(s), np.int64) for s in (true_items, pseudo, masked))
+    return ClientGraph(0, n_items, *arrays)
 
 
 class TestSampleBprTriples:
@@ -87,6 +86,18 @@ class TestSampleBprTriples:
         negatives = replay.choice(np.setdiff1d(np.arange(12), [0, 2, 5, 7, 11]), size=50)
         np.testing.assert_array_equal(triples[:, 1], positives)
         np.testing.assert_array_equal(triples[:, 2], negatives)
+
+    def test_choice_with_replacement_is_an_integers_draw(self):
+        # sample_bpr_triples draws a[integers(0, len(a), size)] for
+        # choice(a, size), and integers(0, n, size) for choice(n, size)
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for n in range(1, 1001):
+            a = np.arange(n, dtype=np.int64) * 7 - 3
+            for size in (0, 1, 5, 20, 257):
+                assert np.array_equal(a[ours.integers(0, n, size)], theirs.choice(a, size=size))
+                drawn, chosen = ours.integers(0, n, size), theirs.choice(n, size=size)
+                assert np.array_equal(drawn, chosen) and drawn.dtype == chosen.dtype
+            assert ours.bit_generator.state == theirs.bit_generator.state, n
 
 
 def make_split(n_items=8):
@@ -290,17 +301,10 @@ class TestNeighborExpandedOperator:
         # handles 0 and 2 have no shared item; 9 and 11 are reached only
         # through neighbors
         neighbors = np.array([[1, 2], [1, 9], [3, 0], [3, 2], [3, 11], [4, 9]])
-        cg = ClientGraph(
-            user=0,
-            n_items=n_items,
-            true_items=frozenset({0, 2, 5}),
-            pseudo_items=frozenset({7}),
-            masked_items=frozenset({3}),
-            neighbor_users=neighbors,
-        )
+        cg = graph_of({0, 2, 5}, n_items, pseudo={7}, masked={3})
         triples = sample_bpr_triples(cg, 6, substream(3, "triples"))
         op, raw, local, item_space = local_operator(
-            cg, triples, n_layers, user_vec, items, neighbor_vecs
+            cg, triples, n_layers, user_vec, items, neighbor_vecs, neighbors
         )
         compact = bpr_gradients(op, raw, local, 0.01)[2]
 
@@ -461,7 +465,8 @@ def operator_step(cg, triples, user_vec, items, cfg):
     """A client's step on its own compact operator: the per-client reference."""
     exp = cfg.experiment
     op, raw, local, space = local_operator(
-        cg, triples, exp.model.layers, user_vec, items, cfg.neighbor_vecs
+        cg, triples, exp.model.layers, user_vec, items, cfg.neighbor_vecs,
+        fold_rows(cfg.neighbors, cg.user),
     )
     loss, final, grads = bpr_gradients(op, raw, local, exp.train.gamma)
     support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local[:, 1:])
@@ -579,13 +584,30 @@ class TestFoldNeighbours:
             block = fold.gram[lo:hi].toarray()
             np.testing.assert_allclose(block[:, lo:hi], gram, rtol=1e-15)
             assert not np.delete(block, np.arange(lo, hi), axis=1).any()  # block diagonal
-            assert sorted(fold[user].tolist()) == rows.tolist()
-            assert fold[user].dtype == np.int64
+            assert sorted(fold_rows(fold, user).tolist()) == rows.tolist()
+            assert fold_rows(fold, user).dtype == np.int64
+
+    def test_diagonal_block_equals_scipy_indexing(self):
+        gen = np.random.default_rng(12)
+        for case in range(40):
+            n_users, n_items = int(gen.integers(2, 12)), int(gen.integers(2, 15))
+            rows = []
+            for _ in range(n_users):
+                drawn = gen.integers(0, (n_users, n_items), (int(gen.integers(0, 9)), 2))
+                rows.append(sorted({(int(h), int(i)) for h, i in drawn}))
+            fold = fold_of(rows, n_items)
+            users = gen.permutation(n_users)[: int(gen.integers(1, n_users + 1))]
+            slots = np.concatenate([np.arange(fold.ptr[u], fold.ptr[u + 1]) for u in users])
+            expected = fold.gram[slots][:, slots].tocoo()
+            row, col, data = _diagonal_block(fold.gram, slots)
+            assert row.tolist() == expected.row.tolist(), case
+            assert col.tolist() == expected.col.tolist(), case
+            assert data.tobytes() == expected.data.tobytes(), case
 
     def test_no_rows_fold_to_nothing(self):
         fold = fold_of([[], []], 5)
         assert fold.ptr.tolist() == [0, 0, 0] and fold.gram.shape == (0, 0)
-        assert fold[1].shape == (0, 2)
+        assert fold_rows(fold, 1).shape == (0, 2)
 
 
 class TestNeighbourSteps:
@@ -609,13 +631,13 @@ class TestNeighbourSteps:
         graphs, batches = [], []
         for user in range(n):
             stream = substream(4, "c", 1, user)
-            graphs.append(build_client_graph(split, user, exp.privacy, stream, neighbors[user]))
+            graphs.append(build_client_graph(split, user, exp.privacy, stream))
             batches.append(sample_bpr_triples(graphs[-1], 7, stream))
         states = ClientStates.start(EmbeddingTable(users, items))
         steps = _neighbour_steps(graphs, batches, states, items, cfg)
         for user, step in enumerate(steps):
             assert_steps_close(step, operator_step(graphs[user], batches[user], users[user], items, cfg))
-        return graphs
+        return graphs, neighbors
 
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -628,20 +650,20 @@ class TestNeighbourSteps:
             ]
             return sorted(((3 * v + 1) % split.n_users, i) for v, i in others)
 
-        graphs = self.chunk_case(n_layers, gamma, rows_of, train_counts=(8, 9, 6, 9, 8, 7, 9))
+        graphs, fold = self.chunk_case(n_layers, gamma, rows_of, train_counts=(8, 9, 6, 9, 8, 7, 9))
         # a shared item masked this round reaches its client only through neighbours
         assert any(
-            set(cg.neighbor_users[:, 1].tolist()) & cg.masked_items for cg in graphs
+            set(fold_rows(fold, cg.user)[:, 1].tolist()) & cg.masked_items for cg in graphs
         )
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_one_claimed_item_and_one_neighbour(self, n_layers):
-        graphs = self.chunk_case(
+        graphs, fold = self.chunk_case(
             n_layers, 0.5, lambda split, u: [[u, int(split.train_items(u)[0])]],
             train_counts=(1, 1, 1), mask=0.0, pseudo=0,
         )
         assert all(len(cg.true_items | cg.pseudo_items) == 1 for cg in graphs)
-        assert all(len(cg.neighbor_users) == 1 for cg in graphs)
+        assert all(len(fold_rows(fold, cg.user)) == 1 for cg in graphs)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_neighbours_sharing_every_item(self, n_layers):
@@ -697,3 +719,53 @@ class TestNeighbourSteps:
         states = ClientStates.start(EmbeddingTable(np.ones((2, 3)), items))
         client_round(states, [0], items, cfg, [substream(1, "c", 1, 0)])
         assert calls == {"propagate": 0, "gram_readout": 2, "bpr_gradients": 0}
+
+
+class TestFinishingStep:
+    """``client_update`` against ``helpers.loop_client_update``, the step with
+    the set operations and numpy calls it replaced, to the bit: states,
+    overlays, uploads and the generator left behind."""
+
+    @pytest.mark.parametrize(
+        "privacy",
+        [
+            PrivacySection(enabled=True, pseudo_items_p=3, mask_ratio=0.3),
+            PrivacySection(enabled=False, pseudo_items_p=3, mask_ratio=0.3),
+            PrivacySection(enabled=True, pseudo_items_p=0, mask_ratio=0.0),
+            PrivacySection(enabled=True, pseudo_items_p=4, mask_ratio=0.0, laplace_lambda=0.0),
+        ],
+        ids=["private", "ldp-off", "no-pseudo-no-mask", "clip-only"],
+    )
+    @pytest.mark.parametrize("pseudo_in_support", [True, False])
+    def test_equals_the_set_operation_step(self, privacy, pseudo_in_support):
+        n_items, dim = 30, 4
+        split = split_of([3, 9, 1, 6, 12, 4], n_items)
+        cfg = ClientConfig(split, ExperimentConfig(train=TrainSection(eta=0.3), privacy=privacy))
+        gen = np.random.default_rng(21)
+        table = EmbeddingTable(*(gen.normal(size=(n, dim)) for n in (split.n_users, n_items)))
+        ours, theirs = ClientStates.start(table), ClientStates.start(table)
+        for user in range(1, split.n_users, 3):  # the others keep the empty overlay
+            own = np.sort(gen.choice(n_items, size=int(gen.integers(1, n_items)), replace=False))
+            overlay = Overlay(own, gen.normal(size=(len(own), dim)))
+            ours.overlays[user] = theirs.overlays[user] = overlay
+        for user in range(split.n_users):
+            cg = build_client_graph(split, user, privacy, substream(21, "g", user))
+            support = set(cg.true_ids.tolist()) | set(gen.choice(n_items, size=4).tolist())
+            pseudo = set(cg.pseudo_ids.tolist())
+            support = support | pseudo if pseudo_in_support else support - pseudo
+            items = np.array(sorted(support), dtype=np.int64)
+            step = LocalStep(
+                float(gen.random()), gen.normal(size=dim), gen.normal(size=dim),
+                items, gen.normal(size=(len(items), dim)),
+            )
+            a, b = substream(21, "c", user), substream(21, "c", user)
+            got = client_update(ours, cg, step, cfg, a)
+            want = loop_client_update(theirs, cg, step, cfg, b)
+            assert got.items.tolist() == want.items.tolist() and got.data_count == want.data_count
+            assert got.item_grads.tobytes() == want.item_grads.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+            mine, ref = ours.overlays[user], theirs.overlays[user]
+            assert mine.local_items.tolist() == ref.local_items.tolist()
+            assert mine.local_rows.tobytes() == ref.local_rows.tobytes()
+        for block in ("user_rows", "inferred", "losses"):
+            assert getattr(ours, block).tobytes() == getattr(theirs, block).tobytes()

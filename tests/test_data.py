@@ -196,7 +196,7 @@ class TestBuildClientGraph:
         assert cg.true_items == set(small_split.train_items(3).tolist())
         assert cg.pseudo_items == frozenset()
         assert cg.masked_items == frozenset()
-        assert cg.neighbor_users.shape == (0, 2)
+        np.testing.assert_array_equal(cg.true_ids, small_split.train_items(3))
 
     def test_mask_half_of_four(self, small_split):
         user = 0
@@ -230,7 +230,8 @@ class TestBuildClientGraph:
             b.pseudo_items,
             b.masked_items,
         )
-        np.testing.assert_array_equal(a.neighbor_users, b.neighbor_users)
+        for field in ("true_ids", "pseudo_ids", "masked_ids"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_unknown_user_rejected(self, small_split):
         privacy = PrivacySection()

@@ -11,12 +11,14 @@ from fedrec.privacy import (
     laplace_noise,
     ldp_randomize,
     mask_interacted_items,
+    pooled_std,
     privacy_budget,
     pseudo_item_gradients,
     randomize_vector,
     sample_pseudo_items,
 )
 from fedrec.rng import substream
+from helpers import loop_mask_interacted_items
 
 
 def ids(*items):
@@ -100,6 +102,18 @@ class TestMaskInteractedItems:
         expected = substream(4, "m").choice(sorted(items.tolist()), 3, replace=False)
         assert masked.tolist() == sorted(expected.tolist())
 
+    def test_equals_the_setdiff_reference_on_random_sizes(self):
+        gen = np.random.default_rng(8)
+        for case in range(300):
+            n, ratio = int(gen.integers(1, 60)), float(gen.choice([0.0, 0.1, 0.2, 0.5, 0.9]))
+            items = np.sort(gen.choice(500, size=n, replace=False))
+            ours, theirs = substream(8, "m", case), substream(8, "m", case)
+            kept, masked = mask_interacted_items(items, ratio, ours)
+            want_kept, want_masked = loop_mask_interacted_items(items, ratio, theirs)
+            assert kept.dtype == masked.dtype == np.int64
+            assert kept.tolist() == want_kept.tolist() and masked.tolist() == want_masked.tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
 
 def update_of(entries):
     return GradientUpdate([0], [np.asarray(entries, float)], data_count=3)
@@ -160,6 +174,33 @@ class TestLdpRandomize:
         np.testing.assert_array_equal(out.item_grads, expected)
         np.testing.assert_array_equal(out.items, [2, 3, 7, 8, 11])
         assert out.data_count == 4
+
+
+class TestNoiseArithmetic:
+    """The noise steps against the numpy calls they replace, to the bit."""
+
+    def test_pooled_std_is_numpy_std(self):
+        gen = np.random.default_rng(5)
+        for case in range(400):
+            shape = (int(gen.integers(1, 80)), int(gen.integers(1, 70)))
+            rows = gen.normal(0.0, 10.0 ** gen.uniform(-8, 8), shape)
+            if case % 4 == 0:
+                rows[gen.random(shape) < 0.5] = 0.0
+            assert pooled_std(rows) == float(np.ravel(rows).std()), shape
+        assert pooled_std(np.full((3, 5), 0.1)) == float(np.full(15, 0.1).std())
+
+    def test_randomize_vector_is_clip_then_noise(self):
+        gen = np.random.default_rng(7)
+        for delta, lam in ((0.1, 0.0), (0.5, 0.2), (2.0, 1.0)):
+            cfg = ldp(delta, lam)
+            vec = gen.normal(0.0, 1.0, (40, 6))
+            vec[0, :4] = [delta, -delta, -0.0, 0.0]
+            ours, theirs = substream(7, "v"), substream(7, "v")
+            expected = np.clip(vec, -delta, delta)
+            if lam:
+                expected = expected + laplace_noise(theirs, lam, vec.shape)
+            assert randomize_vector(vec, cfg, ours).tobytes() == expected.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestPrivacyBudget:

@@ -24,6 +24,7 @@ from fedrec.server import (
     aggregate,
     apply_update,
     cluster_users,
+    eval_graphs,
     eval_models,
     item_token,
     matcher_key,
@@ -34,7 +35,7 @@ from fedrec.server import (
     warm_up,
 )
 from fedrec.synthetic import two_community_dataset
-from fedrec.data import InteractionDataset, build_client_graph, leave_one_out_split
+from fedrec.data import InteractionDataset, leave_one_out_split
 from helpers import (
     full_sort_ranks,
     local_item_table,
@@ -606,20 +607,9 @@ class TestRunTraining:
         a = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         b = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         np.testing.assert_array_equal(a.global_items, b.global_items)
-        # the local graphs of the run's client updates, rebuilt from their streams
+        # some client of the run has neighbour rows
         neighbors, _ = _neighbor_setup(cfg, tiny_split)
-        touched = [
-            build_client_graph(
-                tiny_split,
-                user,
-                cfg.privacy,
-                substream(cfg.train.seed, "client", report.round, user),
-                neighbors=neighbors[user],
-            )
-            for report in a.reports
-            for user in report.selected
-        ]
-        assert any(len(g.neighbor_users) for g in touched)
+        assert any(len(neighbors[user]) for report in a.reports for user in report.selected)
 
     def test_early_stopping_restores_the_best_round(self, tiny_split):
         cfg = tiny_config(**{"train.max_rounds": 30, "train.patience": 2})
@@ -838,6 +828,21 @@ class TestPersonalizedModels:
             else:
                 assert np.isin(train, model.excluded).all()
                 assert len(model.excluded) == len(train) + p
+
+
+def test_eval_graphs_equal_the_union_reference_on_random_sizes():
+    gen = np.random.default_rng(13)
+    for case in range(30):
+        n_users, n_items = int(gen.integers(2, 12)), int(gen.integers(6, 40))
+        per_user = int(gen.integers(3, n_items // 2 + 1))
+        split = leave_one_out_split(two_community_dataset(n_users, n_items, case, per_user))
+        # up to the whole free catalogue, where the pseudo items are all of it
+        p = int(gen.integers(0, n_items))
+        cfg = tiny_config(**{"privacy.pseudo_items_p": p, "train.seed": case})
+        users = gen.permutation(n_users).tolist()
+        for user, graph in zip(users, eval_graphs(cfg, split, users), strict=True):
+            expected = loop_eval_graph(cfg, split, user)
+            assert graph.dtype == np.int64 and graph.tolist() == expected.tolist(), (case, user)
 
 
 def zero_rows(table: np.ndarray, items) -> np.ndarray:
