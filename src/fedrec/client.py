@@ -22,7 +22,9 @@ from scipy.special import expit
 from .config import ExperimentConfig
 from .data import ClientGraph, SplitDataset, build_client_graph
 from .errors import DataError
-from .gnn import EmbeddingTable, GradientUpdate, gram_readout, scatter_rows, star_readout
+from .gnn import (
+    EmbeddingTable, GradientUpdate, gram_readout, scatter_rows, sorted_unique, star_readout,
+)
 from .privacy import complement_ids, ldp_randomize, pseudo_item_gradients
 
 
@@ -61,21 +63,6 @@ class ClientStates:
 
 
 @dataclass(frozen=True, eq=False)
-class Neighbours:
-    """Every user's one-hop neighbour rows as one CSR: user ``u``'s sorted
-    (handle, shared item) int64 rows are ``rows[indptr[u]:indptr[u + 1]]``."""
-
-    indptr: np.ndarray
-    rows: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    def __getitem__(self, user: int) -> np.ndarray:
-        return self.rows[self.indptr[user] : self.indptr[user + 1]]
-
-
-@dataclass(frozen=True, eq=False)
 class NeighbourFold:
     """Every user's neighbour rows folded once per run into what they add to
     the user's graph. User ``u``'s shared items are the slots
@@ -92,16 +79,17 @@ class NeighbourFold:
     gram: sparse.csr_matrix
 
 
-def fold_neighbours(neighbors: Neighbours, n_items: int) -> NeighbourFold:
-    """Every user's :class:`NeighbourFold` from the CSR, with no per-user loop.
-    A handle indexes one of the ``len(neighbors)`` users' uploaded rows."""
-    n_users, n_rows = len(neighbors), len(neighbors.rows)
+def fold_neighbours(
+    user: np.ndarray, handles: np.ndarray, items: np.ndarray, n_users: int, n_items: int
+) -> NeighbourFold:
+    """Every user's :class:`NeighbourFold`, with no per-user loop, from the
+    int64 neighbour rows: user ``user[r]`` shares item ``items[r]`` with the
+    neighbour ``handles[r]``, one of the ``n_users`` users' uploaded rows. The
+    rows run sorted by (user, handle)."""
+    n_rows = len(user)
     user_bits, item_bits, row_bits = (n.bit_length() for n in (n_users, n_items, n_rows))
     if user_bits + item_bits + row_bits > 63:
         raise DataError("too many neighbour rows to fold in one int64 sort")
-    handles, items = neighbors.rows.T
-    user = np.repeat(np.arange(n_users), np.diff(neighbors.indptr))
-    # (user, handle) groups are runs: a user's rows are sorted by handle
     key = (user << user_bits) | handles
     change = np.concatenate(([True], key[1:] != key[:-1]))[:n_rows]
     group, group_ptr = np.cumsum(change) - 1, np.append(np.flatnonzero(change), n_rows)
@@ -161,79 +149,12 @@ def sample_bpr_triples(
     return triples
 
 
-def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.union1d(a, b)`` of two 1-D integer arrays, by one sort of their
-    concatenation, without ``np.unique``'s per-call overhead."""
-    ids = np.concatenate((a, b))
-    ids.sort()
-    new = np.empty(len(ids), dtype=bool)
-    new[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=new[1:])
-    return ids[new]
-
-
 STAR_CHUNK = 16  # star clients per kernel pass: a chunk's blocks stay in cache
 NEIGHBOUR_CHUNK = 32  # clients with neighbour rows per kernel pass
 
 
 # a client's arithmetic: loss, inferred row, user-row gradient, upload ids and rows
 LocalStep = namedtuple("LocalStep", "loss inferred user_grad items rows")
-
-
-def _chunk_steps(
-    graphs, batches, states, global_items, cfg: ClientConfig, shared: np.ndarray, kernel
-) -> list[LocalStep]:
-    """The steps of a chunk of clients: BPR through a readout map forward and
-    back, each client's loss its own batch's. Client ``k``'s item space (its
-    claimed items, its negatives and its ``shared`` items, as on its compact
-    operator) is one run of rows keyed ``k * M + item``; ``shared`` holds such
-    keys. ``kernel(keys, linked, owner)``, given the rows of the claimed items
-    and their clients, returns the forward and the backward readout maps."""
-    exp, n_items, n = cfg.experiment, len(global_items), len(graphs)
-    gamma, offsets = exp.train.gamma, np.arange(n) * n_items
-    # the claimed items' keys, sorted: each client's true then pseudo ids
-    ids = [a for cg in graphs for a in (cg.true_ids, cg.pseudo_ids)]
-    owner = np.repeat(np.arange(n), [len(cg.true_ids) + len(cg.pseudo_ids) for cg in graphs])
-    linked = np.concatenate(ids) + offsets[owner]
-    linked.sort()
-    sizes = np.array([len(b) for b in batches])
-    c = np.repeat(np.arange(n), sizes)
-    ends = np.concatenate(batches)[:, 1:] + offsets[c][:, None]
-    keys = _sorted_union(linked, np.concatenate((ends[:, 1], shared)))  # positives are claimed
-    forward, backward = kernel(keys, np.searchsorted(keys, linked), owner)
-    p, j = np.searchsorted(keys, ends).T
-    raw_users = states.user_rows[[cg.user for cg in graphs]]
-    raw_items = global_items[keys % n_items]
-    final = forward(raw_users, raw_items)
-    diff = final.items[p] - final.items[j]
-    m = np.einsum("nd,nd->n", final.users[c], diff)
-    losses = np.bincount(c, np.logaddexp(0.0, -m), n) / sizes
-    coef = -expit(-m)[:, None] / sizes[c][:, None]
-    pulled = coef * final.users[c]
-    g_items = scatter_rows(np.concatenate((p, j)), np.concatenate((pulled, -pulled)), len(keys))
-    grads = backward(scatter_rows(c, coef * diff, n), g_items)
-    touched = _sorted_union(p, j)
-    if gamma:
-        norms = np.bincount(keys[touched] // n_items, np.sum(raw_items[touched] ** 2, axis=1), n)
-        losses += gamma * (np.sum(raw_users**2, axis=1) + norms)
-        grads.users += 2.0 * gamma * raw_users
-        grads.items[touched] += 2.0 * gamma * raw_items[touched]
-    support = _sorted_union(np.flatnonzero(grads.items.any(axis=1)), touched)
-    cuts = np.searchsorted(keys[support], offsets[1:])
-    items, rows = np.split(keys[support] % n_items, cuts), np.split(grads.items[support], cuts)
-    return list(map(LocalStep, losses.tolist(), final.users, grads.users, items, rows))
-
-
-def _star_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
-    """The steps of a chunk of star clients, through :func:`star_readout`."""
-
-    def kernel(keys, linked, owner):
-        star = np.full(len(keys), -1)
-        star[linked] = owner
-        readout = partial(star_readout, star=star, n_layers=cfg.experiment.model.layers)
-        return readout, readout
-
-    return _chunk_steps(graphs, batches, states, global_items, cfg, np.empty(0, np.int64), kernel)
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -251,39 +172,77 @@ def _diagonal_block(gram: sparse.csr_matrix, slots: np.ndarray):
     return row, gram.indices[cells] - (slots - np.arange(len(slots)))[row], gram.data[cells]
 
 
-def _neighbour_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
-    """The steps of a chunk of clients with neighbour rows, through
-    :func:`gram_readout` on their folds in ``cfg.neighbors``. Every triple
-    reads the client's own row and the neighbour rows get no gradient, so the
-    graph folds to its item side, and the uploaded rows ``cfg.neighbor_vecs``
-    enter through one product with the chunk's ``weights``. With ``d_i`` =
-    [i claimed] + the neighbours sharing ``i``, a claimed item's edge weighs
+def _chunk_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> list[LocalStep]:
+    """The steps of a chunk of clients: BPR through a readout map forward and
+    back, each client's loss its own batch's. Client ``k``'s item space (its
+    claimed items, its negatives and its shared items in ``cfg.neighbors``,
+    as on its compact operator) is one run of rows keyed ``k * M + item``.
+
+    A chunk with no shared items runs through :func:`star_readout`, any other
+    through :func:`gram_readout` on the clients' folds. Every triple reads the
+    client's own row and the neighbour rows get no gradient, so the graph
+    folds to its item side, and the uploaded rows ``cfg.neighbor_vecs`` enter
+    through one product with the chunk's ``weights``. With ``d_i`` = [i
+    claimed] + the neighbours sharing ``i``, a claimed item's edge weighs
     1/sqrt(n d_i) for a client claiming n items, and ``gram`` is scaled by
     1/sqrt(d_i d_j)."""
-    fold, n_items, n_layers = cfg.neighbors, len(global_items), cfg.experiment.model.layers
+    exp, fold, n_items, n = cfg.experiment, cfg.neighbors, len(global_items), len(graphs)
+    gamma, n_layers, offsets = exp.train.gamma, exp.model.layers, np.arange(n) * n_items
     users = np.array([cg.user for cg in graphs])
-    slots = _ranges(fold.ptr[users], fold.ptr[users + 1])
-    shared = np.repeat(np.arange(len(users)) * n_items, np.diff(fold.ptr)[users])
-    shared += fold.items[slots]
-    received = fold.weights[slots] @ cfg.neighbor_vecs
-    row, col, data = _diagonal_block(fold.gram, slots)
-
-    def kernel(keys, linked, owner):
+    slots = shared = np.empty(0, np.int64)
+    if fold is not None:
+        slots = _ranges(fold.ptr[users], fold.ptr[users + 1])
+        shared = np.repeat(offsets, np.diff(fold.ptr)[users]) + fold.items[slots]
+    # the claimed items' keys, sorted: each client's true then pseudo ids
+    ids = [a for cg in graphs for a in (cg.true_ids, cg.pseudo_ids)]
+    owner = np.repeat(np.arange(n), [len(cg.true_ids) + len(cg.pseudo_ids) for cg in graphs])
+    linked = np.concatenate(ids) + offsets[owner]
+    linked.sort()
+    sizes = np.array([len(b) for b in batches])
+    c = np.repeat(np.arange(n), sizes)
+    ends = np.concatenate(batches)[:, 1:] + offsets[c][:, None]
+    keys = sorted_unique(linked, ends[:, 1], shared)  # positives are claimed
+    linked = np.searchsorted(keys, linked)
+    if len(slots):
         at, shape = np.searchsorted(keys, shared), (len(keys), len(keys))
         degree = np.zeros(len(keys))
         degree[at] = fold.counts[slots]
         degree[linked] += 1.0
         weights = 1.0 / np.sqrt(np.bincount(owner)[owner] * degree[linked])
-        starts = np.searchsorted(owner, np.arange(len(users) + 1))
-        edges = sparse.csr_matrix((weights, linked, starts), (len(users), len(keys)))
+        starts = np.searchsorted(owner, np.arange(n + 1))
+        edges = sparse.csr_matrix((weights, linked, starts), (n, len(keys)))
         scale = 1.0 / np.sqrt(degree[at])
+        row, col, data = _diagonal_block(fold.gram, slots)
         steps = sparse.csr_matrix((data * scale[row] * scale[col], (at[row], at[col])), shape)
-        sent = np.zeros((len(keys), received.shape[1]))
-        sent[at] = scale[:, None] * received
-        readout = partial(gram_readout, edges=edges, gram=steps, n_layers=n_layers)
-        return partial(readout, sent=sent), readout
-
-    return _chunk_steps(graphs, batches, states, global_items, cfg, shared, kernel)
+        sent = np.zeros((len(keys), cfg.neighbor_vecs.shape[1]))
+        sent[at] = scale[:, None] * (fold.weights[slots] @ cfg.neighbor_vecs)
+        backward = partial(gram_readout, edges=edges, gram=steps, n_layers=n_layers)
+        forward = partial(backward, sent=sent)
+    else:
+        star = np.full(len(keys), -1)
+        star[linked] = owner
+        forward = backward = partial(star_readout, star=star, n_layers=n_layers)
+    p, j = np.searchsorted(keys, ends).T
+    raw_users = states.user_rows[users]
+    raw_items = global_items[keys % n_items]
+    final = forward(raw_users, raw_items)
+    diff = final.items[p] - final.items[j]
+    m = np.einsum("nd,nd->n", final.users[c], diff)
+    losses = np.bincount(c, np.logaddexp(0.0, -m), n) / sizes
+    coef = -expit(-m)[:, None] / sizes[c][:, None]
+    pulled = coef * final.users[c]
+    g_items = scatter_rows(np.concatenate((p, j)), np.concatenate((pulled, -pulled)), len(keys))
+    grads = backward(scatter_rows(c, coef * diff, n), g_items)
+    touched = sorted_unique(p, j)
+    if gamma:
+        norms = np.bincount(keys[touched] // n_items, np.sum(raw_items[touched] ** 2, axis=1), n)
+        losses += gamma * (np.sum(raw_users**2, axis=1) + norms)
+        grads.users += 2.0 * gamma * raw_users
+        grads.items[touched] += 2.0 * gamma * raw_items[touched]
+    support = sorted_unique(np.flatnonzero(grads.items.any(axis=1)), touched)
+    cuts = np.searchsorted(keys[support], offsets[1:])
+    items, rows = np.split(keys[support] % n_items, cuts), np.split(grads.items[support], cuts)
+    return list(map(LocalStep, losses.tolist(), final.users, grads.users, items, rows))
 
 
 def client_round(
@@ -305,14 +264,12 @@ def client_round(
     steps: dict[int, LocalStep] = {}
     fold = cfg.neighbors
     expanded = (np.diff(fold.ptr)[users] > 0).tolist() if fold is not None else [False] * len(users)
-    for kind, size, run in (
-        (False, STAR_CHUNK, _star_steps), (True, NEIGHBOUR_CHUNK, _neighbour_steps)
-    ):
+    for kind, size in ((False, STAR_CHUNK), (True, NEIGHBOUR_CHUNK)):
         group = [k for k, e in enumerate(expanded) if e == kind]
         for i in range(0, len(group), size):
             chunk = group[i : i + size]
             parts = [graphs[k] for k in chunk], [batches[k] for k in chunk]
-            steps.update(zip(chunk, run(*parts, states, global_items, cfg)))
+            steps.update(zip(chunk, _chunk_steps(*parts, states, global_items, cfg)))
     finish = enumerate(zip(graphs, streams))
     return [client_update(states, cg, steps[k], cfg, rng) for k, (cg, rng) in finish]
 
@@ -335,7 +292,7 @@ def client_update(
 
     # private step: untouched rows start from the warm-start table
     own = states.overlays[user]
-    merged = _sorted_union(own.local_items, items)
+    merged = sorted_unique(own.local_items, items)
     local = states.local_base[merged]
     local[np.searchsorted(merged, own.local_items)] = own.local_rows
     local[np.searchsorted(merged, items)] -= train.eta * rows
@@ -343,7 +300,7 @@ def client_update(
 
     pseudo = cg.pseudo_ids
     if len(pseudo):
-        upload = _sorted_union(items, pseudo)
+        upload = sorted_unique(items, pseudo)
         block = np.empty((len(upload), rows.shape[1]))
         block[np.searchsorted(upload, items)] = rows
         decoy = np.zeros(len(upload), dtype=bool)

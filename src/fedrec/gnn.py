@@ -240,6 +240,18 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cells, rows.ravel(), minlength=n * d).reshape(n, d)
 
 
+def sorted_unique(*parts: np.ndarray) -> np.ndarray:
+    """The distinct values of integer arrays, sorted: ``np.union1d`` by one
+    stable sort of their concatenation, linear in its sorted runs and without
+    ``np.unique``'s per-call overhead."""
+    ids = np.concatenate(parts)
+    ids.sort(kind="stable")
+    new = np.empty(len(ids), dtype=bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return ids[new]
+
+
 def _margin_loss(m: np.ndarray, gamma: float, raw: EmbeddingTable, users, items) -> float:
     """:func:`bpr_loss` from the batch's margins ``m`` and the distinct raw
     rows it touches, ``users`` and ``items`` (read only when gamma > 0)."""

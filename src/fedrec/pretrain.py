@@ -16,15 +16,8 @@ import numpy as np
 
 from .config import PretrainSection, PrivacySection
 from .data import SplitDataset, build_client_graph
-from .gnn import BipartiteGraph, EmbeddingTable, PropagationOperator, propagate
+from .gnn import BipartiteGraph, EmbeddingTable, PropagationOperator, propagate, sorted_unique
 from .rng import substreams
-
-
-def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """``np.unique`` of non-negative ids by a stable sort, linear in a sorted
-    prefix."""
-    ids = np.sort(ids, kind="stable")
-    return ids[np.diff(ids, prepend=-1) != 0]
 
 
 def _sample_absent_edges(
@@ -35,7 +28,7 @@ def _sample_absent_edges(
     A block draws only the pairs still missing, so the draws are the one-pair
     loop's. Exactly every non-edge draws nothing; more is a ``ValueError``."""
     n_users, n_items = graph.n_users, graph.n_items
-    edges = _sorted_unique(graph.edges[:, 0] * n_items + graph.edges[:, 1])
+    edges = sorted_unique(graph.edges[:, 0] * n_items + graph.edges[:, 1])
     available = n_users * n_items - len(edges)
     if count > available:
         raise ValueError(f"requested {count} new edges but only {available} non-edges exist")
@@ -45,7 +38,7 @@ def _sample_absent_edges(
         taken = edges
         while (missing := len(edges) + count - len(taken)) > 0:
             draws = rng.integers(0, np.tile([n_users, n_items], missing))
-            taken = _sorted_unique(np.concatenate((taken, draws[0::2] * n_items + draws[1::2])))
+            taken = sorted_unique(taken, draws[0::2] * n_items + draws[1::2])
     ids = np.setdiff1d(taken, edges, assume_unique=True)
     return np.stack(np.divmod(ids, n_items), axis=1)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .client import (
     ClientConfig,
     ClientStates,
-    Neighbours,
+    NeighbourFold,
     Overlay,
     client_round,
     fold_neighbours,
@@ -295,12 +295,13 @@ def _noised_uploads(
     return randomize_vector(block, cfg.privacy, streams)
 
 
-def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset) -> tuple[Neighbours, np.ndarray]:
+def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset) -> tuple[NeighbourFold, np.ndarray]:
     """One-hop expansion inputs from the keyed matcher, which sees tokens
     only: it groups the training pairs by the rank of each item's token and
     names every other owner of the item by a handle, the rank of that user's
     token, so clients see neither tokens nor raw ids. Returns every user's
-    sorted (handle, item) rows as one CSR and ``by_handle``, each handle's user."""
+    (handle, item) rows as :func:`fold_neighbours` folds them and
+    ``by_handle``, each handle's user."""
     key = matcher_key(cfg.train.seed)
     n_users, n_pairs = split.n_users, len(split.indices)
     user_bits, pair_bits = n_users.bit_length(), n_pairs.bit_length()
@@ -323,14 +324,13 @@ def _neighbor_setup(cfg: ExperimentConfig, split: SplitDataset) -> tuple[Neighbo
     rows |= (handle[owner[order]] << pair_bits)[partner]
     # a pair meets itself at its own place in its group
     rows = np.delete(rows, offset + np.arange(n_pairs) - start)
+    del rank, handle, owner, order, starts, sizes, size, start, offset, partner  # before the fold
     rows.sort()
-    indptr = np.searchsorted(rows, np.arange(n_users + 1) << (user_bits + pair_bits))
-    block = np.empty((len(rows), 2), dtype=np.int64)
-    np.right_shift(rows, pair_bits, out=block[:, 0])
-    block[:, 0] &= (1 << user_bits) - 1
-    rows &= (1 << pair_bits) - 1
-    np.take(split.indices, rows, out=block[:, 1])
-    return Neighbours(indptr, block), by_handle
+    items = split.indices[rows & ((1 << pair_bits) - 1)]
+    rows >>= pair_bits
+    user = rows >> user_bits
+    rows &= (1 << user_bits) - 1  # the handles
+    return fold_neighbours(user, rows, items, n_users, split.n_items), by_handle
 
 
 def eval_graphs(
@@ -425,9 +425,7 @@ def run_training(
     es_cutoff = 20 if 20 in cfg.eval.cutoffs else max(cfg.eval.cutoffs)
     ctx = ClientConfig(split, cfg)
     if cfg.graph.neighbor_expansion:
-        neighbors, by_handle = _neighbor_setup(cfg, split)
-        ctx.neighbors = fold_neighbours(neighbors, split.n_items)
-        del neighbors  # the fold is all the rounds read
+        ctx.neighbors, by_handle = _neighbor_setup(cfg, split)
     best, best_ndcg, evals_since_best = None, -np.inf, 0
 
     def recluster(round_idx: int) -> None:

@@ -14,7 +14,6 @@ from scipy.special import expit
 
 from fedrec.client import (
     NeighbourFold,
-    Neighbours,
     Overlay,
     fold_neighbours,
     sample_bpr_triples,
@@ -430,16 +429,12 @@ def loop_neighbor_setup(seed: int, split: SplitDataset) -> tuple[list[np.ndarray
     return [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs], by_handle
 
 
-def neighbours_of(rows) -> Neighbours:
-    """The CSR of per-user lists of sorted (handle, item) rows."""
-    blocks = [np.asarray(r, dtype=np.int64).reshape(-1, 2) for r in rows]
-    indptr = np.cumsum([0] + [len(b) for b in blocks])
-    return Neighbours(indptr, np.concatenate(blocks) if blocks else np.empty((0, 2), np.int64))
-
-
 def fold_of(rows, n_items: int) -> NeighbourFold:
     """The fold of per-user lists of sorted (handle, item) rows."""
-    return fold_neighbours(neighbours_of(rows), n_items)
+    blocks = [np.asarray(r, dtype=np.int64).reshape(-1, 2) for r in rows]
+    user = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    handles, items = np.concatenate(blocks).T
+    return fold_neighbours(user, handles, items, len(blocks), n_items)
 
 
 def fold_rows(fold: NeighbourFold | None, user: int) -> np.ndarray:
@@ -450,6 +445,13 @@ def fold_rows(fold: NeighbourFold | None, user: int) -> np.ndarray:
     lo, hi = fold.ptr[user], fold.ptr[user + 1]
     handles = fold.weights.indices[fold.weights.indptr[lo] : fold.weights.indptr[hi]]
     return np.column_stack((handles, np.repeat(fold.items[lo:hi], fold.counts[lo:hi])))
+
+
+def matched_rows(fold: NeighbourFold, user: int) -> np.ndarray:
+    """:func:`fold_rows` in (handle, item) order, the order of the matcher's
+    responses."""
+    rows = fold_rows(fold, user)
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
 
 
 def local_operator(cg, triples, n_layers, user_vec, global_items, neighbor_vecs, neighbours=()):

@@ -53,6 +53,7 @@ from fedrec.synthetic import two_community_dataset
 from helpers import (
     dense_readout,
     loop_neighbor_setup,
+    matched_rows,
     max_rel_error,
     neighborhood_match,
     random_bipartite,
@@ -445,10 +446,10 @@ def test_10_pseudo_items_hide_the_true_support_and_ids_stay_tokenized():
     audit_ok = not (seen_strings & raw_ids)
     # the array matcher the rounds use returns what these audited responses say
     experiment.train.seed = 3
-    neighbors, by_handle = _neighbor_setup(experiment, split)
+    fold, by_handle = _neighbor_setup(experiment, split)
     expected, expected_by_handle = loop_neighbor_setup(3, split)
     same_ok = np.array_equal(by_handle, expected_by_handle) and all(
-        np.array_equal(neighbors[u], expected[u]) for u in range(12)
+        np.array_equal(matched_rows(fold, u), expected[u]) for u in range(12)
     )
     ok = supports_ok and tokens_ok and audit_ok and same_ok
     assert _report(

@@ -12,9 +12,8 @@ from fedrec.client import (
     Overlay,
     STAR_CHUNK,
     LocalStep,
+    _chunk_steps,
     _diagonal_block,
-    _neighbour_steps,
-    _star_steps,
     client_round,
     client_update,
     infer_user_embedding,
@@ -44,6 +43,7 @@ from helpers import (
     fold_of,
     fold_rows,
     loop_client_update,
+    matched_rows,
     operator_client_update,
     star_user_readout,
 )
@@ -506,7 +506,8 @@ class TestStarSteps:
             batches.append(sample_bpr_triples(graphs[-1], batch_size or len(graphs[-1].true_items), stream))
         assert any(cg.masked_items for cg in graphs) and all(cg.pseudo_items for cg in graphs)
         assert len(graphs[0].true_items | graphs[0].pseudo_items) == 3
-        steps = _star_steps(graphs, batches, ClientStates.start(EmbeddingTable(users, items)), items, cfg)
+        states = ClientStates.start(EmbeddingTable(users, items))
+        steps = _chunk_steps(graphs, batches, states, items, cfg)
         for user, step in enumerate(steps):
             assert_steps_close(step, operator_step(graphs[user], batches[user], users[user], items, cfg))
 
@@ -610,6 +611,22 @@ class TestFoldNeighbours:
         assert fold_rows(fold, 1).shape == (0, 2)
 
 
+def mixed_round(n_users):
+    """A round's settings and warm-start items for ``n_users`` clients, every
+    third a star and the rest with the matcher's neighbour rows."""
+    split = split_of([3 + u % 6 for u in range(n_users)], n_items=30)
+    exp = ExperimentConfig(
+        model=ModelSection(layers=3, dim=4),
+        train=TrainSection(gamma=0.01, eta=0.1),
+        privacy=PrivacySection(enabled=True, pseudo_items_p=2, mask_ratio=0.25),
+    )
+    fold, _ = _neighbor_setup(exp, split)
+    rows = [matched_rows(fold, u) if u % 3 else [] for u in range(n_users)]
+    cfg = ClientConfig(split, exp, fold_of(rows, 30))
+    cfg.neighbor_vecs = np.random.default_rng(1).normal(size=(n_users, 4))
+    return cfg, np.random.default_rng(2).normal(size=(30, 4))
+
+
 class TestNeighbourSteps:
     """The item-Gram kernel for clients with neighbour rows against each
     client's own compact operator (``local_operator`` + ``bpr_gradients``),
@@ -634,7 +651,7 @@ class TestNeighbourSteps:
             graphs.append(build_client_graph(split, user, exp.privacy, stream))
             batches.append(sample_bpr_triples(graphs[-1], 7, stream))
         states = ClientStates.start(EmbeddingTable(users, items))
-        steps = _neighbour_steps(graphs, batches, states, items, cfg)
+        steps = _chunk_steps(graphs, batches, states, items, cfg)
         for user, step in enumerate(steps):
             assert_steps_close(step, operator_step(graphs[user], batches[user], users[user], items, cfg))
         return graphs, neighbors
@@ -683,21 +700,64 @@ class TestNeighbourSteps:
         self.chunk_case(n_layers, 0.5, rows_of)
 
     def test_round_of_mixed_clients_over_partial_chunks(self):
-        n_users = NEIGHBOUR_CHUNK + STAR_CHUNK + 5
-        split = split_of([3 + u % 6 for u in range(n_users)], n_items=30)
-        exp = ExperimentConfig(
-            model=ModelSection(layers=3, dim=4),
-            train=TrainSection(gamma=0.01, eta=0.1),
-            privacy=PrivacySection(enabled=True, pseudo_items_p=2, mask_ratio=0.25),
-        )
-        neighbors, _ = _neighbor_setup(exp, split)
-        # a third of the users are stars: their rows are dropped
-        rows = [neighbors[u] if u % 3 else [] for u in range(n_users)]
-        cfg = ClientConfig(split, exp, fold_of(rows, 30))
-        cfg.neighbor_vecs = np.random.default_rng(1).normal(size=(n_users, 4))
-        users = list(range(n_users - 1, -1, -1))
-        assert sum(bool(len(r)) for r in rows) > NEIGHBOUR_CHUNK
-        assert_round_equals_the_operator(cfg, np.random.default_rng(2).normal(size=(30, 4)), users, 3)
+        cfg, items = mixed_round(NEIGHBOUR_CHUNK + STAR_CHUNK + 5)
+        assert (np.diff(cfg.neighbors.ptr) > 0).sum() > NEIGHBOUR_CHUNK
+        users = list(range(cfg.split.n_users - 1, -1, -1))
+        assert_round_equals_the_operator(cfg, items, users, 3)
+
+    def test_mixed_chunk_equals_the_per_client_operator(self):
+        # star and neighbour clients in one chunk take the item-Gram kernel
+        cfg, items = mixed_round(7)
+        users = [5, 0, 3, 1, 6]
+        expanded = np.diff(cfg.neighbors.ptr)[users] > 0
+        assert expanded.any() and not expanded.all()
+        gen = np.random.default_rng(3)
+        start = EmbeddingTable(gen.normal(size=(cfg.split.n_users, items.shape[1])), items)
+        ours, theirs = ClientStates.start(start), ClientStates.start(start)
+        streams = [substream(3, "c", 1, u) for u in users]
+        graphs, batches = [], []
+        for user, stream in zip(users, streams):
+            graphs.append(build_client_graph(cfg.split, user, cfg.experiment.privacy, stream))
+            # batch_size 0: one triple per positive
+            batches.append(sample_bpr_triples(graphs[-1], len(graphs[-1].true_ids), stream))
+        steps = _chunk_steps(graphs, batches, ours, items, cfg)
+        for cg, step, stream in zip(graphs, steps, streams):
+            update = client_update(ours, cg, step, cfg, stream)
+            replay = substream(3, "c", 1, cg.user)
+            expected = operator_client_update(theirs, cg.user, items, cfg, replay)
+            np.testing.assert_array_equal(update.items, expected.items)
+            np.testing.assert_allclose(
+                update.item_grads, expected.item_grads,
+                rtol=0, atol=1e-12 * max(1.0, np.abs(expected.item_grads).max()),
+            )
+
+    @pytest.mark.parametrize(
+        "sizes", [(1, 1), (5, 5), (STAR_CHUNK, NEIGHBOUR_CHUNK)], ids=["one", "five", "defaults"]
+    )
+    def test_chunk_sizes_do_not_move_a_bit(self, sizes, monkeypatch):
+        cfg, items = mixed_round(NEIGHBOUR_CHUNK + STAR_CHUNK + 5)
+        users = list(range(cfg.split.n_users - 1, -1, -1))
+
+        def run():
+            gen = np.random.default_rng(4)
+            start = EmbeddingTable(gen.normal(size=(cfg.split.n_users, items.shape[1])), items)
+            states, streams = ClientStates.start(start), [substream(4, "c", 1, u) for u in users]
+            updates = client_round(states, users, items, cfg, streams)
+            return states, updates, [s.bit_generator.state for s in streams]
+
+        their_states, their_updates, their_rngs = run()
+        monkeypatch.setattr(client_module, "STAR_CHUNK", sizes[0])
+        monkeypatch.setattr(client_module, "NEIGHBOUR_CHUNK", sizes[1])
+        states, updates, rngs = run()
+        assert rngs == their_rngs
+        for ours, theirs in zip(updates, their_updates):
+            assert ours.items.tobytes() == theirs.items.tobytes()
+            assert ours.item_grads.tobytes() == theirs.item_grads.tobytes()
+        for block in ("user_rows", "inferred", "losses"):
+            assert getattr(states, block).tobytes() == getattr(their_states, block).tobytes()
+        for ours, theirs in zip(states.overlays, their_states.overlays):
+            assert ours.local_items.tobytes() == theirs.local_items.tobytes()
+            assert ours.local_rows.tobytes() == theirs.local_rows.tobytes()
 
     def test_propagates_through_the_gram_kernel_only(self, monkeypatch):
         split = split_of([5, 6], n_items=12)

@@ -44,6 +44,7 @@ from helpers import (
     loop_eval_model,
     loop_neighbor_setup,
     loop_noised_uploads,
+    matched_rows,
     neighborhood_match,
     star_user_readout,
 )
@@ -402,9 +403,9 @@ class TestNeighborhoodMatch:
         cfg = default_config()
         cfg.train.seed = 6
         key = matcher_key(6)
-        neighbors, by_handle = _neighbor_setup(cfg, split)
+        fold, by_handle = _neighbor_setup(cfg, split)
         train = {u: set(split.train_items(u).tolist()) for u in range(split.n_users)}
-        assert len(neighbors) == len(train)
+        assert len(fold.ptr) == len(train) + 1
         # a handle is the rank of the user's anonymous token
         tokens = [user_token(u, key) for u in range(split.n_users)]
         assert [tokens[u] for u in by_handle] == sorted(tokens)
@@ -416,8 +417,8 @@ class TestNeighborhoodMatch:
                 for other, theirs in train.items()
                 if other != user and item in theirs
             )
-            assert neighbors[user].dtype == np.int64
-            assert neighbors[user].tolist() == [list(p) for p in expected]
+            assert matched_rows(fold, user).dtype == np.int64
+            assert matched_rows(fold, user).tolist() == [list(p) for p in expected]
 
 
 def split_training_on(train_sets, n_items: int):
@@ -430,7 +431,8 @@ def split_training_on(train_sets, n_items: int):
 
 class TestNeighborSetupEqualsTheDictMatcher:
     """The array matcher against the per-item owner lists it replaced
-    (``helpers.loop_neighbor_setup``): the same CSR rows, dtypes and handles."""
+    (``helpers.loop_neighbor_setup``): the same rows read back from the fold,
+    dtypes and handles."""
 
     CASES = {
         "no item shared": [[0], [1, 2], [3]],
@@ -459,14 +461,14 @@ class TestNeighborSetupEqualsTheDictMatcher:
     def assert_equal_the_oracle(split, seed):
         cfg = default_config()
         cfg.train.seed = seed
-        neighbors, by_handle = _neighbor_setup(cfg, split)
+        fold, by_handle = _neighbor_setup(cfg, split)
         expected, expected_by_handle = loop_neighbor_setup(seed, split)
         assert by_handle.dtype == expected_by_handle.dtype
         np.testing.assert_array_equal(by_handle, expected_by_handle)
-        assert len(neighbors) == split.n_users and neighbors.indptr.dtype == np.int64
-        assert neighbors.rows.dtype == np.int64 and neighbors.rows.shape[1:] == (2,)
+        assert len(fold.ptr) == split.n_users + 1 and fold.ptr.dtype == np.int64
         for user in range(split.n_users):
-            assert neighbors[user].tolist() == expected[user].tolist()
+            rows = matched_rows(fold, user)
+            assert rows.dtype == np.int64 and rows.tolist() == expected[user].tolist()
 
 
 def upload_states(n_users: int, dim: int, seed: int) -> ClientStates:
@@ -608,8 +610,8 @@ class TestRunTraining:
         b = run_training(cfg, tiny_split, warm_up(cfg, tiny_split).table)
         np.testing.assert_array_equal(a.global_items, b.global_items)
         # some client of the run has neighbour rows
-        neighbors, _ = _neighbor_setup(cfg, tiny_split)
-        assert any(len(neighbors[user]) for report in a.reports for user in report.selected)
+        fold, _ = _neighbor_setup(cfg, tiny_split)
+        assert any(np.diff(fold.ptr)[list(report.selected)].any() for report in a.reports)
 
     def test_early_stopping_restores_the_best_round(self, tiny_split):
         cfg = tiny_config(**{"train.max_rounds": 30, "train.patience": 2})
