@@ -1,10 +1,12 @@
 """Simulated on-device logic: local training steps and personalization.
 
 Each client owns its user embedding row and a privately fine-tuned copy of
-the item rows it has touched; only (obfuscated) item gradients ever leave the
-device. The local model is trained on a one-user star graph over the items
-the client claims to have interacted with, optionally expanded by one hop of
-anonymous co-interacting neighbors.
+the item rows of its local graphs; only (obfuscated) item gradients ever
+leave the device. The local model is trained on a one-user star graph over
+the items the client claims to have interacted with, optionally expanded by
+one hop of anonymous co-interacting neighbors. A sampled negative's step
+goes into the upload only, so a client's private rows grow with its
+interactions, not with the catalogue.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .privacy import complement_ids, ldp_randomize, pseudo_item_gradients
 
 class Overlay(NamedTuple):
     """A client's private item rows: row ``local_rows[k]`` for item
-    ``local_items[k]`` (sorted ids)."""
+    ``local_items[k]`` (sorted ids), each an item of one of the client's
+    local graphs (claimed or shared), never a negative's alone."""
 
     local_items: np.ndarray
     local_rows: np.ndarray
@@ -41,7 +44,9 @@ class ClientStates:
     """Every client's on-device state, in user order: the user rows, the
     last inferred (uploaded) rows and the last losses as blocks, and each
     client's overlay over the warm-start item table ``local_base``. Updates
-    write the blocks by row and rebind an overlay, never writing into one."""
+    write the blocks by row and rebind an overlay, never writing into one; a
+    round steps only the overlay rows of the client's local graph in that
+    round, and the rows it already holds for other items keep their bits."""
 
     user_rows: np.ndarray
     inferred: np.ndarray
@@ -153,8 +158,9 @@ STAR_CHUNK = 16  # star clients per kernel pass: a chunk's blocks stay in cache
 NEIGHBOUR_CHUNK = 32  # clients with neighbour rows per kernel pass
 
 
-# a client's arithmetic: loss, inferred row, user-row gradient, upload ids and rows
-LocalStep = namedtuple("LocalStep", "loss inferred user_grad items rows")
+# a client's arithmetic: loss, inferred row, user-row gradient, upload ids and
+# rows, and which of the upload ids are in the client's local graph
+LocalStep = namedtuple("LocalStep", "loss inferred user_grad items rows local")
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -185,7 +191,8 @@ def _chunk_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> li
     through one product with the chunk's ``weights``. With ``d_i`` = [i
     claimed] + the neighbours sharing ``i``, a claimed item's edge weighs
     1/sqrt(n d_i) for a client claiming n items, and ``gram`` is scaled by
-    1/sqrt(d_i d_j)."""
+    1/sqrt(d_i d_j). Each step marks which of its upload ids are claimed or
+    shared, the rows of its local graph."""
     exp, fold, n_items, n = cfg.experiment, cfg.neighbors, len(global_items), len(graphs)
     gamma, n_layers, offsets = exp.train.gamma, exp.model.layers, np.arange(n) * n_items
     users = np.array([cg.user for cg in graphs])
@@ -203,8 +210,11 @@ def _chunk_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> li
     ends = np.concatenate(batches)[:, 1:] + offsets[c][:, None]
     keys = sorted_unique(linked, ends[:, 1], shared)  # positives are claimed
     linked = np.searchsorted(keys, linked)
+    graph = np.zeros(len(keys), dtype=bool)  # the local graph's keys: claimed and shared
+    graph[linked] = True
     if len(slots):
         at, shape = np.searchsorted(keys, shared), (len(keys), len(keys))
+        graph[at] = True
         degree = np.zeros(len(keys))
         degree[at] = fold.counts[slots]
         degree[linked] += 1.0
@@ -233,16 +243,19 @@ def _chunk_steps(graphs, batches, states, global_items, cfg: ClientConfig) -> li
     pulled = coef * final.users[c]
     g_items = scatter_rows(np.concatenate((p, j)), np.concatenate((pulled, -pulled)), len(keys))
     grads = backward(scatter_rows(c, coef * diff, n), g_items)
-    touched = sorted_unique(p, j)
+    hit = np.zeros(len(keys), dtype=bool)
+    hit[p] = hit[j] = True
+    touched = np.flatnonzero(hit)
     if gamma:
         norms = np.bincount(keys[touched] // n_items, np.sum(raw_items[touched] ** 2, axis=1), n)
         losses += gamma * (np.sum(raw_users**2, axis=1) + norms)
         grads.users += 2.0 * gamma * raw_users
         grads.items[touched] += 2.0 * gamma * raw_items[touched]
-    support = sorted_unique(np.flatnonzero(grads.items.any(axis=1)), touched)
+    support = np.flatnonzero(grads.items.any(axis=1) | hit)
     cuts = np.searchsorted(keys[support], offsets[1:])
     items, rows = np.split(keys[support] % n_items, cuts), np.split(grads.items[support], cuts)
-    return list(map(LocalStep, losses.tolist(), final.users, grads.users, items, rows))
+    local = np.split(graph[support], cuts)
+    return list(map(LocalStep, losses.tolist(), final.users, grads.users, items, rows, local))
 
 
 def client_round(
@@ -279,23 +292,25 @@ def client_update(
 ) -> GradientUpdate:
     """Finishes client ``cg.user``'s round from its arithmetic ``step``: writes
     its loss, inferred row and user-row step into ``states``, rebinds its
-    overlay with the private item-row step, and returns the item gradients
-    with decoy pseudo rows in place of the real ones and LDP applied. Every
-    draw is on the client's own stream ``rng``, in order: mask, pseudo items,
-    positives, negatives (in :func:`client_round`), decoy noise, LDP noise.
-    So graphs, batches, decoys and noise do not depend on how the arithmetic
-    is batched; only its rounding does."""
+    overlay with the private step of its local graph's rows (``step.local``),
+    and returns the item gradients with decoy pseudo rows in place of the
+    real ones and LDP applied. Every draw is on the client's own stream
+    ``rng``, in order: mask, pseudo items, positives, negatives (in
+    :func:`client_round`), decoy noise, LDP noise. So graphs, batches, decoys
+    and noise do not depend on how the arithmetic is batched; only its
+    rounding does."""
     train, privacy = cfg.experiment.train, cfg.experiment.privacy
     user, items, rows = cg.user, step.items, step.rows
     states.losses[user], states.inferred[user] = step.loss, step.inferred
     states.user_rows[user] -= train.eta * step.user_grad
 
-    # private step: untouched rows start from the warm-start table
-    own = states.overlays[user]
-    merged = sorted_unique(own.local_items, items)
+    # private step on the local graph's rows only: untouched rows start from
+    # the warm-start table, and a negative's step goes only into the upload
+    own, ids = states.overlays[user], items[step.local]
+    merged = sorted_unique(own.local_items, ids)
     local = states.local_base[merged]
     local[np.searchsorted(merged, own.local_items)] = own.local_rows
-    local[np.searchsorted(merged, items)] -= train.eta * rows
+    local[np.searchsorted(merged, ids)] -= train.eta * rows[step.local]
     states.overlays[user] = Overlay(merged, local)
 
     pseudo = cg.pseudo_ids

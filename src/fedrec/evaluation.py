@@ -12,7 +12,9 @@ import numpy as np
 from .data import SplitDataset
 
 PHASES = ("validation", "test")
-EVAL_BLOCK = 32  # users per scoring block: its (block, M) arrays and overlay rows stay small
+# users per scoring block: its (block, M) arrays stay small, and its overlay
+# rows are at most its members' local-graph rows
+EVAL_BLOCK = 32
 
 
 def recall_at_k(rank: int | None, k: int) -> float:

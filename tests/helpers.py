@@ -325,21 +325,33 @@ def loop_mask_interacted_items(true_items: np.ndarray, mask_ratio: float, rng):
     return np.setdiff1d(true_items, masked, assume_unique=True), masked
 
 
+def overlay_step(states, user: int, ids: np.ndarray, rows: np.ndarray, eta: float) -> None:
+    """Reference private step: ``np.union1d`` merges the overlay and the
+    stepped ids, and a row the overlay lacks starts from the warm-start table."""
+    own = states.overlays[user]
+    merged = np.union1d(own.local_items, ids)
+    local = states.local_base[merged]
+    local[np.searchsorted(merged, own.local_items)] = own.local_rows
+    local[np.searchsorted(merged, ids)] -= eta * rows
+    states.overlays[user] = Overlay(merged, local)
+
+
+def local_graph_ids(cg, fold) -> np.ndarray:
+    """The sorted item ids of a client's local graph this round: its claimed
+    (true and pseudo) items and its shared items in ``fold``."""
+    return np.union1d(np.union1d(cg.true_ids, cg.pseudo_ids), fold_rows(fold, cg.user)[:, 1])
+
+
 def loop_client_update(states, cg, step, cfg, rng) -> GradientUpdate:
     """Reference finishing step, with the set operations and library calls
     ``client.client_update`` had: ``np.union1d`` merges the overlay and the
-    upload ids, ``np.isin`` finds the real rows, ``np.std`` sizes the decoys
-    and ``np.clip`` bounds the rows before the Laplace noise."""
+    local-graph ids, ``np.isin`` finds the real rows, ``np.std`` sizes the
+    decoys and ``np.clip`` bounds the rows before the Laplace noise."""
     train, privacy = cfg.experiment.train, cfg.experiment.privacy
     user, items, rows = cg.user, step.items, step.rows
     states.losses[user], states.inferred[user] = step.loss, step.inferred
     states.user_rows[user] -= train.eta * step.user_grad
-    own = states.overlays[user]
-    merged = np.union1d(own.local_items, items)
-    local = states.local_base[merged]
-    local[np.searchsorted(merged, own.local_items)] = own.local_rows
-    local[np.searchsorted(merged, items)] -= train.eta * rows
-    states.overlays[user] = Overlay(merged, local)
+    overlay_step(states, user, items[step.local], rows[step.local], train.eta)
     if cg.pseudo_items:
         pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)
         real = rows[~np.isin(items, pseudo)]
@@ -499,12 +511,9 @@ def operator_client_update(states, user, global_items, cfg, rng) -> GradientUpda
     states.user_rows[user] -= train.eta * grads.users[0]
     support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local_triples[:, 1:])
     items, rows = item_space[support], grads.items[support]
-    own = states.overlays[user]
-    merged = np.union1d(own.local_items, items)
-    local = states.local_base[merged]
-    local[np.searchsorted(merged, own.local_items)] = own.local_rows
-    local[np.searchsorted(merged, items)] -= train.eta * rows
-    states.overlays[user] = Overlay(merged, local)
+    # only the local graph's rows are stepped privately; a negative's only uploads
+    local = np.isin(items, local_graph_ids(cg, cfg.neighbors))
+    overlay_step(states, user, items[local], rows[local], train.eta)
     if cg.pseudo_items:
         pseudo = np.array(sorted(cg.pseudo_items), dtype=np.int64)
         decoys = pseudo_item_gradients(pseudo, rows[~np.isin(items, pseudo)], rng)

@@ -38,6 +38,7 @@ from fedrec.gnn import (
 from fedrec.rng import substream
 from fedrec.server import _neighbor_setup
 from helpers import (
+    local_graph_ids,
     local_item_table,
     local_operator,
     fold_of,
@@ -470,12 +471,17 @@ def operator_step(cg, triples, user_vec, items, cfg):
     )
     loss, final, grads = bpr_gradients(op, raw, local, exp.train.gamma)
     support = np.union1d(np.flatnonzero(grads.items.any(axis=1)), local[:, 1:])
-    return LocalStep(loss, final.users[0], grads.users[0], space[support], grads.items[support])
+    graph = np.isin(space[support], local_graph_ids(cg, cfg.neighbors))
+    return LocalStep(
+        loss, final.users[0], grads.users[0], space[support], grads.items[support], graph
+    )
 
 
 def assert_steps_close(ours, theirs):
-    """Two LocalSteps equal up to the kernel's rounding, their ids exactly."""
+    """Two LocalSteps equal up to the kernel's rounding, their ids and
+    local-graph masks exactly."""
     np.testing.assert_array_equal(ours.items, theirs.items)
+    np.testing.assert_array_equal(ours.local, theirs.local)
     assert ours.loss == pytest.approx(theirs.loss, rel=1e-12, abs=1e-12)
     for a, b in zip(ours[1:3] + (ours.rows,), theirs[1:3] + (theirs.rows,)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
@@ -781,6 +787,48 @@ class TestNeighbourSteps:
         assert calls == {"propagate": 0, "gram_readout": 2, "bpr_gradients": 0}
 
 
+class TestOverlayPolicy:
+    """A client's overlay steps only the rows of this round's local graph, its
+    claimed and its shared items: a negative's step goes only into the upload,
+    and a held row outside the graph keeps its bits."""
+
+    def test_only_the_local_graph_is_stepped(self):
+        split = split_of([6, 5, 7], n_items=30)
+        own = split.train_items(0)
+        # user 0 shares its first two items with handles 1 and 2
+        fold = fold_of([[[1, int(own[0])], [2, int(own[0])], [2, int(own[1])]], [], []], 30)
+        exp = ExperimentConfig(
+            model=ModelSection(layers=2, dim=4),
+            train=TrainSection(eta=0.1, batch_size=8),
+            privacy=PrivacySection(pseudo_items_p=2, mask_ratio=0.4),
+        )
+        gen = np.random.default_rng(7)
+        cfg = ClientConfig(split, exp, fold, gen.normal(size=(3, 4)))
+        items = gen.normal(size=(30, 4))
+        states = ClientStates.start(EmbeddingTable(gen.normal(size=(3, 4)), items))
+        replay = substream(0, "c", 1, 0)
+        cg = build_client_graph(split, 0, exp.privacy, replay)
+        negatives = np.unique(sample_bpr_triples(cg, 8, replay)[:, 2])
+        graph, shared = local_graph_ids(cg, fold), own[:2]
+        assert set(shared.tolist()) & cg.masked_items  # in the graph only as shared
+        # held rows: a negative of this round and an item in none of its sets
+        outside = np.setdiff1d(np.arange(30), np.union1d(graph, negatives))
+        held = np.array([negatives[0], outside[0]])
+        held_rows = gen.normal(size=(2, 4))
+        states.overlays[0] = Overlay(held, held_rows.copy())
+
+        update = update_one(states, 0, items, cfg, substream(0, "c", 1, 0))
+        assert set(negatives.tolist()) <= set(update.items.tolist())
+        overlay = states.overlays[0]
+        assert set(overlay.local_items.tolist()) - set(held.tolist()) <= set(graph.tolist())
+        assert not set(negatives[1:].tolist()) & set(overlay.local_items.tolist())
+        rows = dict(zip(overlay.local_items.tolist(), overlay.local_rows))
+        for item in np.union1d(cg.pseudo_ids, shared).tolist():
+            assert not np.array_equal(rows[item], items[item])
+        for item, row in zip(held.tolist(), held_rows):
+            assert rows[item].tobytes() == row.tobytes()
+
+
 class TestFinishingStep:
     """``client_update`` against ``helpers.loop_client_update``, the step with
     the set operations and numpy calls it replaced, to the bit: states,
@@ -817,6 +865,7 @@ class TestFinishingStep:
             step = LocalStep(
                 float(gen.random()), gen.normal(size=dim), gen.normal(size=dim),
                 items, gen.normal(size=(len(items), dim)),
+                np.isin(items, local_graph_ids(cg, None)),
             )
             a, b = substream(21, "c", user), substream(21, "c", user)
             got = client_update(ours, cg, step, cfg, a)

@@ -6,13 +6,25 @@ peak of the same run on N users. N = 600 is above one InfoNCE row block
 (``INFONCE_CELLS`` similarities cover 512 users at once), so both runs hold
 block buffers of the same size, and the ratio does not set the small run's
 whole N×N matrix against the large run's block.
+
+The client overlays hold rows only for the clients' local graphs: each holds
+at most the union of its client's graphs over the rounds it trained, and all
+of them together stay within the same multiple of interactions × d × 8 bytes
+at N and at 4N users.
 """
 
 import tracemalloc
 
+import pytest
+
+from fedrec import client
 from fedrec.cli import main
-from fedrec.data import write_interactions
+from fedrec.config import (
+    ExperimentConfig, GraphSection, ModelSection, PretrainSection, PrivacySection, TrainSection,
+)
+from fedrec.data import leave_one_out_split, write_interactions
 from fedrec.pretrain import INFONCE_CELLS
+from fedrec.server import run_training, warm_up
 from fedrec.synthetic import two_community_dataset
 
 USERS = 600
@@ -51,3 +63,60 @@ def test_four_times_the_users_cost_at_most_five_times_the_peak(tmp_path):
     large = traced_peaks(4 * USERS, tmp_path)
     ratios = {name: round(large[name] / small[name], 2) for name in small}
     assert max(large.values()) <= 5 * max(small.values()), (small, large, ratios)
+
+
+def trained(cfg, n_users, n_items, per_user):
+    """The split and ``run_training``'s result from the seeded init on a
+    synthetic input, with each user's local graph items over every round:
+    the claimed items of each ``client_update`` and the shared fold items."""
+    dataset = two_community_dataset(n_users=n_users, n_items=n_items, seed=0, per_user=per_user)
+    split = leave_one_out_split(dataset)
+    graphs = [set() for _ in range(n_users)]
+    finish = client.client_update
+
+    def recording(states, cg, step, ctx, rng):
+        graphs[cg.user] |= set(cg.true_ids.tolist()) | set(cg.pseudo_ids.tolist())
+        if ctx.neighbors is not None:
+            lo, hi = ctx.neighbors.ptr[cg.user], ctx.neighbors.ptr[cg.user + 1]
+            graphs[cg.user] |= set(ctx.neighbors.items[lo:hi].tolist())
+        return finish(states, cg, step, ctx, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(client, "client_update", recording)
+        result = run_training(cfg, split, warm_up(cfg, split).table)
+    return split, result, graphs
+
+
+@pytest.mark.parametrize("rounds", [5, 40])
+def test_each_overlay_holds_at_most_its_local_graphs(rounds):
+    # the private path: decoys, masking, LDP and neighbour expansion
+    cfg = ExperimentConfig(
+        model=ModelSection(dim=8),
+        train=TrainSection(eta=10.0, max_rounds=rounds, clients_per_round=100, patience=rounds),
+        pretrain=PretrainSection(epochs=0),
+        privacy=PrivacySection(enabled=True, pseudo_items_p=5, mask_ratio=0.2),
+        graph=GraphSection(neighbor_expansion=True),
+    )
+    _, result, graphs = trained(cfg, 200, 100, 12)
+    assert len(result.reports) == rounds
+    held = 0
+    for user, overlay in enumerate(result.states.overlays):
+        assert set(overlay.local_items.tolist()) <= graphs[user], user
+        held += len(overlay.local_items)
+    assert held > 0
+
+
+def test_overlay_bytes_stay_a_multiple_of_the_interactions():
+    cfg = ExperimentConfig(
+        model=ModelSection(dim=16),
+        train=TrainSection(max_rounds=5, patience=5),
+        pretrain=PretrainSection(epochs=0),
+    )
+    shares = {}
+    for n_users in (USERS, 4 * USERS):
+        split, result, _ = trained(cfg, n_users, 300, 20)
+        overlays = result.states.overlays
+        held = sum(o.local_items.nbytes + o.local_rows.nbytes for o in overlays)
+        shares[n_users] = held / (len(split.indices) * cfg.model.dim * 8)
+    # with privacy off a graph is the training items: one row and one id per interaction
+    assert all(0 < share <= 17 / 16 for share in shares.values()), shares
