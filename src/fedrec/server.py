@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .data import SplitDataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import EVAL_BLOCK, UserEvalModel, rank_metrics, user_ranks
-from .gnn import EmbeddingTable, GradientUpdate, init_table, scatter_rows
+from .gnn import EmbeddingTable, GradientUpdate, init_table, sorted_unique
 from .pretrain import PretrainResult, assemble_pretraining_graph, pretrain
 from .privacy import randomize_vector, sample_pseudo_items
 from .rng import substream, substreams
@@ -173,16 +173,19 @@ def select_clients(
 
 def aggregate(updates: Sequence[GradientUpdate]) -> GradientUpdate:
     """Data-count weighted average; rows absent from an update count as zero.
-    Each id's weighted rows are summed in update order."""
+
+    A streaming sum: one zero block over the uploads' distinct ids, into
+    which each upload's weighted rows are added in place, in update order,
+    so no copy of all the uploads' rows is made."""
     if not updates:
         raise ValueError("nothing to aggregate")
     total = sum(u.data_count for u in updates)
     if total <= 0:
         raise ValueError("all data counts are zero")
-    ids = np.concatenate([u.items for u in updates])
-    rows = np.concatenate([u.data_count / total * u.item_grads for u in updates])
-    items = np.unique(ids)
-    summed = scatter_rows(np.searchsorted(items, ids), rows, len(items))
+    items = sorted_unique(*(u.items for u in updates))
+    summed = np.zeros((len(items), updates[0].item_grads.shape[1]))
+    for u in updates:  # an upload's ids are distinct, so no cell is added twice
+        summed[np.searchsorted(items, u.items)] += u.data_count / total * u.item_grads
     return GradientUpdate(items, summed, total)
 
 
@@ -472,6 +475,7 @@ def run_training(
         blocks = [states.user_rows[selected]] + [states.overlays[u].local_rows for u in selected]
         if not all(np.isfinite(b).all() for b in blocks):
             raise NumericError(f"non-finite client state after round {round_idx}")
+        del updates, by_cluster, step  # freed before the next round's uploads are built
 
         train_loss = float(np.mean(states.losses[selected]))
         val_recall = val_ndcg = None

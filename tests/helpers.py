@@ -34,6 +34,7 @@ from fedrec.gnn import (
     bpr_gradients,
     bpr_loss,
     propagate,
+    scatter_rows,
 )
 from fedrec.privacy import (
     ldp_randomize,
@@ -375,6 +376,16 @@ def add_at_rows(index, rows: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n, rows.shape[1]))
     np.add.at(out, np.asarray(index, dtype=np.int64), rows)
     return out
+
+
+def concatenated_aggregate(updates) -> GradientUpdate:
+    """``server.aggregate`` by one ``scatter_rows`` over every upload's
+    weighted rows concatenated: the reference for the streaming sum."""
+    total = sum(u.data_count for u in updates)
+    ids = np.concatenate([u.items for u in updates])
+    rows = np.concatenate([u.data_count / total * u.item_grads for u in updates])
+    items = np.unique(ids)
+    return GradientUpdate(items, scatter_rows(np.searchsorted(items, ids), rows, len(items)), total)
 
 
 def add_at_bpr_gradients(op, raw: EmbeddingTable, triples: np.ndarray, gamma: float):

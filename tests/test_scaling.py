@@ -11,10 +11,15 @@ The client overlays hold rows only for the clients' local graphs: each holds
 at most the union of its client's graphs over the rounds it trained, and all
 of them together stay within the same multiple of interactions × d × 8 bytes
 at N and at 4N users.
+
+The server adds each upload into one block over the round's distinct ids:
+an ``aggregate`` call's peak stays within one multiple of its output, one
+upload and the uploads' ids, whether it sums 50 uploads or 400.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fedrec import client
@@ -23,8 +28,9 @@ from fedrec.config import (
     ExperimentConfig, GraphSection, ModelSection, PretrainSection, PrivacySection, TrainSection,
 )
 from fedrec.data import leave_one_out_split, write_interactions
+from fedrec.gnn import GradientUpdate
 from fedrec.pretrain import INFONCE_CELLS
-from fedrec.server import run_training, warm_up
+from fedrec.server import aggregate, run_training, warm_up
 from fedrec.synthetic import two_community_dataset
 
 USERS = 600
@@ -120,3 +126,23 @@ def test_overlay_bytes_stay_a_multiple_of_the_interactions():
         shares[n_users] = held / (len(split.indices) * cfg.model.dim * 8)
     # with privacy off a graph is the training items: one row and one id per interaction
     assert all(0 < share <= 17 / 16 for share in shares.values()), shares
+
+
+@pytest.mark.parametrize("k", [50, 400])
+def test_an_aggregate_peak_does_not_grow_with_the_uploaded_rows(k):
+    rng = np.random.default_rng(0)
+    rows, d, n_items = 50, 32, 200
+    updates = [
+        GradientUpdate(np.sort(rng.choice(n_items, rows, replace=False)), rng.normal(size=(rows, d)), 3)
+        for _ in range(k)
+    ]
+    tracemalloc.start()
+    try:
+        merged = aggregate(updates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ids = sum(u.items.nbytes for u in updates)
+    held = merged.items.nbytes + merged.item_grads.nbytes + updates[0].item_grads.nbytes + ids
+    # one copy of every uploaded row is k * rows * d * 8 bytes: 7.5x held at k = 50, 23x at 400
+    assert peak <= 2 * held, (peak, held)

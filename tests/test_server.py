@@ -37,6 +37,7 @@ from fedrec.server import (
 from fedrec.synthetic import two_community_dataset
 from fedrec.data import InteractionDataset, leave_one_out_split
 from helpers import (
+    concatenated_aggregate,
     full_sort_ranks,
     local_item_table,
     loop_cluster_users,
@@ -330,6 +331,26 @@ class TestAggregate:
         np.testing.assert_array_equal(
             merged.item_grads, [oracle[i] for i in sorted(oracle)]
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_match_the_concatenated_scatter(self, seed):
+        rng = np.random.default_rng(seed)
+        updates = []
+        for _ in range(12):
+            ids = np.sort(rng.choice(40, size=int(rng.integers(1, 15)), replace=False))
+            rows = rng.normal(size=(len(ids), 5))
+            rows[rng.random(len(ids)) < 0.3] = -0.0
+            updates.append(GradientUpdate(ids, rows, int(rng.integers(1, 30))))
+        updates[5] = GradientUpdate([], np.zeros((0, 5)), 3)
+        updates.append(GradientUpdate([99], [[-0.0] * 5], 2))  # an id only -0.0 reaches
+        cluster = rng.integers(0, 3, size=len(updates))
+        parts = [updates] + [[u for u, c in zip(updates, cluster) if c == k] for k in range(3)]
+        for part in filter(None, parts):
+            ours, oracle = aggregate(part), concatenated_aggregate(part)
+            assert ours.items.tobytes() == oracle.items.tobytes()
+            assert ours.item_grads.tobytes() == oracle.item_grads.tobytes()
+            assert ours.data_count == oracle.data_count
+
 
 class TestApplyUpdate:
     def test_zero_gradient_changes_nothing(self, rng):

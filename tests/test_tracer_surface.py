@@ -6,7 +6,8 @@ drops its metrics, and a hook that no longer fits lands in ``hook_failed``;
 either way a per-layer metric of ``BENCHMARK.json`` goes missing. This
 module loads ``bench/tracer.py`` and ``bench/run.py`` by path, edits nothing
 under ``bench/``, and runs the ``tiny`` workload's pipeline in-process
-under the tracer. Every wrapped attribute is restored afterwards.
+under the tracer, whose uploaded rows and per-client calls must match the
+counts CI pins for it. Every wrapped attribute is restored afterwards.
 """
 
 import importlib.util
@@ -27,6 +28,15 @@ KNOWN_ABSENT = {
     "pretrain.infonce_terms",
     "pretrain.make_views",
     "pretrain.view_operator",
+}
+# the counts that .github/workflows/tests.yml pins for tiny at seed 3
+TINY_PINS = {
+    "privacy.ldp_rows": 1219,
+    "server.aggregate_rows_in": 2438,
+    "client.upload_rows": 1219,
+    "client.update.calls": 100,
+    "data.client_graph.calls": 140,
+    "gnn.propagate.calls": 22,
 }
 
 
@@ -103,3 +113,4 @@ def test_a_traced_tiny_run_keeps_every_hook_and_per_layer_metric(
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert [m["name"] for m in declared if m["name"] not in metrics] == []
     assert [m["name"] for m in declared if units[m["name"]] != m["unit"]] == []
+    assert {name: metrics[name] for name in TINY_PINS} == TINY_PINS
